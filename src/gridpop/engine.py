@@ -12,7 +12,7 @@ conservation, and house-count monotonicity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -27,9 +27,10 @@ from .params import (
 )
 from .params import FertilityTable
 from .population import (
+    STATUSES,
+    STATUS_CODE,
     Gender,
     MaritalStatus,
-    Person,
     PopulationStore,
     collect_invariant_violations,
 )
@@ -90,7 +91,7 @@ def collect_step_statistics(store: PopulationStore, space: Space,
     audit mode re-derives them by sweep and insists they agree."""
     if audit:
         _verify_cached_counters(store, space)
-    counts = store.alive_status_counts
+    single, married, divorced, widowed = store.alive_status_counts
     mean_age = (store.alive_age_steps_sum / store.alive_count / store.steps_per_year
                 if store.alive_count else 0.0)
     return StepStatistics(
@@ -98,10 +99,10 @@ def collect_step_statistics(store: PopulationStore, space: Space,
         alive=store.alive_count,
         males=store.alive_male,
         females=store.alive_female,
-        married=counts[MaritalStatus.MARRIED],
-        single=counts[MaritalStatus.SINGLE],
-        divorced=counts[MaritalStatus.DIVORCED],
-        widowed=counts[MaritalStatus.WIDOWED],
+        married=married,
+        single=single,
+        divorced=divorced,
+        widowed=widowed,
         mean_age=mean_age,
         births=len(log.births),
         deaths=len(log.deaths),
@@ -115,27 +116,12 @@ def collect_step_statistics(store: PopulationStore, space: Space,
 
 
 def _verify_cached_counters(store: PopulationStore, space: Space) -> None:
-    alive = males = females = age_sum = 0
-    statuses = {status: 0 for status in MaritalStatus}
-    for p in store.persons.values():
-        if not p.alive:
-            continue
-        alive += 1
-        if p.gender is Gender.MALE:
-            males += 1
-        else:
-            females += 1
-        statuses[p.marital_status] += 1
-        age_sum += p.age_steps
-    occupied = sum(1 for h in space.houses.values() if h.occupants)
-    checks = [
-        (store.alive_count, alive, "alive"),
-        (store.alive_male, males, "males"),
-        (store.alive_female, females, "females"),
-        (store.alive_age_steps_sum, age_sum, "age sum"),
-        (space.occupied_house_count, occupied, "occupied houses"),
-    ] + [(store.alive_status_counts[s], statuses[s], s.value) for s in MaritalStatus]
-    bad = [f"{name}: cached {c} != sweep {s}" for c, s, name in checks if c != s]
+    swept = store.alive_tallies()
+    cached = {name: getattr(store, name) for name in swept}
+    swept["occupied houses"] = sum(1 for h in space.houses.values() if h.occupants)
+    cached["occupied houses"] = space.occupied_house_count
+    bad = [f"{name}: cached {cached[name]} != sweep {swept[name]}"
+           for name in swept if cached[name] != swept[name]]
     if bad:
         raise AuditError("cached statistics diverge: " + "; ".join(bad))
 
@@ -145,7 +131,6 @@ class RunResult:
     statistics: list[StepStatistics]
     store: PopulationStore
     space: Space
-    logs: list[StepEventLog] = field(default_factory=list)
 
 
 def build_space(config: SimulationConfig) -> Space:
@@ -168,8 +153,10 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     """Initialize and advance the model from t0 to t_final.
 
     Emits one statistics row for the initial state and one per executed
-    step (thinned by stats_every, always including the final step). The
-    same seed reproduces every output byte.
+    step (thinned by stats_every, always including the final step); a
+    row's event columns count every step since the previous row. Each
+    step's event log goes to step_hook and is not kept. The same seed
+    reproduces every output byte.
     """
     config.validate()
     params.validate()
@@ -185,17 +172,17 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
         _audit_boundary(store, space)
     stats = [collect_step_statistics(store, space, StepEventLog(), float(config.t0),
                                      audit=config.audit)]
-    result = RunResult(statistics=stats, store=store, space=space)
 
     total = config.total_steps
     prev_alive = store.alive_count
     prev_houses = space.house_count
+    interval = StepEventLog()
     for k in range(total):
         snapshot = StepSnapshot.capture(store, space)
         current_year = config.t0 + k // n
         log = run_step(store, space, params, tables, snapshot, current_year,
                        rng, config.event_order)
-        result.logs.append(log)
+        interval.extend(log)
         if config.audit:
             _audit_boundary(store, space)
             if store.alive_count != prev_alive + len(log.births) - len(log.deaths):
@@ -206,10 +193,11 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
         prev_houses = space.house_count
         if (k + 1) % config.stats_every == 0 or k == total - 1:
             t = config.t0 + (k + 1) / n
-            stats.append(collect_step_statistics(store, space, log, t, audit=config.audit))
+            stats.append(collect_step_statistics(store, space, interval, t, audit=config.audit))
+            interval = StepEventLog()
         if step_hook is not None:
             step_hook(k, snapshot, log, store, space)
-    return result
+    return RunResult(statistics=stats, store=store, space=space)
 
 
 def _audit_boundary(store: PopulationStore, space: Space) -> None:
@@ -230,8 +218,8 @@ def write_statistics(stats: list[StepStatistics], path: str | Path) -> None:
     Path(path).write_text(statistics_to_csv(stats))
 
 
-def _opt(v) -> str:
-    return "-" if v is None else str(v)
+def _opt(v: int) -> str:
+    return "-" if v < 0 else str(v)
 
 
 def export_population(store: PopulationStore, space: Space, path: str | Path) -> None:
@@ -240,26 +228,35 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
     lines = [EXPORT_HEADER,
              f"# steps_per_year={store.steps_per_year}",
              f"# fields: {EXPORT_FIELDS}"]
-    for p in store.persons.values():
-        children = ",".join(str(c) for c in sorted(p.children)) if p.children else "-"
-        if p.house is not None:
-            house = str(p.house)
-            tx, ty = space.house_town(p.house)
-            town_x, town_y = str(tx), str(ty)
+    n = store.size
+    offsets, kids = store.children_index()
+    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
+    columns = [getattr(store, name)[:n].tolist() for name in (
+        "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
+        "father_arr", "mother_arr", "house_arr", "town_x_arr", "town_y_arr")]
+    for pid, (male, age, alive, status, partner, father, mother, house,
+              town_x, town_y) in enumerate(zip(*columns)):
+        children = ",".join(kids[offsets[pid]:offsets[pid + 1]]) or "-"
+        if house >= 0:
+            where = [str(house), str(town_x), str(town_y)]
         else:
-            house = "grave" if not p.alive else "-"
-            town_x = town_y = "-"
+            where = ["-" if alive else "grave", "-", "-"]
         lines.append(" ".join([
-            str(p.id), p.gender.value, str(p.age_steps), "1" if p.alive else "0",
-            p.marital_status.value, _opt(p.partner), _opt(p.father), _opt(p.mother),
-            children, house, town_x, town_y,
+            str(pid), "male" if male else "female", str(age), "1" if alive else "0",
+            STATUSES[status].value, _opt(partner), _opt(father), _opt(mother),
+            children, *where,
         ]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     """Rebuild a store (and a minimal space carrying the exported houses)
-    from an export file, for invariant auditing and round-trip checks."""
+    from an export file, for invariant auditing and round-trip checks.
+
+    Raises ValueError, naming the line or the person, on a malformed line,
+    ids out of sequence, or a children column that disagrees with the
+    father and mother columns.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != EXPORT_HEADER:
         raise ValueError("not a population export file")
@@ -269,40 +266,55 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
             steps_per_year = int(ln.split("=", 1)[1])
     if steps_per_year is None:
         raise ValueError("export file missing steps_per_year header")
-    store = PopulationStore(steps_per_year)
-    space = Space()
-    max_id = -1
-    max_house = -1
-    for ln in lines:
+    n_fields = len(EXPORT_FIELDS.split())
+    rows = []
+    for lineno, ln in enumerate(lines, start=1):
         if ln.startswith("#") or not ln.strip():
             continue
-        (pid, gender, age_steps, alive, status, partner, father, mother,
-         children, house, town_x, town_y) = ln.split(" ")
-        p = Person(
-            id=int(pid),
-            gender=Gender(gender),
-            age_steps=int(age_steps),
-            alive=alive == "1",
-            marital_status=MaritalStatus(status),
-            partner=None if partner == "-" else int(partner),
-            father=None if father == "-" else int(father),
-            mother=None if mother == "-" else int(mother),
-            children=set() if children == "-" else {int(c) for c in children.split(",")},
-        )
-        if house not in ("grave", "-"):
-            hid = int(house)
-            town = (int(town_x), int(town_y))
-            if hid not in space.houses:
-                # Bypass new_house: exported coordinates are town-level only.
-                space.houses[hid] = House(hid, town, 1, 1)
-                space.towns[town].house_ids.append(hid)
-                max_house = max(max_house, hid)
-            space.houses[hid].occupants.add(p.id)
-            p.house = hid
-        store.persons[p.id] = p
-        max_id = max(max_id, p.id)
-    store._next_id = max_id + 1
-    space._next_house_id = max_house + 1
-    space._occupied_houses = sum(1 for h in space.houses.values() if h.occupants)
-    store.recount_caches(space)
+        cells = ln.split(" ")
+        if len(cells) != n_fields:
+            raise ValueError(f"line {lineno}: {len(cells)} fields, expected {n_fields}")
+        if cells[0] != str(len(rows)):
+            raise ValueError(f"line {lineno}: person id {cells[0]}, expected {len(rows)}")
+        rows.append(cells)
+
+    n = len(rows)
+    store = PopulationStore(steps_per_year)
+    space = Space()
+    store.add_rows(n)
+    (_, genders, ages, alive, statuses, partners, fathers, mothers, _,
+     houses, towns_x, towns_y) = zip(*rows) if rows else [()] * n_fields
+    # Enum lookups reject unknown genders and statuses, once per distinct value.
+    male = {g: Gender(g) is Gender.MALE for g in set(genders)}
+    code = {s: STATUS_CODE[MaritalStatus(s)] for s in set(statuses)}
+    store.male_arr[:n] = [male[g] for g in genders]
+    store.age_steps_arr[:n] = [int(a) for a in ages]
+    store.alive_arr[:n] = [a == "1" for a in alive]
+    store.status_arr[:n] = [code[s] for s in statuses]
+    for array, refs in ((store.partner_arr, partners), (store.father_arr, fathers),
+                        (store.mother_arr, mothers)):
+        array[:n] = [-1 if r == "-" else int(r) for r in refs]
+    house_of = [-1 if h in ("-", "grave") else int(h) for h in houses]
+    store.house_arr[:n] = house_of
+    housed = [pid for pid, hid in enumerate(house_of) if hid >= 0]
+    for pid in housed:
+        hid = house_of[pid]
+        if hid not in space.houses:
+            # Bypass new_house: exported coordinates are town-level only.
+            town = (int(towns_x[pid]), int(towns_y[pid]))
+            space.houses[hid] = House(hid, town, 1, 1)
+            space.towns[town].house_ids.append(hid)
+        space.add_occupant(hid, pid)
+    store.town_x_arr[housed] = [int(towns_x[pid]) for pid in housed]
+    store.town_y_arr[housed] = [int(towns_y[pid]) for pid in housed]
+    space._next_house_id = max(space.houses, default=-1) + 1
+    store.recount()
+
+    offsets, kids = store.children_index()
+    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
+    for pid, cells in enumerate(rows):
+        derived = kids[offsets[pid]:offsets[pid + 1]] or ["-"]
+        if sorted(cells[8].split(",")) != sorted(derived):
+            raise ValueError(f"person {pid}: children column {cells[8]} disagrees with "
+                             f"the father/mother columns ({','.join(derived)})")
     return store, space

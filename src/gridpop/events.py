@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +47,11 @@ class StepEventLog:
     divorces: list[tuple[PersonId, PersonId]] = field(default_factory=list)
     orphan_moves: list[PersonId] = field(default_factory=list)
     divorce_moves: list[PersonId] = field(default_factory=list)
+
+    def extend(self, other: "StepEventLog") -> None:
+        """Append another log's events, to cover several steps."""
+        for f in fields(self):
+            getattr(self, f.name).extend(getattr(other, f.name))
 
 
 # -- yearly hazards and matching weights -----------------------------------
@@ -127,31 +132,21 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     who has a living older sibling moves out to an empty house in the same
     town, alone.
     """
-    adult_steps = store.adult_age_steps
     n = store.size
     alive = store.alive_arr[:n]
     ages = store.age_steps_arr[:n]
-    ages[alive] += 1  # mirror first, then the canonical objects
-    for p in store.persons.values():
-        if p.alive:
-            p.age_steps += 1
-    store.alive_age_steps_sum += int(alive.sum())
-    new_adults = np.flatnonzero(alive & (ages == adult_steps)).tolist()
-    for pid in new_adults:
-        p = store.persons[pid]
-        parents_dead = all(
-            parent is None or not store.persons[parent].alive
-            for parent in (p.father, p.mother)
-        )
-        if not parents_dead:
+    ages[alive] += 1
+    store.alive_age_steps_sum += int(np.count_nonzero(alive))
+    new_adults = np.flatnonzero(alive & (ages == store.adult_age_steps))
+    if len(new_adults) == 0:
+        return
+    orphaned = np.ones(len(new_adults), dtype=bool)
+    for parents in (store.father_arr[new_adults], store.mother_arr[new_adults]):
+        orphaned &= (parents < 0) | ~alive[parents]
+    for pid in new_adults[orphaned].tolist():
+        if not np.any(store.sibling_mask(pid) & alive & (ages > ages[pid])):
             continue
-        has_older_alive_sibling = any(
-            store.persons[s].alive and store.persons[s].age_steps > p.age_steps
-            for s in store.sibling_ids(pid)
-        )
-        if not has_older_alive_sibling:
-            continue
-        town = space.house_town(p.house)
+        town = space.house_town(int(store.house_arr[pid]))
         space.move_person(store, pid, space.find_or_create_empty_house(town, rng))
         log.orphan_moves.append(pid)
 
@@ -182,28 +177,22 @@ def births_step(store: PopulationStore, space: Space, params: ModelParameters,
     rate for their age and the calendar year."""
     n = store.steps_per_year
     size = store.size
-    candidate_ids = np.flatnonzero(
-        store.alive_arr[:size] & ~store.male_arr[:size]
-        & (store.status_arr[:size] == MARRIED_CODE)
-        & (store.age_steps_arr[:size] < 45 * n)).tolist()
-    mothers: list[PersonId] = []
-    rates: list[float] = []
-    for pid in candidate_ids:
-        p = store.persons[pid]
-        youngest = store.youngest_alive_child_age_steps(p)
-        if youngest is not None and youngest <= n:
-            continue
-        mothers.append(pid)
-        rates.append(tables.fertility.rate(p.age_steps // n, current_year))
-    if not mothers:
+    alive = store.alive_arr[:size]
+    ages = store.age_steps_arr[:size]
+    mothers_of_infants = store.mother_arr[:size][alive & (ages <= n)]
+    blocked = np.zeros(size, dtype=bool)
+    blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
+    mothers = np.flatnonzero(alive & ~store.male_arr[:size] & ~blocked
+                             & (store.status_arr[:size] == MARRIED_CODE) & (ages < 45 * n))
+    if len(mothers) == 0:
         return
-    p_step = instantaneous_probability_array(np.array(rates), n)
-    hits = np.flatnonzero(rng.random(len(mothers)) < p_step)
-    for i in hits:
-        mother = store.persons[mothers[int(i)]]
+    rates = tables.fertility.rates_at(ages[mothers] // n, current_year)
+    p_step = instantaneous_probability_array(rates, n)
+    hits = mothers[rng.random(len(mothers)) < p_step].tolist()
+    for mother in hits:
         gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
-        baby = store.spawn_person(gender, 0, father=mother.partner, mother=mother.id,
-                                  house=mother.house, space=space)
+        baby = store.spawn_person(gender, 0, father=int(store.partner_arr[mother]), mother=mother,
+                                  house=int(store.house_arr[mother]), space=space)
         log.births.append(baby)
 
 
@@ -231,10 +220,9 @@ def divorces_step(store: PopulationStore, space: Space, params: ModelParameters,
                                              store.steps_per_year)
     hits = ids[rng.random(len(ids)) < p_step].tolist()
     for pid in hits:
-        man = store.persons[pid]
-        wife = man.partner
+        wife = int(store.partner_arr[pid])
         store.unwed(pid, UnwedReason.DIVORCE)
-        town = space.house_town(man.house)
+        town = space.house_town(int(store.house_arr[pid]))
         space.move_person(store, pid, space.find_or_create_empty_house(town, rng))
         log.divorces.append((pid, wife))
         log.divorce_moves.append(pid)
@@ -282,27 +270,29 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
                           & (store.age_steps_arr[:size] >= adult_steps))
     pool_ages = store.age_steps_arr[pool] / n
     # Child counts cannot change during this event; towns can (household
-    # merges move co-residents), so distances read the live mirrors.
-    pool_children = np.array([store.alive_children_count(store.persons[int(pid)])
-                              for pid in pool], dtype=float)
+    # merges move co-residents), so distances read the live town arrays.
+    alive = store.alive_arr[:size]
+    children = np.zeros(size, dtype=np.int64)
+    for parents in (store.father_arr[:size][alive], store.mother_arr[:size][alive]):
+        children += np.bincount(parents[parents >= 0], minlength=size)
+    pool_children = children[pool].astype(float)
     live = len(pool)
 
     for groom_id in grooms:
         if live == 0:
             break
-        groom = store.persons[groom_id]
         n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
         k = min(n_cand, live)
         cand = rng.choice(live, size=k, replace=False)
         cand_pids = pool[cand]
-        town_m = space.house_town(groom.house)
+        town_m = space.house_town(int(store.house_arr[groom_id]))
         dist = (np.abs(store.town_x_arr[cand_pids].astype(np.int64) - town_m[0])
                 + np.abs(store.town_y_arr[cand_pids].astype(np.int64) - town_m[1]))
-        nm = store.alive_children_count(groom)
+        nm = int(children[groom_id])
         nf = pool_children[cand]
         children_w = np.exp(np.minimum(nm * nf - nm - nf, _EXP_CAP))
         weights = (np.exp(-4.0 * dist) * children_w
-                   * age_compatibility_array(groom.age_steps / n, pool_ages[cand]))
+                   * age_compatibility_array(store.age_steps_arr[groom_id] / n, pool_ages[cand]))
         if float(weights.sum()) <= 0.0:
             logger.debug("all marriage weights zero for man %d; stays single", groom_id)
             continue
@@ -321,8 +311,8 @@ def _merge_households(store: PopulationStore, space: Space,
                       groom: PersonId, bride: PersonId) -> None:
     """Everyone in the smaller house moves into the larger; ties favour
     the groom's house."""
-    house_m = store.persons[groom].house
-    house_f = store.persons[bride].house
+    house_m = int(store.house_arr[groom])
+    house_f = int(store.house_arr[bride])
     if house_m == house_f:
         return
     occ_m = space.houses[house_m].occupants

@@ -2,8 +2,9 @@
 
 Expressions are trees built from elementary predicates and the operators
 ``|`` (union), ``&`` (intersection), ``-`` (difference), ``~`` (negation),
-plus ``compose``, ``just`` and ``pre``. Evaluation is pure: the same
-(person, store, snapshot) always yields the same boolean.
+plus ``compose``, ``just`` and ``pre``. Every node evaluates to a boolean
+mask over all stored ids, computed from the store's arrays; evaluation is
+pure, so the same (store, snapshot) always yields the same mask.
 
 Temporal semantics: ``pre(f)`` evaluates f against the previous step
 boundary's snapshot and is False for persons created since; ``just(f)``
@@ -12,9 +13,10 @@ boundary), the current state doubles as its own past, so ``just`` is
 False everywhere and ``pre(f)`` equals ``f``.
 
 Only the snapshot-tracked attributes (age, alive, marital status, house,
-town) are stored per step; kinship predicates under ``pre``/``just`` are
-reconstructed from snapshot membership, which works because kinship links
-never disappear and only ever gain newly created persons.
+town) are copied per step; kinship predicates under ``pre``/``just`` read
+the parent arrays restricted to the ids of the snapshot, which works
+because kinship links never disappear and only ever gain newly created
+persons.
 """
 
 from __future__ import annotations
@@ -35,67 +37,40 @@ from .population import (
 if TYPE_CHECKING:
     from .space import Space
 
-_STATUS_FROM_CODE = {code: status for status, code in STATUS_CODE.items()}
-
 
 class FeatureError(Exception):
     """Raised for unsupported expression shapes (e.g. nested temporal ops)."""
 
 
 class StepSnapshot:
-    """Immutable copy of the tracked attributes at one step boundary.
+    """The person arrays at one step boundary.
 
-    Stored as dense arrays indexed by person id; ids issued after the
-    capture are simply beyond `size`, which encodes absence.
+    The tracked attributes (age, alive, marital status, house, town) are
+    copies; gender and parents never change after registration, so they
+    are views of the store's arrays. Ids issued after the capture are
+    beyond `size`, which encodes absence.
     """
 
     __slots__ = ("size", "steps_per_year", "age_steps", "alive", "status",
-                 "house", "town_x", "town_y")
+                 "house", "town_x", "town_y", "male", "father", "mother")
 
-    def __init__(self, size: int, steps_per_year: int, age_steps: np.ndarray,
-                 alive: np.ndarray, status: np.ndarray, house: np.ndarray,
-                 town_x: np.ndarray, town_y: np.ndarray):
-        self.size = size
-        self.steps_per_year = steps_per_year
-        self.age_steps = age_steps
-        self.alive = alive
-        self.status = status
-        self.house = house
-        self.town_x = town_x
-        self.town_y = town_y
+    def __init__(self, store: PopulationStore, copy: bool):
+        n = self.size = store.size
+        self.steps_per_year = store.steps_per_year
+        for name in ("age_steps", "alive", "status", "house", "town_x", "town_y"):
+            column = getattr(store, f"{name}_arr")[:n]
+            setattr(self, name, column.copy() if copy else column)
+        self.male = store.male_arr[:n]
+        self.father = store.father_arr[:n]
+        self.mother = store.mother_arr[:n]
 
     @classmethod
     def capture(cls, store: PopulationStore, space: "Space") -> "StepSnapshot":
-        n = store.size
-        return cls(
-            n, store.steps_per_year,
-            store.age_steps_arr[:n].copy(),
-            store.alive_arr[:n].copy(),
-            store.status_arr[:n].copy(),
-            store.house_arr[:n].copy(),
-            store.town_x_arr[:n].copy(),
-            store.town_y_arr[:n].copy(),
-        )
-
-    def __contains__(self, pid: PersonId) -> bool:
-        return 0 <= pid < self.size
+        return cls(store, copy=True)
 
     def house_of(self, pid: PersonId) -> Optional[int]:
         h = int(self.house[pid])
         return None if h == -1 else h
-
-    def town_of(self, pid: PersonId) -> Optional[tuple[int, int]]:
-        x = int(self.town_x[pid])
-        return None if x == 0 else (x, int(self.town_y[pid]))
-
-    def age_steps_of(self, pid: PersonId) -> int:
-        return int(self.age_steps[pid])
-
-    def alive_of(self, pid: PersonId) -> bool:
-        return bool(self.alive[pid])
-
-    def status_of(self, pid: PersonId) -> MaritalStatus:
-        return _STATUS_FROM_CODE[int(self.status[pid])]
 
 
 class EvalContext:
@@ -109,11 +84,19 @@ class EvalContext:
         self.space = space
         self.snapshot = snapshot
 
+    def state(self, past: bool) -> StepSnapshot:
+        """The snapshot when past, else the store's current arrays."""
+        return self.snapshot if past else StepSnapshot(self.store, copy=False)
+
 
 class FeatureExpr:
-    """Base node; subclasses implement holds(ctx, pid, past)."""
+    """Base node; subclasses implement mask(ctx, past).
 
-    def holds(self, ctx: EvalContext, pid: PersonId, past: bool = False) -> bool:
+    mask returns a boolean array over the ids of the state it reads: the
+    store's [0, size) now, the snapshot's [0, snapshot.size) when past.
+    """
+
+    def mask(self, ctx: EvalContext, past: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def __or__(self, other: "FeatureExpr") -> "FeatureExpr":
@@ -129,7 +112,9 @@ class FeatureExpr:
         return Negation(self)
 
     def compose(self, inner: "FeatureExpr") -> "FeatureExpr":
-        return Composition(self, inner)
+        """Restrict `inner` to persons already satisfying `self`;
+        extensionally equal to intersection."""
+        return Intersection(self, inner)
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,8 @@ class Union(FeatureExpr):
     left: FeatureExpr
     right: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
-        return self.left.holds(ctx, pid, past) or self.right.holds(ctx, pid, past)
+    def mask(self, ctx, past=False):
+        return self.left.mask(ctx, past) | self.right.mask(ctx, past)
 
 
 @dataclass(frozen=True)
@@ -146,8 +131,8 @@ class Intersection(FeatureExpr):
     left: FeatureExpr
     right: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
-        return self.left.holds(ctx, pid, past) and self.right.holds(ctx, pid, past)
+    def mask(self, ctx, past=False):
+        return self.left.mask(ctx, past) & self.right.mask(ctx, past)
 
 
 @dataclass(frozen=True)
@@ -155,61 +140,46 @@ class Difference(FeatureExpr):
     left: FeatureExpr
     right: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
-        return self.left.holds(ctx, pid, past) and not self.right.holds(ctx, pid, past)
+    def mask(self, ctx, past=False):
+        return self.left.mask(ctx, past) & ~self.right.mask(ctx, past)
 
 
 @dataclass(frozen=True)
 class Negation(FeatureExpr):
     inner: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
-        return not self.inner.holds(ctx, pid, past)
-
-
-@dataclass(frozen=True)
-class Composition(FeatureExpr):
-    """Restrict `inner` to persons already satisfying `outer`.
-
-    Extensionally equal to intersection; `inner` is only evaluated when
-    `outer` holds (short-circuit).
-    """
-
-    outer: FeatureExpr
-    inner: FeatureExpr
-
-    def holds(self, ctx, pid, past=False):
-        return self.outer.holds(ctx, pid, past) and self.inner.holds(ctx, pid, past)
+    def mask(self, ctx, past=False):
+        return ~self.inner.mask(ctx, past)
 
 
 @dataclass(frozen=True)
 class Just(FeatureExpr):
     inner: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
+    def mask(self, ctx, past=False):
         if past:
             raise FeatureError("temporal operators cannot be nested (one snapshot is retained)")
-        return self.inner.holds(ctx, pid) and not _eval_past(self.inner, ctx, pid)
+        return self.inner.mask(ctx) & ~_past_mask(self.inner, ctx)
 
 
 @dataclass(frozen=True)
 class Pre(FeatureExpr):
     inner: FeatureExpr
 
-    def holds(self, ctx, pid, past=False):
+    def mask(self, ctx, past=False):
         if past:
             raise FeatureError("temporal operators cannot be nested (one snapshot is retained)")
-        return _eval_past(self.inner, ctx, pid)
+        return _past_mask(self.inner, ctx)
 
 
-def _eval_past(expr: FeatureExpr, ctx: EvalContext, pid: PersonId) -> bool:
+def _past_mask(expr: FeatureExpr, ctx: EvalContext) -> np.ndarray:
     if ctx.snapshot is None:
         # First boundary: the initial state is its own past.
-        return expr.holds(ctx, pid)
-    if pid not in ctx.snapshot:
-        # Created since the snapshot: every past evaluation is False.
-        return False
-    return expr.holds(ctx, pid, past=True)
+        return expr.mask(ctx)
+    # Created since the snapshot: every past evaluation is False.
+    out = np.zeros(ctx.store.size, dtype=bool)
+    out[:ctx.snapshot.size] = expr.mask(ctx, past=True)
+    return out
 
 
 def just(expr: FeatureExpr) -> FeatureExpr:
@@ -221,7 +191,7 @@ def pre(expr: FeatureExpr) -> FeatureExpr:
 
 
 def compose(outer: FeatureExpr, inner: FeatureExpr) -> FeatureExpr:
-    return Composition(outer, inner)
+    return outer.compose(inner)
 
 
 # -- elementary predicates ----------------------------------------------
@@ -231,161 +201,116 @@ def compose(outer: FeatureExpr, inner: FeatureExpr) -> FeatureExpr:
 class GenderIs(FeatureExpr):
     gender: Gender
 
-    def holds(self, ctx, pid, past=False):
-        # Gender never changes, so past evaluation reads the live record.
-        return ctx.store.persons[pid].gender is self.gender
+    def mask(self, ctx, past=False):
+        male = ctx.state(past).male
+        return male.copy() if self.gender is Gender.MALE else ~male
 
 
 @dataclass(frozen=True)
 class IsAlive(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        if past:
-            return ctx.snapshot.alive_of(pid)
-        return ctx.store.persons[pid].alive
+    def mask(self, ctx, past=False):
+        return ctx.state(past).alive.copy()
 
 
 @dataclass(frozen=True)
 class StatusIs(FeatureExpr):
     status: MaritalStatus
 
-    def holds(self, ctx, pid, past=False):
-        if past:
-            return ctx.snapshot.status_of(pid) is self.status
-        return ctx.store.persons[pid].marital_status is self.status
+    def mask(self, ctx, past=False):
+        return ctx.state(past).status == STATUS_CODE[self.status]
 
 
 @dataclass(frozen=True)
-class IsMarried(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        if past:
-            return ctx.snapshot.status_of(pid) is MaritalStatus.MARRIED
-        return ctx.store.persons[pid].married
+class AgeCompare(FeatureExpr):
+    """Age in steps compared, by a NumPy comparison, with `years` of the clock."""
 
-
-@dataclass(frozen=True)
-class AgeAtLeast(FeatureExpr):
+    compare: np.ufunc
     years: float
 
-    def holds(self, ctx, pid, past=False):
-        steps = ctx.snapshot.age_steps_of(pid) if past else ctx.store.persons[pid].age_steps
-        return steps >= self.years * ctx.store.steps_per_year
+    def mask(self, ctx, past=False):
+        return self.compare(ctx.state(past).age_steps, self.years * ctx.store.steps_per_year)
+
+
+def _kin(state: StepSnapshot, alive_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per person of the state: whether they have a (living) child, and
+    whether they have a (living) sibling, from scatters over the parent
+    arrays."""
+    n = state.size
+    counted = state.alive if alive_only else np.ones(n, dtype=bool)
+    has_child = np.zeros(n, dtype=bool)
+    has_sibling = np.zeros(n, dtype=bool)
+    for parents in (state.father, state.mother):
+        linked = parents >= 0
+        per_parent = np.bincount(parents[linked & counted], minlength=n)
+        has_child |= per_parent[:n] > 0
+        # Siblings via this parent: the parent's counted children, less oneself.
+        others = per_parent[parents[linked]] - counted[linked]
+        has_sibling[linked] |= others > 0
+    return has_child, has_sibling
 
 
 @dataclass(frozen=True)
-class AgeOver(FeatureExpr):
-    years: float
+class HasKin(FeatureExpr):
+    """Has a child, or a sibling when `siblings`; living ones only when `alive_only`."""
 
-    def holds(self, ctx, pid, past=False):
-        steps = ctx.snapshot.age_steps_of(pid) if past else ctx.store.persons[pid].age_steps
-        return steps > self.years * ctx.store.steps_per_year
+    siblings: bool
+    alive_only: bool
 
-
-@dataclass(frozen=True)
-class AgeBelow(FeatureExpr):
-    years: float
-
-    def holds(self, ctx, pid, past=False):
-        steps = ctx.snapshot.age_steps_of(pid) if past else ctx.store.persons[pid].age_steps
-        return steps < self.years * ctx.store.steps_per_year
-
-
-def _existed(ctx: EvalContext, pid: PersonId, past: bool) -> bool:
-    return not past or ctx.snapshot is None or pid in ctx.snapshot
-
-
-@dataclass(frozen=True)
-class HasChildren(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        children = ctx.store.persons[pid].children
-        if past and ctx.snapshot is not None:
-            return any(c in ctx.snapshot for c in children)
-        return bool(children)
-
-
-@dataclass(frozen=True)
-class HasAliveChildren(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        children = ctx.store.persons[pid].children
-        if past and ctx.snapshot is not None:
-            return any(c in ctx.snapshot and ctx.snapshot.alive_of(c) for c in children)
-        return any(ctx.store.persons[c].alive for c in children)
-
-
-@dataclass(frozen=True)
-class HasSiblings(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        sibs = ctx.store.sibling_ids(pid)
-        if past and ctx.snapshot is not None:
-            return any(s in ctx.snapshot for s in sibs)
-        return bool(sibs)
-
-
-@dataclass(frozen=True)
-class HasAliveSiblings(FeatureExpr):
-    def holds(self, ctx, pid, past=False):
-        sibs = ctx.store.sibling_ids(pid)
-        if past and ctx.snapshot is not None:
-            return any(s in ctx.snapshot and ctx.snapshot.alive_of(s) for s in sibs)
-        return any(ctx.store.persons[s].alive for s in sibs)
+    def mask(self, ctx, past=False):
+        return _kin(ctx.state(past), self.alive_only)[self.siblings]
 
 
 @dataclass(frozen=True)
 class InHouse(FeatureExpr):
     house_id: int
 
-    def holds(self, ctx, pid, past=False):
-        if past:
-            return ctx.snapshot.house_of(pid) == self.house_id
-        return ctx.store.persons[pid].house == self.house_id
+    def mask(self, ctx, past=False):
+        return ctx.state(past).house == self.house_id
 
 
 @dataclass(frozen=True)
 class InTown(FeatureExpr):
     town: tuple[int, int]
 
-    def holds(self, ctx, pid, past=False):
-        if past:
-            return ctx.snapshot.town_of(pid) == self.town
-        house = ctx.store.persons[pid].house
-        if house is None:
-            return False
-        return ctx.space.house_town(house) == self.town
+    def mask(self, ctx, past=False):
+        state = ctx.state(past)
+        return (state.town_x == self.town[0]) & (state.town_y == self.town[1])
 
 
 @dataclass(frozen=True)
 class Always(FeatureExpr):
     value: bool
 
-    def holds(self, ctx, pid, past=False):
-        return self.value
+    def mask(self, ctx, past=False):
+        return np.full(ctx.state(past).size, self.value)
 
 
 # Ready-made leaves.
 MALE = GenderIs(Gender.MALE)
 FEMALE = GenderIs(Gender.FEMALE)
 ALIVE = IsAlive()
-MARRIED = IsMarried()
+MARRIED = StatusIs(MaritalStatus.MARRIED)
 DIVORCED = StatusIs(MaritalStatus.DIVORCED)
 WIDOWED = StatusIs(MaritalStatus.WIDOWED)
-HAS_CHILDREN = HasChildren()
-HAS_ALIVE_CHILDREN = HasAliveChildren()
-HAS_SIBLINGS = HasSiblings()
-HAS_ALIVE_SIBLINGS = HasAliveSiblings()
-ADULT = AgeAtLeast(18)
+HAS_CHILDREN = HasKin(siblings=False, alive_only=False)
+HAS_ALIVE_CHILDREN = HasKin(siblings=False, alive_only=True)
+HAS_SIBLINGS = HasKin(siblings=True, alive_only=False)
+HAS_ALIVE_SIBLINGS = HasKin(siblings=True, alive_only=True)
+ADULT = AgeCompare(np.greater_equal, 18)
 TRUE = Always(True)
 FALSE = Always(False)
 
 
 def age_at_least(years: float) -> FeatureExpr:
-    return AgeAtLeast(years)
+    return AgeCompare(np.greater_equal, years)
 
 
 def age_over(years: float) -> FeatureExpr:
-    return AgeOver(years)
+    return AgeCompare(np.greater, years)
 
 
 def age_below(years: float) -> FeatureExpr:
-    return AgeBelow(years)
+    return AgeCompare(np.less, years)
 
 
 def in_town(town: tuple[int, int]) -> FeatureExpr:
@@ -400,9 +325,9 @@ def in_house(house_id: int) -> FeatureExpr:
 
 
 def evaluate(expr: FeatureExpr, ctx: EvalContext, pid: PersonId) -> bool:
-    return expr.holds(ctx, pid)
+    return bool(expr.mask(ctx)[pid])
 
 
 def subpopulation(expr: FeatureExpr, ctx: EvalContext) -> list[PersonId]:
     """Ids of all stored persons satisfying expr, in ascending id order."""
-    return [pid for pid in ctx.store.persons if expr.holds(ctx, pid)]
+    return np.flatnonzero(expr.mask(ctx)).tolist()

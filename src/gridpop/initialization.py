@@ -15,7 +15,7 @@ import numpy as np
 
 from .events import age_compatibility_array
 from .params import ModelParameters
-from .population import Gender, PersonId, PopulationStore
+from .population import MARRIED_CODE, PersonId, PopulationStore
 from .space import Space, TownKey
 from .stochastics import (
     ClockSpec,
@@ -60,11 +60,18 @@ def init_ages_and_genders(store: PopulationStore, pids: list[PersonId],
     n = len(pids)
     genders = rng.random(n) < 0.5  # True = male
     ages = sample_half_normal_age_steps(rng, clock, size=n, max_age_years=max_age_years)
-    for pid, is_male, age in zip(pids, genders, ages):
-        p = store.persons[pid]
-        p.gender = Gender.MALE if is_male else Gender.FEMALE
-        p.age_steps = int(age)
-    store.recount_caches()
+    store.male_arr[pids] = genders
+    store.age_steps_arr[pids] = ages
+    store.recount()
+
+
+def _alive_adults(store: PopulationStore, male: bool, unmarried: bool = False) -> np.ndarray:
+    n = store.size
+    mask = (store.alive_arr[:n] & (store.male_arr[:n] == male)
+            & (store.age_steps_arr[:n] >= store.adult_age_steps))
+    if unmarried:
+        mask &= store.status_arr[:n] != MARRIED_CODE
+    return np.flatnonzero(mask)
 
 
 def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng) -> None:
@@ -75,15 +82,12 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     leaves the pool. An exhausted pool leaves the remaining males single.
     """
     n = store.steps_per_year
-    adult_males = [p.id for p in store.persons.values()
-                   if p.alive and p.gender is Gender.MALE and store.is_adult(p)]
+    adult_males = _alive_adults(store, male=True)
     picks = rng.random(len(adult_males)) < params.start_married_rate
-    selected = shuffle(rng, [pid for pid, take in zip(adult_males, picks) if take])
+    selected = shuffle(rng, adult_males[picks].tolist())
 
-    pool = [p.id for p in store.persons.values()
-            if p.alive and p.gender is Gender.FEMALE and store.is_adult(p)]
-    pool_ids = np.array(pool, dtype=np.int64)
-    pool_ages = np.array([store.persons[pid].age_steps for pid in pool], dtype=float) / n
+    pool_ids = _alive_adults(store, male=False)
+    pool_ages = store.age_steps_arr[pool_ids] / n
     live = len(pool_ids)
     # Candidate-subset size is fixed from the initial pool size.
     n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
@@ -95,7 +99,7 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
             break
         k = min(n_cand, live)
         cand = sample_indices_without_replacement(rng, live, k)
-        weights = age_compatibility_array(store.age_years(m), pool_ages[cand])
+        weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
         j = int(weighted_sample(rng, cand, weights))
         wife = int(pool_ids[j])
         store.wed(m, wife)
@@ -113,21 +117,16 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
     no couple exists at all, the oldest single adult pair is wed first.
     """
     n = store.steps_per_year
-    minors = [p.id for p in store.persons.values() if p.age_steps < store.adult_age_steps]
+    minors = np.flatnonzero(store.age_steps_arr[:store.size] < store.adult_age_steps).tolist()
     if not minors:
         return
 
     def couple_arrays():
-        ids, min_ages, wife_ages = [], [], []
-        for p in store.persons.values():
-            if p.gender is Gender.MALE and p.married:
-                wife = store.persons[p.partner]
-                ids.append(p.id)
-                min_ages.append(min(p.age_steps, wife.age_steps))
-                wife_ages.append(wife.age_steps)
-        return (np.array(ids, dtype=np.int64),
-                np.array(min_ages, dtype=np.int64),
-                np.array(wife_ages, dtype=np.int64))
+        size = store.size
+        ids = np.flatnonzero(store.male_arr[:size] & (store.status_arr[:size] == MARRIED_CODE))
+        ages = store.age_steps_arr[ids]
+        wife_ages = store.age_steps_arr[store.partner_arr[ids]]
+        return ids, np.minimum(ages, wife_ages), wife_ages
 
     men_ids, men_min_age, men_wife_age = couple_arrays()
     if len(men_ids) == 0:
@@ -136,7 +135,7 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
 
     cache: dict[int, np.ndarray] = {}
     for child_id in minors:
-        a = store.persons[child_id].age_steps
+        a = int(store.age_steps_arr[child_id])
         candidates = cache.get(a)
         if candidates is None:
             mask = (men_min_age >= a + 18.75 * n) & (men_wife_age < 45 * n + a)
@@ -149,22 +148,21 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
             father = int(men_ids[int(np.argmax(men_min_age))])
             logger.warning("no qualifying parents for child %d (age %.2f); "
                            "assigning closest couple", child_id, a / n)
-        mother = store.persons[father].partner
+        mother = int(store.partner_arr[father])
         store.assign_parents(child_id, father, mother)
 
 
 def _wed_oldest_single_pair(store: PopulationStore) -> None:
-    males = [p for p in store.persons.values()
-             if p.alive and p.gender is Gender.MALE and p.unmarried and store.is_adult(p)]
-    females = [p for p in store.persons.values()
-               if p.alive and p.gender is Gender.FEMALE and p.unmarried and store.is_adult(p)]
-    if not males or not females:
+    males = _alive_adults(store, male=True, unmarried=True)
+    females = _alive_adults(store, male=False, unmarried=True)
+    if len(males) == 0 or len(females) == 0:
         raise InitializationError("minors present but no married couple can be formed")
-    groom = max(males, key=lambda p: (p.age_steps, -p.id))
-    bride = max(females, key=lambda p: (p.age_steps, -p.id))
+    # argmax takes the first, so the lowest id among the oldest.
+    groom = int(males[np.argmax(store.age_steps_arr[males])])
+    bride = int(females[np.argmax(store.age_steps_arr[females])])
     logger.warning("no married couples; wedding oldest single pair (%d, %d) "
-                   "to keep minors parented", groom.id, bride.id)
-    store.wed(groom.id, bride.id)
+                   "to keep minors parented", groom, bride)
+    store.wed(groom, bride)
 
 
 def init_housing(store: PopulationStore, space: Space,
@@ -174,20 +172,18 @@ def init_housing(store: PopulationStore, space: Space,
     Every house is created on demand and immediately occupied, so the
     initial house set has no vacancies.
     """
-    family_house: dict[PersonId, int] = {}
-    for p in store.persons.values():
-        if p.gender is Gender.MALE and p.married:
-            hid = space.find_or_create_empty_house(town_of[p.id], rng)
-            space.move_person(store, p.id, hid)
-            family_house[p.id] = hid
-        elif p.unmarried and store.is_adult(p):
-            hid = space.find_or_create_empty_house(town_of[p.id], rng)
-            space.move_person(store, p.id, hid)
-    for p in store.persons.values():
-        if p.gender is Gender.FEMALE and p.married:
-            space.move_person(store, p.id, family_house[p.partner])
-        elif p.age_steps < store.adult_age_steps and p.unmarried:
-            space.move_person(store, p.id, family_house[p.father])
+    n = store.size
+    male = store.male_arr[:n]
+    married = store.status_arr[:n] == MARRIED_CODE
+    adult = store.age_steps_arr[:n] >= store.adult_age_steps
+    for pid in np.flatnonzero((male & married) | (~married & adult)).tolist():
+        space.move_person(store, pid, space.find_or_create_empty_house(town_of[pid], rng))
+    # Wives join their husband, minors their father.
+    dependents = np.flatnonzero((~male & married) | (~married & ~adult))
+    heads = np.where(married[dependents], store.partner_arr[dependents],
+                     store.father_arr[dependents])
+    for pid, house in zip(dependents.tolist(), store.house_arr[heads].tolist()):
+        space.move_person(store, pid, house)
 
 
 def build_initial_state(store: PopulationStore, space: Space,
@@ -202,13 +198,12 @@ def build_initial_state(store: PopulationStore, space: Space,
     if len(store) != 0:
         raise ValueError("initialization requires an empty store")
     targets = init_town_populations(params.initial_pop, space)
-    town_of: dict[PersonId, TownKey] = {}
-    for town in space.inhabitable_towns:
-        for _ in range(targets[town]):
-            pid = store.spawn_person(Gender.MALE, 0)
-            town_of[pid] = town
-    init_ages_and_genders(store, list(store.persons), clock, rng,
-                          max_age_years=max_initial_age)
+    first = store.add_rows(params.initial_pop)
+    pids = list(range(first, store.size))
+    store.alive_arr[pids] = True
+    towns = [town for town in space.inhabitable_towns for _ in range(targets[town])]
+    town_of = dict(zip(pids, towns))
+    init_ages_and_genders(store, pids, clock, rng, max_age_years=max_initial_age)
     init_partnerships(store, params, rng)
     init_children(store, rng)
     init_housing(store, space, town_of, rng)

@@ -88,11 +88,16 @@ class FertilityTable:
         self.rates = rates
 
     def rate(self, age_years: int, year: int) -> float:
-        if not (FERTILITY_MIN_AGE <= age_years <= FERTILITY_MAX_AGE):
-            return 0.0
+        return float(self.rates_at(np.array([age_years]), year)[0])
+
+    def rates_at(self, age_years: np.ndarray, year: int) -> np.ndarray:
+        """Rates for an array of whole-year ages in one calendar year."""
+        out = np.zeros(len(age_years))
         if not (FERTILITY_MIN_YEAR <= year <= FERTILITY_MAX_YEAR):
-            return 0.0
-        return float(self.rates[age_years - FERTILITY_MIN_AGE, year - FERTILITY_MIN_YEAR])
+            return out
+        covered = (age_years >= FERTILITY_MIN_AGE) & (age_years <= FERTILITY_MAX_AGE)
+        out[covered] = self.rates[age_years[covered] - FERTILITY_MIN_AGE, year - FERTILITY_MIN_YEAR]
+        return out
 
     @classmethod
     def synthetic(cls) -> "FertilityTable":

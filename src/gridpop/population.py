@@ -1,15 +1,17 @@
 """Agent storage and the kinship graph.
 
-Every person is a record keyed by a monotonically increasing integer id;
-dead persons are tombstoned (kept in the store with house=None, the grave)
+Every person is a row keyed by a monotonically increasing integer id;
+dead persons are tombstoned (kept in the store with house -1, the grave)
 so that kinship links of the living always resolve. Ages are exact step
 counts against the run's clock, so a million steps accumulate no drift.
 
-Person objects are the canonical state. Because ids are dense, the store
-also maintains numpy mirrors of the scalar attributes (age, gender, alive,
-status, house, town) so the per-step events can gather whole
-subpopulations without touching Python objects; audit mode cross-checks
-the mirrors against the objects every step.
+The state of all persons is one NumPy array per attribute, indexed by id
+(``age_steps_arr``, ``male_arr``, ``alive_arr``, ``status_arr``,
+``house_arr``, ``town_x_arr``, ``town_y_arr``, ``partner_arr``,
+``father_arr``, ``mother_arr``; -1 means none). The events gather whole
+subpopulations from them. Children are not stored: they are derived from
+the parent arrays. ``store.persons`` is a read-only mapping of ``Person``
+views over the rows, for code that works one person at a time.
 
 Mutators preserve the structural invariants checked by
 ``collect_invariant_violations``; callers are expected to satisfy the
@@ -18,9 +20,10 @@ documented preconditions and get a ValueError otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from itertools import chain
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -46,12 +49,8 @@ class MaritalStatus(str, Enum):
     WIDOWED = "widowed"
 
 
-STATUS_CODE = {
-    MaritalStatus.SINGLE: 0,
-    MaritalStatus.MARRIED: 1,
-    MaritalStatus.DIVORCED: 2,
-    MaritalStatus.WIDOWED: 3,
-}
+STATUSES = tuple(MaritalStatus)  # indexed by status code
+STATUS_CODE = {status: code for code, status in enumerate(STATUSES)}
 MARRIED_CODE = STATUS_CODE[MaritalStatus.MARRIED]
 DIVORCED_CODE = STATUS_CODE[MaritalStatus.DIVORCED]
 
@@ -61,26 +60,101 @@ class UnwedReason(Enum):
     PARTNER_DEATH = "partner_death"
 
 
-@dataclass(slots=True)
+# Every per-person array: (attribute, dtype, value of an unused row).
+_ARRAYS = (
+    ("age_steps_arr", np.int64, 0),
+    ("male_arr", bool, False),
+    ("alive_arr", bool, False),
+    ("status_arr", np.int8, 0),
+    ("house_arr", np.int64, -1),
+    ("town_x_arr", np.int16, 0),
+    ("town_y_arr", np.int16, 0),
+    ("partner_arr", np.int64, -1),
+    ("father_arr", np.int64, -1),
+    ("mother_arr", np.int64, -1),
+)
+
+
+def _optional_id(value) -> Optional[int]:
+    return None if value < 0 else int(value)
+
+
+def _id_or_none(value: Optional[int]) -> int:
+    return -1 if value is None else value
+
+
+class _Column:
+    """A Person attribute read from, and written through to, one array."""
+
+    def __init__(self, array: str, to_python, to_array):
+        self.array, self.to_python, self.to_array = array, to_python, to_array
+
+    def __get__(self, person: "Person", owner=None):
+        if person is None:
+            return self
+        return self.to_python(getattr(person.store, self.array)[person.id])
+
+    def __set__(self, person: "Person", value) -> None:
+        getattr(person.store, self.array)[person.id] = self.to_array(value)
+        person.store._children = None
+
+
 class Person:
-    id: PersonId
-    gender: Gender
-    age_steps: int
-    alive: bool = True
-    marital_status: MaritalStatus = MaritalStatus.SINGLE
-    partner: Optional[PersonId] = None
-    father: Optional[PersonId] = None
-    mother: Optional[PersonId] = None
-    children: set[PersonId] = field(default_factory=set)
-    house: Optional[int] = None  # None = grave for the dead (or unhoused during init staging)
+    """One row of the store, read as attributes.
+
+    Assignment writes straight into the arrays and bypasses the mutators'
+    checks and cached counters: it exists for tests that corrupt a state.
+    """
+
+    __slots__ = ("store", "id")
+
+    gender = _Column("male_arr", lambda v: Gender.MALE if v else Gender.FEMALE,
+                     lambda g: g is Gender.MALE)
+    age_steps = _Column("age_steps_arr", int, int)
+    alive = _Column("alive_arr", bool, bool)
+    marital_status = _Column("status_arr", lambda v: STATUSES[v], STATUS_CODE.__getitem__)
+    partner = _Column("partner_arr", _optional_id, _id_or_none)
+    father = _Column("father_arr", _optional_id, _id_or_none)
+    mother = _Column("mother_arr", _optional_id, _id_or_none)
+    house = _Column("house_arr", _optional_id, _id_or_none)
+
+    def __init__(self, store: "PopulationStore", pid: PersonId):
+        self.store = store
+        self.id = pid
 
     @property
     def married(self) -> bool:
-        return self.marital_status == MaritalStatus.MARRIED
+        return bool(self.store.status_arr[self.id] == MARRIED_CODE)
 
     @property
     def unmarried(self) -> bool:
-        return self.marital_status != MaritalStatus.MARRIED
+        return not self.married
+
+    @property
+    def children(self) -> frozenset[PersonId]:
+        offsets, kids = self.store.children_index()
+        return frozenset(kids[offsets[self.id]:offsets[self.id + 1]].tolist())
+
+
+class PersonTable(Mapping):
+    """Read-only mapping id -> Person view over every stored person."""
+
+    def __init__(self, store: "PopulationStore"):
+        self._store = store
+
+    def __getitem__(self, pid: PersonId) -> Person:
+        if pid not in self:
+            raise KeyError(pid)
+        return Person(self._store, int(pid))
+
+    def __contains__(self, pid) -> bool:
+        return isinstance(pid, (int, np.integer)) and 0 <= pid < self._store.size
+
+    def __iter__(self) -> Iterator[PersonId]:
+        return iter(range(self._store.size))
+
+    def __len__(self) -> int:
+        return self._store.size
 
 
 class PopulationStore:
@@ -90,39 +164,27 @@ class PopulationStore:
         if steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
         self.steps_per_year = steps_per_year
-        self.persons: dict[PersonId, Person] = {}
         self._next_id: PersonId = 0
         self.adult_age_steps = ADULT_AGE_YEARS * steps_per_year
+        for name, dtype, unused in _ARRAYS:
+            setattr(self, name, np.full(_INITIAL_CAPACITY, unused, dtype=dtype))
         # Cached aggregates over the alive population; audit mode verifies
-        # them against a full sweep every step.
+        # them against the sweep of the arrays every step.
         self.alive_count = 0
         self.alive_male = 0
         self.alive_female = 0
-        self.alive_status_counts = {status: 0 for status in MaritalStatus}
+        self.alive_status_counts = [0] * len(STATUSES)  # by status code
         self.alive_age_steps_sum = 0
-        # Dense numpy mirrors of the scalar person attributes, indexed by id.
-        cap = _INITIAL_CAPACITY
-        self.age_steps_arr = np.zeros(cap, dtype=np.int64)
-        self.male_arr = np.zeros(cap, dtype=bool)
-        self.alive_arr = np.zeros(cap, dtype=bool)
-        self.status_arr = np.zeros(cap, dtype=np.int8)
-        self.house_arr = np.full(cap, -1, dtype=np.int64)
-        self.town_x_arr = np.zeros(cap, dtype=np.int16)
-        self.town_y_arr = np.zeros(cap, dtype=np.int16)
+        self._children: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.persons = PersonTable(self)
 
     def __len__(self) -> int:
-        return len(self.persons)
+        return self._next_id
 
     @property
     def size(self) -> int:
-        """Number of ids ever issued; the valid mirror-array prefix."""
+        """Number of ids ever issued; the valid array prefix."""
         return self._next_id
-
-    def person(self, pid: PersonId) -> Person:
-        return self.persons[pid]
-
-    def age_years(self, pid: PersonId) -> float:
-        return self.persons[pid].age_steps / self.steps_per_year
 
     def is_adult(self, person: Person) -> bool:
         return person.age_steps >= self.adult_age_steps
@@ -130,19 +192,41 @@ class PopulationStore:
     def alive_ids(self) -> list[PersonId]:
         return np.flatnonzero(self.alive_arr[: self._next_id]).tolist()
 
-    def _grow(self) -> None:
+    def add_rows(self, count: int) -> PersonId:
+        """Issue `count` new ids whose rows hold the unused values (not
+        alive) and return the first. Callers that fill the rows themselves
+        call recount() afterwards."""
+        first = self._next_id
+        self._next_id += count
         cap = len(self.age_steps_arr)
-        if self._next_id < cap:
-            return
-        new_cap = cap * 2
-        for name in ("age_steps_arr", "male_arr", "alive_arr", "status_arr",
-                     "house_arr", "town_x_arr", "town_y_arr"):
-            old = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            if name == "house_arr":
-                grown.fill(-1)
-            grown[:cap] = old
-            setattr(self, name, grown)
+        if self._next_id > cap:
+            new_cap = max(cap * 2, self._next_id)
+            for name, dtype, unused in _ARRAYS:
+                grown = np.full(new_cap, unused, dtype=dtype)
+                grown[:cap] = getattr(self, name)
+                setattr(self, name, grown)
+        self._children = None
+        return first
+
+    def alive_tallies(self) -> dict:
+        """The cached alive aggregates, swept afresh from the arrays."""
+        n = self._next_id
+        alive = self.alive_arr[:n]
+        total = int(np.count_nonzero(alive))
+        males = int(np.count_nonzero(alive & self.male_arr[:n]))
+        return {
+            "alive_count": total,
+            "alive_male": males,
+            "alive_female": total - males,
+            "alive_status_counts": np.bincount(self.status_arr[:n][alive],
+                                               minlength=len(STATUSES)).tolist(),
+            "alive_age_steps_sum": int(self.age_steps_arr[:n][alive].sum()),
+        }
+
+    def recount(self) -> None:
+        """Set the cached aggregates from the arrays, after bulk writes."""
+        for name, value in self.alive_tallies().items():
+            setattr(self, name, value)
 
     # -- mutators ------------------------------------------------------
 
@@ -162,299 +246,241 @@ class PopulationStore:
         """
         if age_steps < 0:
             raise ValueError("age must be non-negative")
-        if father is not None:
-            f = self.persons.get(father)
-            if f is None:
-                raise ValueError(f"father id {father} does not resolve")
-            if f.gender is not Gender.MALE:
-                raise ValueError(f"father {father} is not male")
-        if mother is not None:
-            m = self.persons.get(mother)
-            if m is None:
-                raise ValueError(f"mother id {mother} does not resolve")
-            if m.gender is not Gender.FEMALE:
-                raise ValueError(f"mother {mother} is not female")
-        pid = self._next_id
-        self._next_id += 1
-        self._grow()
-        person = Person(id=pid, gender=gender, age_steps=age_steps, house=house)
-        self.persons[pid] = person
-        if father is not None:
-            self.persons[father].children.add(pid)
-            person.father = father
-        if mother is not None:
-            self.persons[mother].children.add(pid)
-            person.mother = mother
+        self._check_parent(father, "father", True)
+        self._check_parent(mother, "mother", False)
+        if house is not None and space is None:
+            raise ValueError("space required to register occupancy")
+        pid = self.add_rows(1)
+        male = gender is Gender.MALE
         self.age_steps_arr[pid] = age_steps
-        self.male_arr[pid] = gender is Gender.MALE
+        self.male_arr[pid] = male
         self.alive_arr[pid] = True
-        self.status_arr[pid] = STATUS_CODE[MaritalStatus.SINGLE]
+        self.father_arr[pid] = _id_or_none(father)
+        self.mother_arr[pid] = _id_or_none(mother)
         if house is not None:
-            if space is None:
-                raise ValueError("space required to register occupancy")
             space.add_occupant(house, pid)
             self.house_arr[pid] = house
-            town = space.house_town(house)
-            self.town_x_arr[pid] = town[0]
-            self.town_y_arr[pid] = town[1]
+            self.town_x_arr[pid], self.town_y_arr[pid] = space.house_town(house)
         self.alive_count += 1
-        if gender is Gender.MALE:
+        if male:
             self.alive_male += 1
         else:
             self.alive_female += 1
-        self.alive_status_counts[MaritalStatus.SINGLE] += 1
+        self.alive_status_counts[STATUS_CODE[MaritalStatus.SINGLE]] += 1
         self.alive_age_steps_sum += age_steps
         return pid
 
+    def _check_parent(self, parent: Optional[PersonId], role: str, male: bool) -> None:
+        if parent is None:
+            return
+        if not 0 <= parent < self._next_id:
+            raise ValueError(f"{role} id {parent} does not resolve")
+        if self.male_arr[parent] != male:
+            raise ValueError(f"{role} {parent} is not {'male' if male else 'female'}")
+
     def wed(self, a: PersonId, b: PersonId) -> None:
         """Marry two alive, unmarried, opposite-gender adults."""
-        pa, pb = self.persons[a], self.persons[b]
-        if not (pa.alive and pb.alive):
+        if not (self.alive_arr[a] and self.alive_arr[b]):
             raise ValueError("cannot wed the dead")
-        if pa.gender is pb.gender:
+        if self.male_arr[a] == self.male_arr[b]:
             raise ValueError("partners must be of opposite gender")
-        if pa.married or pb.married:
+        if self.status_arr[a] == MARRIED_CODE or self.status_arr[b] == MARRIED_CODE:
             raise ValueError("already married")
-        if not (self.is_adult(pa) and self.is_adult(pb)):
+        if min(self.age_steps_arr[a], self.age_steps_arr[b]) < self.adult_age_steps:
             raise ValueError("married persons must be adults")
-        self._set_status(pa, MaritalStatus.MARRIED)
-        self._set_status(pb, MaritalStatus.MARRIED)
-        pa.partner = b
-        pb.partner = a
+        self._set_status(a, MARRIED_CODE)
+        self._set_status(b, MARRIED_CODE)
+        self.partner_arr[a] = b
+        self.partner_arr[b] = a
 
     def unwed(self, a: PersonId, reason: UnwedReason) -> None:
         """Dissolve a marriage; divorce leaves both divorced, a partner's
         death leaves both widowed."""
-        pa = self.persons[a]
-        if not pa.married or pa.partner is None:
+        b = int(self.partner_arr[a])
+        if self.status_arr[a] != MARRIED_CODE or b < 0:
             raise ValueError(f"person {a} is not married")
-        pb = self.persons[pa.partner]
         status = MaritalStatus.DIVORCED if reason is UnwedReason.DIVORCE else MaritalStatus.WIDOWED
-        self._set_status(pa, status)
-        self._set_status(pb, status)
-        pa.partner = None
-        pb.partner = None
+        self._set_status(a, STATUS_CODE[status])
+        self._set_status(b, STATUS_CODE[status])
+        self.partner_arr[a] = -1
+        self.partner_arr[b] = -1
 
     def kill(self, pid: PersonId, space: "Space") -> None:
         """Mark a person dead: vacate the house (to the grave) and widow
         any partner. Children keep their parent links."""
-        person = self.persons[pid]
-        if not person.alive:
+        if not self.alive_arr[pid]:
             raise ValueError(f"person {pid} is already dead")
-        if person.married:
+        if self.status_arr[pid] == MARRIED_CODE:
             self.unwed(pid, UnwedReason.PARTNER_DEATH)
         self.alive_count -= 1
-        if person.gender is Gender.MALE:
+        if self.male_arr[pid]:
             self.alive_male -= 1
         else:
             self.alive_female -= 1
-        self.alive_status_counts[person.marital_status] -= 1
-        self.alive_age_steps_sum -= person.age_steps
-        person.alive = False
+        self.alive_status_counts[self.status_arr[pid]] -= 1
+        self.alive_age_steps_sum -= int(self.age_steps_arr[pid])
         self.alive_arr[pid] = False
-        if person.house is not None:
-            space.remove_occupant(person.house, pid)
-            person.house = None
+        house = int(self.house_arr[pid])
+        if house >= 0:
+            space.remove_occupant(house, pid)
             self.house_arr[pid] = -1
             self.town_x_arr[pid] = 0
             self.town_y_arr[pid] = 0
 
     def assign_parents(self, child: PersonId, father: PersonId, mother: PersonId) -> None:
         """Late kinship registration for initialization staging."""
-        c = self.persons[child]
-        if c.father is not None or c.mother is not None:
+        if self.father_arr[child] >= 0 or self.mother_arr[child] >= 0:
             raise ValueError(f"person {child} already has parents")
-        f, m = self.persons[father], self.persons[mother]
-        if f.gender is not Gender.MALE:
-            raise ValueError(f"father {father} is not male")
-        if m.gender is not Gender.FEMALE:
-            raise ValueError(f"mother {mother} is not female")
-        c.father = father
-        c.mother = mother
-        f.children.add(child)
-        m.children.add(child)
+        self._check_parent(father, "father", True)
+        self._check_parent(mother, "mother", False)
+        self.father_arr[child] = father
+        self.mother_arr[child] = mother
+        self._children = None
 
-    def _set_status(self, person: Person, status: MaritalStatus) -> None:
-        if person.alive:
-            self.alive_status_counts[person.marital_status] -= 1
-            self.alive_status_counts[status] += 1
-        person.marital_status = status
-        self.status_arr[person.id] = STATUS_CODE[status]
-
-    def recount_caches(self, space: Optional["Space"] = None) -> None:
-        """Rebuild cached counters and numpy mirrors from the Person objects.
-
-        Used after staging mutations that bypass the mutators (bulk
-        age/gender assignment at init, file import). Pass the space to
-        refresh town mirrors of housed persons.
-        """
-        self.alive_count = 0
-        self.alive_male = 0
-        self.alive_female = 0
-        self.alive_status_counts = {status: 0 for status in MaritalStatus}
-        self.alive_age_steps_sum = 0
-        while self._next_id >= len(self.age_steps_arr):
-            self._grow()
-        for p in self.persons.values():
-            self.age_steps_arr[p.id] = p.age_steps
-            self.male_arr[p.id] = p.gender is Gender.MALE
-            self.alive_arr[p.id] = p.alive
-            self.status_arr[p.id] = STATUS_CODE[p.marital_status]
-            self.house_arr[p.id] = -1 if p.house is None else p.house
-            if p.house is not None and space is not None:
-                town = space.house_town(p.house)
-                self.town_x_arr[p.id] = town[0]
-                self.town_y_arr[p.id] = town[1]
-            else:
-                self.town_x_arr[p.id] = 0
-                self.town_y_arr[p.id] = 0
-            if not p.alive:
-                continue
-            self.alive_count += 1
-            if p.gender is Gender.MALE:
-                self.alive_male += 1
-            else:
-                self.alive_female += 1
-            self.alive_status_counts[p.marital_status] += 1
-            self.alive_age_steps_sum += p.age_steps
+    def _set_status(self, pid: PersonId, code: int) -> None:
+        if self.alive_arr[pid]:
+            self.alive_status_counts[self.status_arr[pid]] -= 1
+            self.alive_status_counts[code] += 1
+        self.status_arr[pid] = code
 
     # -- kinship helpers -------------------------------------------------
 
+    def children_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Children of every person in CSR form: the children of p are
+        kids[offsets[p]:offsets[p + 1]], in ascending id order. Rebuilt
+        after kinship changes."""
+        if self._children is None:
+            n = self._next_id
+            parents = np.concatenate([self.father_arr[:n], self.mother_arr[:n]])
+            kids = np.tile(np.arange(n), 2)
+            known = (parents >= 0) & (parents < n)
+            parents, kids = parents[known], kids[known]
+            # Stable, and a parent is father or mother, never both: each
+            # parent's children stay in id order.
+            order = np.argsort(parents, kind="stable")
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(parents, minlength=n), out=offsets[1:])
+            self._children = (offsets, kids[order])
+        return self._children
+
+    def sibling_mask(self, pid: PersonId) -> np.ndarray:
+        """Persons sharing at least one parent with pid, as a mask over ids."""
+        n = self._next_id
+        sibs = np.zeros(n, dtype=bool)
+        for parents in (self.father_arr[:n], self.mother_arr[:n]):
+            if parents[pid] >= 0:
+                sibs |= parents == parents[pid]
+        sibs[pid] = False
+        return sibs
+
     def sibling_ids(self, pid: PersonId) -> set[PersonId]:
         """Persons sharing at least one parent with pid."""
-        person = self.persons[pid]
-        sibs: set[PersonId] = set()
-        for parent in (person.father, person.mother):
-            if parent is not None:
-                sibs |= self.persons[parent].children
-        sibs.discard(pid)
-        return sibs
+        return set(np.flatnonzero(self.sibling_mask(pid)).tolist())
 
     def is_orphan(self, person: Person) -> bool:
         """Alive minor with no living parent."""
         if not person.alive or self.is_adult(person):
             return False
-        for parent in (person.father, person.mother):
-            if parent is not None and self.persons[parent].alive:
-                return False
-        return True
-
-    def alive_children_count(self, person: Person) -> int:
-        return sum(1 for c in person.children if self.persons[c].alive)
-
-    def youngest_alive_child_age_steps(self, person: Person) -> Optional[int]:
-        ages = [self.persons[c].age_steps for c in person.children if self.persons[c].alive]
-        return min(ages) if ages else None
+        return all(parent is None or not self.alive_arr[parent]
+                   for parent in (person.father, person.mother))
 
 
 def collect_invariant_violations(store: PopulationStore, space: "Space") -> list[str]:
     """Full structural sweep over persons and housing; returns findings.
 
-    Checks reference resolution, partnership symmetry, parent/child
-    bidirectionality, gender of parents, adult-marriage, dead-in-grave,
-    alive-housed, occupancy consistency, kinship acyclicity, and agreement
-    between Person objects and the numpy mirrors.
+    Checks reference resolution, partnership symmetry, gender of partners
+    and parents, adult-marriage, dead-in-grave, alive-housed, occupancy
+    consistency, the town arrays against the houses, and kinship
+    acyclicity.
     """
+    n = store.size
+    ids = np.arange(n)
+    age = store.age_steps_arr[:n]
+    male = store.male_arr[:n]
+    alive = store.alive_arr[:n]
+    married = store.status_arr[:n] == MARRIED_CODE
+    house = store.house_arr[:n]
+    partner = store.partner_arr[:n]
+    lineage = (store.father_arr[:n], store.mother_arr[:n])
     problems: list[str] = []
-    persons = store.persons
-    for p in persons.values():
-        tag = f"person {p.id}"
-        if p.age_steps < 0:
-            problems.append(f"{tag}: negative age")
-        if p.married != (p.partner is not None):
-            problems.append(f"{tag}: married/partner mismatch")
-        if p.partner is not None:
-            q = persons.get(p.partner)
-            if q is None:
-                problems.append(f"{tag}: partner does not resolve")
-            else:
-                if q.partner != p.id:
-                    problems.append(f"{tag}: partnership not symmetric")
-                if q.gender is p.gender:
-                    problems.append(f"{tag}: same-gender partnership")
-        if p.married and p.age_steps < store.adult_age_steps:
-            problems.append(f"{tag}: married minor")
-        for parent_id, want in ((p.father, Gender.MALE), (p.mother, Gender.FEMALE)):
-            if parent_id is None:
-                continue
-            parent = persons.get(parent_id)
-            if parent is None:
-                problems.append(f"{tag}: parent {parent_id} does not resolve")
-                continue
-            if parent.gender is not want:
-                problems.append(f"{tag}: parent {parent_id} has wrong gender")
-            if p.id not in parent.children:
-                problems.append(f"{tag}: missing from parent {parent_id} children")
-        for c in p.children:
-            child = persons.get(c)
-            if child is None:
-                problems.append(f"{tag}: child {c} does not resolve")
-            elif child.father != p.id and child.mother != p.id:
-                problems.append(f"{tag}: child {c} does not link back")
-        if p.alive:
-            if p.house is None:
-                problems.append(f"{tag}: alive but unhoused")
-            elif p.house not in space.houses:
-                problems.append(f"{tag}: house {p.house} does not resolve")
-            elif p.id not in space.houses[p.house].occupants:
-                problems.append(f"{tag}: not in occupant set of house {p.house}")
-        elif p.house is not None:
-            problems.append(f"{tag}: dead but housed")
-        # Mirror consistency.
-        if (store.age_steps_arr[p.id] != p.age_steps
-                or store.male_arr[p.id] != (p.gender is Gender.MALE)
-                or store.alive_arr[p.id] != p.alive
-                or store.status_arr[p.id] != STATUS_CODE[p.marital_status]
-                or store.house_arr[p.id] != (-1 if p.house is None else p.house)):
-            problems.append(f"{tag}: numpy mirror out of sync")
-        if p.house is not None and p.house in space.houses:
-            town = space.houses[p.house].town
-            if (store.town_x_arr[p.id], store.town_y_arr[p.id]) != town:
-                problems.append(f"{tag}: town mirror out of sync")
 
-    # Kinship acyclicity: walk parent links with memoization.
-    state: dict[PersonId, int] = {}  # 1 = on current path, 2 = proven acyclic
+    def report(mask: np.ndarray, message: str, detail: Optional[np.ndarray] = None) -> None:
+        for pid in np.flatnonzero(mask).tolist():
+            text = message if detail is None else message.format(int(detail[pid]))
+            problems.append(f"person {pid}: {text}")
 
-    def acyclic(pid: PersonId) -> bool:
-        stack = [pid]
-        path: list[PersonId] = []
-        while stack:
-            cur = stack[-1]
-            if state.get(cur) == 1:
-                state[cur] = 2
-                stack.pop()
-                path.pop()
-                continue
-            if state.get(cur) == 2:
-                stack.pop()
-                continue
-            state[cur] = 1
-            path.append(cur)
-            for parent in (persons[cur].father, persons[cur].mother):
-                if parent is not None and parent in persons and state.get(parent) != 2:
-                    if parent in path:
-                        return False
-                    stack.append(parent)
-        return True
+    def resolves(ref: np.ndarray) -> np.ndarray:
+        return (ref >= 0) & (ref < n)
 
-    for pid in persons:
-        if state.get(pid) != 2 and not acyclic(pid):
-            problems.append(f"person {pid}: ancestry cycle")
+    report(age < 0, "negative age")
+    report(married != (partner >= 0), "married/partner mismatch")
+    report((partner >= 0) & ~resolves(partner), "partner does not resolve")
+    has_partner = resolves(partner)
+    mate = np.where(has_partner, partner, ids)
+    report(has_partner & (partner[mate] != ids), "partnership not symmetric")
+    report(has_partner & (male[mate] == male), "same-gender partnership")
+    report(married & (age < store.adult_age_steps), "married minor")
+    for parents, want_male in zip(lineage, (True, False)):
+        report((parents >= 0) & ~resolves(parents), "parent {} does not resolve", parents)
+        known = resolves(parents)
+        report(known & (male[np.where(known, parents, 0)] != want_male),
+               "parent {} has wrong gender", parents)
+
+    # Housing: towns and occupant sets of the space against the arrays.
+    # Unknown house ids map to the extra last slot, which exists nowhere.
+    houses = list(space.houses.values())
+    slots = max(space.houses, default=-1) + 1
+    exists = np.zeros(slots + 1, dtype=bool)
+    house_x = np.zeros(slots + 1, dtype=np.int64)
+    house_y = np.zeros(slots + 1, dtype=np.int64)
+    for h in houses:
+        exists[h.id] = True
+        house_x[h.id], house_y[h.id] = h.town
+    slot = np.where((house >= 0) & (house < slots), house, slots)
+    housed = exists[slot]
+    sizes = [len(h.occupants) for h in houses]
+    occ_house = np.repeat(np.array([h.id for h in houses], dtype=np.int64), sizes)
+    occ_pid = np.fromiter(chain.from_iterable(h.occupants for h in houses),
+                          dtype=np.int64, count=sum(sizes))
+    occ_known = resolves(occ_pid)
+    occ_row = np.where(occ_known, occ_pid, 0)
+    occ_alive = occ_known & alive[occ_row]
+    occ_home = occ_known & (house[occ_row] == occ_house)
+    listed = np.zeros(n, dtype=bool)
+    listed[occ_pid[occ_home]] = True
+
+    report(alive & (house < 0), "alive but unhoused")
+    report(alive & (house >= 0) & ~housed, "house {} does not resolve", house)
+    report(alive & housed & ~listed, "not in occupant set of house {}", house)
+    report(~alive & (house >= 0), "dead but housed")
+    report(housed & ((store.town_x_arr[:n] != house_x[slot])
+                     | (store.town_y_arr[:n] != house_y[slot])),
+           "town does not match house {}", house)
+    for i in np.flatnonzero(~(occ_alive & occ_home)).tolist():
+        hid, pid = int(occ_house[i]), int(occ_pid[i])
+        if not occ_known[i]:
+            problems.append(f"house {hid}: occupant {pid} does not resolve")
+        elif not occ_alive[i]:
+            problems.append(f"house {hid}: dead occupant {pid}")
+        else:
+            problems.append(f"house {hid}: occupant {pid} points elsewhere")
+    alive_total = int(np.count_nonzero(alive))
+    if len(occ_pid) != alive_total:
+        problems.append(f"occupancy bijection broken: {len(occ_pid)} occupants vs {alive_total} alive")
+
+    # Kinship acyclicity by peeling: drop everyone who is no remaining
+    # person's parent until nothing drops; what remains is a cycle and
+    # its ancestors.
+    remaining = np.ones(n, dtype=bool)
+    while True:
+        is_parent = np.zeros(n, dtype=bool)
+        for parents in lineage:
+            linked = remaining & resolves(parents)
+            is_parent[parents[linked]] = True
+        leaves = remaining & ~is_parent
+        if not leaves.any():
             break
-
-    # Occupancy side: every occupant is alive and points back.
-    occupant_total = 0
-    for house in space.houses.values():
-        occupant_total += len(house.occupants)
-        for pid in house.occupants:
-            p = persons.get(pid)
-            if p is None:
-                problems.append(f"house {house.id}: occupant {pid} does not resolve")
-            elif not p.alive:
-                problems.append(f"house {house.id}: dead occupant {pid}")
-            elif p.house != house.id:
-                problems.append(f"house {house.id}: occupant {pid} points elsewhere")
-    alive_total = sum(1 for p in persons.values() if p.alive)
-    if occupant_total != alive_total:
-        problems.append(f"occupancy bijection broken: {occupant_total} occupants vs {alive_total} alive")
+        remaining &= ~leaves
+    if remaining.any():
+        problems.append(f"person {int(np.argmax(remaining))}: ancestry cycle")
     return problems

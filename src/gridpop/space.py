@@ -177,16 +177,13 @@ class Space:
 
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:
         """Relocate an alive person; moving to the current house is a no-op."""
-        person = store.persons[person_id]
-        if not person.alive:
+        if not store.alive_arr[person_id]:
             raise ValueError(f"cannot move dead person {person_id}")
-        if person.house == house_id:
+        old = int(store.house_arr[person_id])
+        if old == house_id:
             return
-        if person.house is not None:
-            self.remove_occupant(person.house, person_id)
+        if old >= 0:
+            self.remove_occupant(old, person_id)
         self.add_occupant(house_id, person_id)
-        person.house = house_id
         store.house_arr[person_id] = house_id
-        town = self.houses[house_id].town
-        store.town_x_arr[person_id] = town[0]
-        store.town_y_arr[person_id] = town[1]
+        store.town_x_arr[person_id], store.town_y_arr[person_id] = self.houses[house_id].town

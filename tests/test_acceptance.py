@@ -167,10 +167,12 @@ class TestCriterion4StructuralInvariants:
         # statistics against brute force, and checks population
         # conservation and house-count monotonicity at every boundary;
         # any violation raises AuditError.
-        result = run_simulation(config, params, DataTables())
+        logged = []
+        result = run_simulation(config, params, DataTables(),
+                                step_hook=lambda k, *rest: logged.append(k))
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"too slow: {elapsed:.1f}s"
-        assert len(result.logs) == 3650
+        assert len(logged) == 3650
         report(4, elapsed, f"3650 audited boundaries, final alive "
                            f"{result.statistics[-1].alive}")
 

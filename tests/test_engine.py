@@ -1,5 +1,7 @@
 """Engine surface: tables, config files, the run loop, statistics, export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,10 +150,12 @@ class TestConfigFiles:
 
 class TestRunSimulation:
     def test_initial_state_only(self):
+        logs = []
         result = run_simulation(small_config(t_final=2020),
-                                ModelParameters(initial_pop=300), DataTables())
+                                ModelParameters(initial_pop=300), DataTables(),
+                                step_hook=lambda k, snap, log, *rest: logs.append(log))
         assert len(result.statistics) == 1
-        assert result.logs == []
+        assert logs == []
         assert result.statistics[0].alive == 300
         assert result.statistics[0].time == 2020.0
 
@@ -178,9 +182,11 @@ class TestRunSimulation:
         assert collect_invariant_violations(result.store, result.space) == []
 
     def test_stats_cross_checks(self):
+        logs = []
         result = run_simulation(small_config(t_final=2022, seed=8),
-                                ModelParameters(initial_pop=600), DataTables())
-        for row, log in zip(result.statistics[1:], result.logs):
+                                ModelParameters(initial_pop=600), DataTables(),
+                                step_hook=lambda k, snap, log, *rest: logs.append(log))
+        for row, log in zip(result.statistics[1:], logs):
             assert row.alive == row.males + row.females
             assert row.married % 2 == 0
             # Births this step are exactly the age-0 persons created this step.
@@ -190,18 +196,33 @@ class TestRunSimulation:
         assert newborns >= sum(r.births for r in result.statistics) > 0
 
     def test_event_counts_match_logs(self):
+        logs = []
         result = run_simulation(small_config(seed=10),
-                                ModelParameters(initial_pop=500), DataTables())
+                                ModelParameters(initial_pop=500), DataTables(),
+                                step_hook=lambda k, snap, log, *rest: logs.append(log))
         assert sum(r.deaths for r in result.statistics) == sum(
-            len(l.deaths) for l in result.logs)
+            len(l.deaths) for l in logs)
         assert sum(r.marriages for r in result.statistics) == sum(
-            len(l.marriages) for l in result.logs)
+            len(l.marriages) for l in logs)
 
     def test_stats_thinning(self):
         result = run_simulation(small_config(stats_every=5),
                                 ModelParameters(initial_pop=300), DataTables())
         # initial + steps 5, 10, 12 (final always included).
         assert len(result.statistics) == 4
+
+    def test_thinned_rows_count_every_step(self):
+        events = ("births", "deaths", "marriages", "divorces", "orphan_moves", "divorce_moves")
+        config = small_config(clock=ClockSpec.daily(), seed=3)
+        params = ModelParameters(initial_pop=500)
+        every = run_simulation(config, params, DataTables()).statistics
+        thinned = run_simulation(replace(config, stats_every=5), params, DataTables()).statistics
+        assert len(thinned) == 1 + 73
+        for prev, row in zip(thinned, thinned[1:]):
+            assert row.alive == prev.alive + row.births - row.deaths
+        for name in events:
+            assert sum(getattr(r, name) for r in thinned) == sum(getattr(r, name) for r in every)
+        assert sum(r.births for r in every) > 0
 
     def test_empty_population_statistics(self, store, space):
         stats = collect_step_statistics(store, space, StepEventLog(), 2020.0)
@@ -277,6 +298,33 @@ class TestExport:
         export_population(result.store, result.space, path)
         store2, _ = import_population(path)
         assert store2.alive_count == result.statistics[-1].alive
+
+
+    @pytest.fixture
+    def export_lines(self, tmp_path):
+        result = run_simulation(small_config(seed=24),
+                                ModelParameters(initial_pop=200), DataTables())
+        path = tmp_path / "pop.txt"
+        export_population(result.store, result.space, path)
+        return path, path.read_text().splitlines()
+
+    def test_children_column_must_match_parents(self, export_lines):
+        path, lines = export_lines
+        i = next(i for i, ln in enumerate(lines)
+                 if not ln.startswith("#") and ln.split(" ")[8] != "-")
+        cells = lines[i].split(" ")
+        cells[8] = ",".join(cells[8].split(",")[1:]) or "-"  # drop one child
+        lines[i] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"person {cells[0]}: children column"):
+            import_population(path)
+
+    def test_wrong_field_count(self, export_lines):
+        path, lines = export_lines
+        lines[5] = lines[5].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 6: 11 fields, expected 12"):
+            import_population(path)
 
 
 class TestStatisticsCsv:

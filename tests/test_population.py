@@ -219,3 +219,61 @@ class TestRandomWalkInvariants:
                     store.spawn_person(Gender.FEMALE, 0, father=mum.partner,
                                        mother=mum.id, house=mum.house, space=space)
             assert collect_invariant_violations(store, space) == []
+
+
+def corruptible_state():
+    """A married couple with a daughter in one house, a single man in
+    another, and a dead widow; every invariant holds."""
+    store, space = PopulationStore(12), Space()
+    dad = housed(store, space, Gender.MALE, 40)
+    home = store.persons[dad].house
+    mum = housed(store, space, Gender.FEMALE, 38, house=home)
+    store.wed(dad, mum)
+    kid = housed(store, space, Gender.FEMALE, 10, house=home, father=dad, mother=mum)
+    single = housed(store, space, Gender.MALE, 30)
+    widow = housed(store, space, Gender.FEMALE, 80)
+    store.kill(widow, space)
+    return store, space, dict(dad=dad, mum=mum, kid=kid, single=single, widow=widow)
+
+
+def _set(array, pid, value):
+    array[pid] = value
+
+
+CORRUPTIONS = {
+    "asymmetric partner": (
+        lambda s, sp, p: _set(s.partner_arr, p["mum"], p["single"]),
+        "person {mum}: partnership not symmetric"),
+    "same-gender partner": (
+        lambda s, sp, p: _set(s.male_arr, p["mum"], True),
+        "person {dad}: same-gender partnership"),
+    "married minor": (
+        lambda s, sp, p: _set(s.age_steps_arr, p["mum"], 17 * 12),
+        "person {mum}: married minor"),
+    "parent of the wrong gender": (
+        lambda s, sp, p: _set(s.mother_arr, p["kid"], p["single"]),
+        "person {kid}: parent {single} has wrong gender"),
+    "dead but housed": (
+        lambda s, sp, p: _set(s.house_arr, p["widow"], s.house_arr[p["single"]]),
+        "person {widow}: dead but housed"),
+    "alive but unhoused": (
+        lambda s, sp, p: _set(s.house_arr, p["single"], -1),
+        "person {single}: alive but unhoused"),
+    "occupant points at another house": (
+        lambda s, sp, p: _set(s.house_arr, p["kid"], s.house_arr[p["single"]]),
+        "house {home}: occupant {kid} points elsewhere"),
+    "ancestry cycle": (
+        lambda s, sp, p: _set(s.mother_arr, p["mum"], p["kid"]),
+        "ancestry cycle"),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_sweep_reports_corruption(name):
+    store, space, people = corruptible_state()
+    assert collect_invariant_violations(store, space) == []
+    corrupt, finding = CORRUPTIONS[name]
+    finding = finding.format(home=store.persons[people["dad"]].house, **people)
+    corrupt(store, space, people)
+    problems = collect_invariant_violations(store, space)
+    assert any(finding in p for p in problems), problems
