@@ -34,7 +34,7 @@ from .population import (
     PopulationStore,
     collect_invariant_violations,
 )
-from .space import House, Space, load_density_map
+from .space import Space, load_density_map
 from .stochastics import make_rng
 
 logger = logging.getLogger(__name__)
@@ -118,7 +118,7 @@ def collect_step_statistics(store: PopulationStore, space: Space,
 def _verify_cached_counters(store: PopulationStore, space: Space) -> None:
     swept = store.alive_tallies()
     cached = {name: getattr(store, name) for name in swept}
-    swept["occupied houses"] = sum(1 for h in space.houses.values() if h.occupants)
+    swept["occupied houses"] = sum(1 for r in space.residents if r)
     cached["occupied houses"] = space.occupied_house_count
     bad = [f"{name}: cached {cached[name]} != sweep {swept[name]}"
            for name in swept if cached[name] != swept[name]]
@@ -233,7 +233,10 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
     offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
     columns = [getattr(store, name)[:n].tolist() for name in (
         "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
-        "father_arr", "mother_arr", "house_arr", "town_x_arr", "town_y_arr")]
+        "father_arr", "mother_arr", "house_arr")]
+    # The unhoused (-1) read the last array row; their town is not written.
+    house = store.house_arr[:n]
+    columns += [space.town_x[house].tolist(), space.town_y[house].tolist()]
     for pid, (male, age, alive, status, partner, father, mother, house,
               town_x, town_y) in enumerate(zip(*columns)):
         children = ",".join(kids[offsets[pid]:offsets[pid + 1]]) or "-"
@@ -253,9 +256,13 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     """Rebuild a store (and a minimal space carrying the exported houses)
     from an export file, for invariant auditing and round-trip checks.
 
+    House ids are kept. The export records the town of occupied houses
+    only, so a house id that no one lives in is restored as a vacant house
+    in town (0, 0), off the grid.
+
     Raises ValueError, naming the line or the person, on a malformed line,
-    ids out of sequence, or a children column that disagrees with the
-    father and mother columns.
+    ids out of sequence, a children column that disagrees with the father
+    and mother columns, or two residents of one house in different towns.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != EXPORT_HEADER:
@@ -296,18 +303,19 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
         array[:n] = [-1 if r == "-" else int(r) for r in refs]
     house_of = [-1 if h in ("-", "grave") else int(h) for h in houses]
     store.house_arr[:n] = house_of
-    housed = [pid for pid, hid in enumerate(house_of) if hid >= 0]
-    for pid in housed:
-        hid = house_of[pid]
-        if hid not in space.houses:
-            # Bypass new_house: exported coordinates are town-level only.
+    town_of: dict[int, tuple[int, int]] = {}
+    for pid, hid in enumerate(house_of):
+        if hid >= 0:
             town = (int(towns_x[pid]), int(towns_y[pid]))
-            space.houses[hid] = House(hid, town, 1, 1)
-            space.towns[town].house_ids.append(hid)
-        space.add_occupant(hid, pid)
-    store.town_x_arr[housed] = [int(towns_x[pid]) for pid in housed]
-    store.town_y_arr[housed] = [int(towns_y[pid]) for pid in housed]
-    space._next_house_id = max(space.houses, default=-1) + 1
+            if town_of.setdefault(hid, town) != town:
+                raise ValueError(f"person {pid}: town {town} differs from the town "
+                                 f"{town_of[hid]} of other residents of house {hid}")
+    # Exported coordinates are town-level only.
+    for hid in range(max(town_of, default=-1) + 1):
+        space.add_house(town_of.get(hid, (0, 0)), 1, 1)
+    for pid, hid in enumerate(house_of):
+        if hid >= 0:
+            space.add_occupant(hid, pid)
     store.recount()
 
     offsets, kids = store.children_index()

@@ -106,12 +106,11 @@ def age_compatibility(age_m_years: float, age_f_years: float) -> float:
 
 def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
     diff = age_m_years - ages_f_years
-    w = np.ones(len(diff))
-    older = diff >= 5
-    w[older] = 1.0 / (diff[older] - 4.0)
-    younger = diff <= -2
-    w[younger] = -1.0 / (diff[younger] + 1.0)
-    return w
+    # Both branches are computed everywhere; the gaps 4 and -1 divide by zero
+    # in the branch that is not taken.
+    with np.errstate(divide="ignore"):
+        return np.where(diff >= 5, 1.0 / (diff - 4.0),
+                        np.where(diff <= -2, -1.0 / (diff + 1.0), 1.0))
 
 
 def geo_factor(distance: int) -> float:
@@ -269,8 +268,8 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
                           & (store.status_arr[:size] != MARRIED_CODE)
                           & (store.age_steps_arr[:size] >= adult_steps))
     pool_ages = store.age_steps_arr[pool] / n
-    # Child counts cannot change during this event; towns can (household
-    # merges move co-residents), so distances read the live town arrays.
+    # Child counts cannot change during this event; houses can (household
+    # merges move co-residents), so distances read the live house array.
     alive = store.alive_arr[:size]
     children = np.zeros(size, dtype=np.int64)
     for parents in (store.father_arr[:size][alive], store.mother_arr[:size][alive]):
@@ -285,9 +284,10 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
         k = min(n_cand, live)
         cand = rng.choice(live, size=k, replace=False)
         cand_pids = pool[cand]
-        town_m = space.house_town(int(store.house_arr[groom_id]))
-        dist = (np.abs(store.town_x_arr[cand_pids].astype(np.int64) - town_m[0])
-                + np.abs(store.town_y_arr[cand_pids].astype(np.int64) - town_m[1]))
+        house_m = store.house_arr[groom_id]
+        cand_houses = store.house_arr[cand_pids]
+        dist = (np.abs(space.town_x[cand_houses] - space.town_x[house_m])
+                + np.abs(space.town_y[cand_houses] - space.town_y[house_m]))
         nm = int(children[groom_id])
         nf = pool_children[cand]
         children_w = np.exp(np.minimum(nm * nf - nm - nf, _EXP_CAP))
@@ -315,8 +315,8 @@ def _merge_households(store: PopulationStore, space: Space,
     house_f = int(store.house_arr[bride])
     if house_m == house_f:
         return
-    occ_m = space.houses[house_m].occupants
-    occ_f = space.houses[house_f].occupants
+    occ_m = space.residents[house_m]
+    occ_f = space.residents[house_f]
     if len(occ_m) >= len(occ_f):
         movers, target = occ_f, house_m
     else:

@@ -12,11 +12,11 @@ is ``f now and not pre(f)``. When no snapshot exists yet (the very first
 boundary), the current state doubles as its own past, so ``just`` is
 False everywhere and ``pre(f)`` equals ``f``.
 
-Only the snapshot-tracked attributes (age, alive, marital status, house,
-town) are copied per step; kinship predicates under ``pre``/``just`` read
-the parent arrays restricted to the ids of the snapshot, which works
-because kinship links never disappear and only ever gain newly created
-persons.
+Only the snapshot-tracked attributes (age, alive, marital status, house;
+a town is read through the house, which never changes town) are copied
+per step; kinship predicates under ``pre``/``just`` read the parent
+arrays restricted to the ids of the snapshot, which works because kinship
+links never disappear and only ever gain newly created persons.
 """
 
 from __future__ import annotations
@@ -45,19 +45,19 @@ class FeatureError(Exception):
 class StepSnapshot:
     """The person arrays at one step boundary.
 
-    The tracked attributes (age, alive, marital status, house, town) are
+    The tracked attributes (age, alive, marital status, house) are
     copies; gender and parents never change after registration, so they
     are views of the store's arrays. Ids issued after the capture are
     beyond `size`, which encodes absence.
     """
 
     __slots__ = ("size", "steps_per_year", "age_steps", "alive", "status",
-                 "house", "town_x", "town_y", "male", "father", "mother")
+                 "house", "male", "father", "mother")
 
     def __init__(self, store: PopulationStore, copy: bool):
         n = self.size = store.size
         self.steps_per_year = store.steps_per_year
-        for name in ("age_steps", "alive", "status", "house", "town_x", "town_y"):
+        for name in ("age_steps", "alive", "status", "house"):
             column = getattr(store, f"{name}_arr")[:n]
             setattr(self, name, column.copy() if copy else column)
         self.male = store.male_arr[:n]
@@ -273,8 +273,10 @@ class InTown(FeatureExpr):
     town: tuple[int, int]
 
     def mask(self, ctx, past=False):
-        state = ctx.state(past)
-        return (state.town_x == self.town[0]) & (state.town_y == self.town[1])
+        # The unhoused (-1) read the last array row and are masked out.
+        house = ctx.state(past).house
+        return ((house >= 0) & (ctx.space.town_x[house] == self.town[0])
+                & (ctx.space.town_y[house] == self.town[1]))
 
 
 @dataclass(frozen=True)

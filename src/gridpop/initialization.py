@@ -42,7 +42,7 @@ def init_town_populations(initial_pop: int, space: Space) -> dict[TownKey, int]:
     if initial_pop < 1:
         raise ValueError("initial_pop must be >= 1")
     towns = space.inhabitable_towns
-    weights = np.array([space.towns[k].density for k in towns], dtype=float)
+    weights = space.town_weights
     quotas = initial_pop * weights / weights.sum()
     counts = np.floor(quotas).astype(int)
     remainder = initial_pop - int(counts.sum())

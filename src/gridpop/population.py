@@ -7,11 +7,12 @@ counts against the run's clock, so a million steps accumulate no drift.
 
 The state of all persons is one NumPy array per attribute, indexed by id
 (``age_steps_arr``, ``male_arr``, ``alive_arr``, ``status_arr``,
-``house_arr``, ``town_x_arr``, ``town_y_arr``, ``partner_arr``,
-``father_arr``, ``mother_arr``; -1 means none). The events gather whole
-subpopulations from them. Children are not stored: they are derived from
-the parent arrays. ``store.persons`` is a read-only mapping of ``Person``
-views over the rows, for code that works one person at a time.
+``house_arr``, ``partner_arr``, ``father_arr``, ``mother_arr``; -1 means
+none). The events gather whole subpopulations from them. Children and
+towns are not stored: they are derived from the parent arrays and from
+the house arrays of ``Space``. ``store.persons`` is a read-only mapping
+of ``Person`` views over the rows, for code that works one person at a
+time.
 
 Mutators preserve the structural invariants checked by
 ``collect_invariant_violations``; callers are expected to satisfy the
@@ -67,8 +68,6 @@ _ARRAYS = (
     ("alive_arr", bool, False),
     ("status_arr", np.int8, 0),
     ("house_arr", np.int64, -1),
-    ("town_x_arr", np.int16, 0),
-    ("town_y_arr", np.int16, 0),
     ("partner_arr", np.int64, -1),
     ("father_arr", np.int64, -1),
     ("mother_arr", np.int64, -1),
@@ -248,8 +247,10 @@ class PopulationStore:
             raise ValueError("age must be non-negative")
         self._check_parent(father, "father", True)
         self._check_parent(mother, "mother", False)
-        if house is not None and space is None:
-            raise ValueError("space required to register occupancy")
+        if house is not None:
+            if space is None:
+                raise ValueError("space required to register occupancy")
+            space.require_house(house)
         pid = self.add_rows(1)
         male = gender is Gender.MALE
         self.age_steps_arr[pid] = age_steps
@@ -260,7 +261,6 @@ class PopulationStore:
         if house is not None:
             space.add_occupant(house, pid)
             self.house_arr[pid] = house
-            self.town_x_arr[pid], self.town_y_arr[pid] = space.house_town(house)
         self.alive_count += 1
         if male:
             self.alive_male += 1
@@ -324,8 +324,6 @@ class PopulationStore:
         if house >= 0:
             space.remove_occupant(house, pid)
             self.house_arr[pid] = -1
-            self.town_x_arr[pid] = 0
-            self.town_y_arr[pid] = 0
 
     def assign_parents(self, child: PersonId, father: PersonId, mother: PersonId) -> None:
         """Late kinship registration for initialization staging."""
@@ -390,8 +388,7 @@ def collect_invariant_violations(store: PopulationStore, space: "Space") -> list
 
     Checks reference resolution, partnership symmetry, gender of partners
     and parents, adult-marriage, dead-in-grave, alive-housed, occupancy
-    consistency, the town arrays against the houses, and kinship
-    acyclicity.
+    consistency against the resident sets, and kinship acyclicity.
     """
     n = store.size
     ids = np.arange(n)
@@ -426,21 +423,11 @@ def collect_invariant_violations(store: PopulationStore, space: "Space") -> list
         report(known & (male[np.where(known, parents, 0)] != want_male),
                "parent {} has wrong gender", parents)
 
-    # Housing: towns and occupant sets of the space against the arrays.
-    # Unknown house ids map to the extra last slot, which exists nowhere.
-    houses = list(space.houses.values())
-    slots = max(space.houses, default=-1) + 1
-    exists = np.zeros(slots + 1, dtype=bool)
-    house_x = np.zeros(slots + 1, dtype=np.int64)
-    house_y = np.zeros(slots + 1, dtype=np.int64)
-    for h in houses:
-        exists[h.id] = True
-        house_x[h.id], house_y[h.id] = h.town
-    slot = np.where((house >= 0) & (house < slots), house, slots)
-    housed = exists[slot]
-    sizes = [len(h.occupants) for h in houses]
-    occ_house = np.repeat(np.array([h.id for h in houses], dtype=np.int64), sizes)
-    occ_pid = np.fromiter(chain.from_iterable(h.occupants for h in houses),
+    # Housing: the resident sets of the space against house_arr.
+    housed = (house >= 0) & (house < space.house_count)
+    sizes = [len(r) for r in space.residents]
+    occ_house = np.repeat(np.arange(space.house_count), sizes)
+    occ_pid = np.fromiter(chain.from_iterable(space.residents),
                           dtype=np.int64, count=sum(sizes))
     occ_known = resolves(occ_pid)
     occ_row = np.where(occ_known, occ_pid, 0)
@@ -453,9 +440,6 @@ def collect_invariant_violations(store: PopulationStore, space: "Space") -> list
     report(alive & (house >= 0) & ~housed, "house {} does not resolve", house)
     report(alive & housed & ~listed, "not in occupant set of house {}", house)
     report(~alive & (house >= 0), "dead but housed")
-    report(housed & ((store.town_x_arr[:n] != house_x[slot])
-                     | (store.town_y_arr[:n] != house_y[slot])),
-           "town does not match house {}", house)
     for i in np.flatnonzero(~(occ_alive & occ_home)).tolist():
         hid, pid = int(occ_house[i]), int(occ_pid[i])
         if not occ_known[i]:

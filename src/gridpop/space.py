@@ -3,13 +3,17 @@
 Towns live on a fixed 12x8 grid (row 1 is northernmost, column 1
 westernmost). A built-in density grid marks 48 of the 96 cells as
 inhabited; density weights drive both initial placement and the weighted
-town draw used when a house is needed in an arbitrary town. Houses are
-created on demand and never removed.
+town draw used when a house is needed in an arbitrary town. Towns are
+cells of the density grid, not objects.
+
+Houses are created on demand and never removed. A house is an id into one
+NumPy array per attribute (``town_x``, ``town_y``, ``local_x``,
+``local_y``); ``residents[h]``, the set of persons living in house h, is
+the inverse of the store's ``house_arr`` and the only per-house object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,29 +72,10 @@ def manhattan_distance(a: TownKey, b: TownKey) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@dataclass
-class Town:
-    grid_x: int
-    grid_y: int
-    density: float
-    house_ids: list[HouseId] = field(default_factory=list)
+# Every per-house array, indexed by house id.
+_HOUSE_ARRAYS = ("town_x", "town_y", "local_x", "local_y")
 
-    @property
-    def key(self) -> TownKey:
-        return (self.grid_x, self.grid_y)
-
-    @property
-    def inhabitable(self) -> bool:
-        return self.density > 0.0
-
-
-@dataclass
-class House:
-    id: HouseId
-    town: TownKey
-    local_x: int
-    local_y: int
-    occupants: set[int] = field(default_factory=set)
+_INITIAL_HOUSES = 1024
 
 
 class Space:
@@ -105,57 +90,77 @@ class Space:
             raise ValueError("town_grid_cells must be >= 1")
         self.density = grid
         self.town_grid_cells = town_grid_cells
-        self.towns: dict[TownKey, Town] = {}
-        for x in range(1, GRID_ROWS + 1):
-            for y in range(1, GRID_COLS + 1):
-                self.towns[(x, y)] = Town(x, y, float(grid[x - 1, y - 1]))
         # Grid order, so weighted draws and quota rounding are deterministic.
-        self.inhabitable_towns: list[TownKey] = [k for k, t in self.towns.items() if t.inhabitable]
-        self._town_weights = np.array([self.towns[k].density for k in self.inhabitable_towns])
-        self.houses: dict[HouseId, House] = {}
-        self._next_house_id = 0
+        rows, cols = np.nonzero(grid > 0.0)
+        self.inhabitable_towns: list[TownKey] = [(x + 1, y + 1) for x, y in
+                                                 zip(rows.tolist(), cols.tolist())]
+        self.town_weights = grid[rows, cols]
+        for name in _HOUSE_ARRAYS:
+            setattr(self, name, np.zeros(_INITIAL_HOUSES, dtype=np.int64))
+        self.residents: list[set[int]] = []
         self._occupied_houses = 0
 
     # -- towns ---------------------------------------------------------
 
+    def inhabitable(self, town: TownKey) -> bool:
+        x, y = town
+        return 1 <= x <= GRID_ROWS and 1 <= y <= GRID_COLS and self.density[x - 1, y - 1] > 0.0
+
     @property
     def density_total(self) -> float:
-        return float(self._town_weights.sum())
+        return float(self.town_weights.sum())
 
     def sample_town_weighted(self, rng: Rng) -> TownKey:
         """Draw an inhabitable town with probability proportional to density."""
-        return weighted_sample(rng, self.inhabitable_towns, self._town_weights)
+        return weighted_sample(rng, self.inhabitable_towns, self.town_weights)
 
     # -- houses --------------------------------------------------------
 
+    def add_house(self, town: TownKey, local_x: int, local_y: int) -> HouseId:
+        """Register an empty house; ids are issued in sequence."""
+        hid = len(self.residents)
+        cap = len(self.town_x)
+        if hid == cap:
+            for name in _HOUSE_ARRAYS:
+                grown = np.zeros(2 * cap, dtype=np.int64)
+                grown[:cap] = getattr(self, name)
+                setattr(self, name, grown)
+        self.town_x[hid], self.town_y[hid] = town
+        self.local_x[hid], self.local_y[hid] = local_x, local_y
+        self.residents.append(set())
+        return hid
+
     def new_house(self, town: TownKey, rng: Rng) -> HouseId:
         """Create an empty house at uniform coordinates inside the town."""
-        t = self.towns[town]
-        if not t.inhabitable:
+        if not self.inhabitable(town):
             raise ValueError(f"town {town} is not inhabitable")
-        hid = self._next_house_id
-        self._next_house_id += 1
         lx = int(rng.integers(1, self.town_grid_cells + 1))
         ly = int(rng.integers(1, self.town_grid_cells + 1))
-        self.houses[hid] = House(hid, town, lx, ly)
-        t.house_ids.append(hid)
-        return hid
+        return self.add_house(town, lx, ly)
 
     def find_or_create_empty_house(self, town: TownKey, rng: Rng) -> HouseId:
         """A zero-occupant house in this town: uniform pick among existing
-        empties, or a freshly created one when none exists."""
-        t = self.towns[town]
-        empties = [hid for hid in t.house_ids if not self.houses[hid].occupants]
-        if empties:
-            return empties[int(rng.integers(len(empties)))]
+        empties in id order, or a freshly created one when none exists."""
+        n = self.house_count
+        # No vacancy anywhere (always so while the initial state is housed):
+        # build at once instead of scanning.
+        if self._occupied_houses < n:
+            in_town = np.flatnonzero((self.town_x[:n] == town[0]) & (self.town_y[:n] == town[1]))
+            empties = [hid for hid in in_town.tolist() if not self.residents[hid]]
+            if empties:
+                return empties[int(rng.integers(len(empties)))]
         return self.new_house(town, rng)
 
     def house_town(self, house_id: HouseId) -> TownKey:
-        return self.houses[house_id].town
+        return int(self.town_x[house_id]), int(self.town_y[house_id])
+
+    def require_house(self, house_id: HouseId) -> None:
+        if not 0 <= house_id < self.house_count:
+            raise ValueError(f"house {house_id} does not exist")
 
     @property
     def house_count(self) -> int:
-        return len(self.houses)
+        return len(self.residents)
 
     @property
     def occupied_house_count(self) -> int:
@@ -164,19 +169,20 @@ class Space:
     # -- occupancy -----------------------------------------------------
 
     def add_occupant(self, house_id: HouseId, person_id: int) -> None:
-        occ = self.houses[house_id].occupants
-        if not occ:
+        residents = self.residents[house_id]
+        if not residents:
             self._occupied_houses += 1
-        occ.add(person_id)
+        residents.add(person_id)
 
     def remove_occupant(self, house_id: HouseId, person_id: int) -> None:
-        occ = self.houses[house_id].occupants
-        occ.discard(person_id)
-        if not occ:
+        residents = self.residents[house_id]
+        residents.discard(person_id)
+        if not residents:
             self._occupied_houses -= 1
 
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:
         """Relocate an alive person; moving to the current house is a no-op."""
+        self.require_house(house_id)
         if not store.alive_arr[person_id]:
             raise ValueError(f"cannot move dead person {person_id}")
         old = int(store.house_arr[person_id])
@@ -186,4 +192,3 @@ class Space:
             self.remove_occupant(old, person_id)
         self.add_occupant(house_id, person_id)
         store.house_arr[person_id] = house_id
-        store.town_x_arr[person_id], store.town_y_arr[person_id] = self.houses[house_id].town

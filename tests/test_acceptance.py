@@ -135,21 +135,22 @@ class TestCriterion3InitialDistributions:
         # at alpha=0.001). Placement is what the density map governs;
         # housing later consolidates each family into the husband's town,
         # which moves dependents in correlated clusters.
-        counts = {town: 0 for town in space.towns}
+        grid = [(x + 1, y + 1) for x, y in np.ndindex(space.density.shape)]
+        counts = {town: 0 for town in grid}
         for town in placement.values():
             counts[town] += 1
         inhabitable = space.inhabitable_towns
         observed = np.array([counts[t] for t in inhabitable], dtype=float)
-        weights = np.array([space.towns[t].density for t in inhabitable])
+        weights = np.array([space.density[x - 1, y - 1] for x, y in inhabitable])
         expected = n * weights / weights.sum()
         chi2, pvalue = scipy_stats.chisquare(observed, expected)
         assert pvalue >= 0.001, f"chi-square GOF rejected: p={pvalue}"
 
-        zero_density = [t for t, town in space.towns.items() if not town.inhabitable]
+        zero_density = [t for t in grid if not space.inhabitable(t)]
         assert all(counts[t] == 0 for t in zero_density)
         # No one ever lives in a zero-density town, consolidation included.
         final_towns = {space.house_town(p.house) for p in store.persons.values()}
-        assert all(space.towns[t].inhabitable for t in final_towns)
+        assert all(space.inhabitable(t) for t in final_towns)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0, f"too slow: {elapsed:.1f}s"

@@ -319,6 +319,18 @@ class TestExport:
         with pytest.raises(ValueError, match=f"person {cells[0]}: children column"):
             import_population(path)
 
+    def test_residents_of_one_house_must_share_its_town(self, export_lines):
+        path, lines = export_lines
+        rows = [ln.split(" ") for ln in lines if not ln.startswith("#")]
+        homes = [cells[9] for cells in rows]
+        cells = next(c for c in reversed(rows) if c[9].isdigit() and homes.count(c[9]) > 1)
+        i = lines.index(" ".join(cells))
+        cells[10] = str(int(cells[10]) + 1)
+        lines[i] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"person {cells[0]}: town .* house {cells[9]}"):
+            import_population(path)
+
     def test_wrong_field_count(self, export_lines):
         path, lines = export_lines
         lines[5] = lines[5].rsplit(" ", 1)[0]

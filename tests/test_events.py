@@ -10,6 +10,7 @@ from gridpop.events import (
     StepEventLog,
     ageing_step,
     age_compatibility,
+    age_compatibility_array,
     births_step,
     children_factor,
     deaths_step,
@@ -93,6 +94,15 @@ class TestHazardFormulas:
         for diff, expected in cases.items():
             assert age_compatibility(40.0, 40.0 - diff) == pytest.approx(expected, rel=1e-12)
 
+    def test_age_factor_array_equals_scalar_exactly(self):
+        gaps = [-30.0, -7.25, -2.0001, -2.0, -1.9999, -1.5, -1.0, -0.25, 0.0, 3.5,
+                3.9999, 4.0, 4.0001, 4.5, 4.9999, 5.0, 5.0001, 12.75, 60.0]
+        for age_m in (40.0, 18.0 + 1 / 12, 73.5):
+            ages_f = age_m - np.array(gaps)
+            got = age_compatibility_array(age_m, ages_f)
+            assert got.tolist() == [age_compatibility(age_m, f) for f in ages_f.tolist()]
+        assert age_compatibility_array(40.0, np.array([])).shape == (0,)
+
 
 class TestAgeing:
     def test_alive_aged_dead_frozen(self):
@@ -122,7 +132,7 @@ class TestAgeing:
         assert y.age_steps == 18 * 12
         assert y.house != home
         assert space.house_town(y.house) == town
-        assert space.houses[y.house].occupants == {younger}
+        assert space.residents[y.house] == {younger}
         assert store.persons[elder].house == home
         assert log.orphan_moves == [younger]
         assert collect_invariant_violations(store, space) == []
@@ -279,7 +289,7 @@ class TestDivorces:
         assert store.persons[f].marital_status is MaritalStatus.DIVORCED
         assert store.persons[m].house != home
         assert space.house_town(store.persons[m].house) == (8, 4)
-        assert len(space.houses[store.persons[m].house].occupants) == 1
+        assert len(space.residents[store.persons[m].house]) == 1
         assert store.persons[f].house == home
         assert store.persons[kid].house == home
         assert log.divorce_moves == [m]
@@ -338,7 +348,7 @@ class TestMarriages:
         # Groom's house had 3, bride's 2: bride and her child move in.
         assert store.persons[f].house == house_m
         assert store.persons[dep].house == house_m
-        assert len(space.houses[house_m].occupants) == 5
+        assert len(space.residents[house_m]) == 5
 
     def test_merge_to_bride_when_groom_house_smaller(self):
         store, space, rng, log = fresh()

@@ -41,7 +41,7 @@ class TestTownQuotas:
 
     def test_zero_density_towns_get_zero(self, space):
         targets = init_town_populations(10_000, space)
-        assert all(space.towns[k].inhabitable for k in targets)
+        assert all(space.inhabitable(k) for k in targets)
         assert (1, 1) not in targets
 
     def test_proportionality(self, space):
@@ -192,7 +192,7 @@ class TestHousing:
 
     def test_no_initial_house_empty(self):
         store, space, _ = build(initial_pop=2000, seed=14)
-        assert all(h.occupants for h in space.houses.values())
+        assert all(space.residents)
 
     def test_families_share_one_house_singles_alone(self):
         store, space, _ = build(initial_pop=2000, seed=15)
@@ -205,12 +205,12 @@ class TestHousing:
                     if child.age_steps < store.adult_age_steps and child.unmarried:
                         assert child.house == p.house
             elif p.unmarried and store.is_adult(p):
-                assert space.houses[p.house].occupants == {p.id}
+                assert space.residents[p.house] == {p.id}
 
     def test_town_targets_respected_for_singles(self):
         store, space, _ = build(initial_pop=2000, seed=16)
         targets = init_town_populations(2000, space)
-        populated_towns = {space.houses[p.house].town for p in store.persons.values()}
+        populated_towns = {space.house_town(p.house) for p in store.persons.values()}
         assert populated_towns <= set(targets)
 
 

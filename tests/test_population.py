@@ -142,15 +142,15 @@ class TestKill:
         assert store.persons[m].house is None
         assert not store.persons[m].alive
         assert store.persons[f].house == house
-        assert space.houses[house].occupants == {f}
+        assert space.residents[house] == {f}
         sweep_ok(store, space)
 
     def test_emptied_house_persists(self, store, space):
         pid = housed(store, space, Gender.MALE, 50)
         house = store.persons[pid].house
         store.kill(pid, space)
-        assert house in space.houses
-        assert not space.houses[house].occupants
+        assert 0 <= house < space.house_count
+        assert not space.residents[house]
 
     def test_orphaned_minor_keeps_parent_links(self, store, space):
         dad = housed(store, space, Gender.MALE, 40)
@@ -262,6 +262,12 @@ CORRUPTIONS = {
     "occupant points at another house": (
         lambda s, sp, p: _set(s.house_arr, p["kid"], s.house_arr[p["single"]]),
         "house {home}: occupant {kid} points elsewhere"),
+    "resident set lists a person who lives elsewhere": (
+        lambda s, sp, p: sp.residents[s.house_arr[p["single"]]].add(p["kid"]),
+        "house {away}: occupant {kid} points elsewhere"),
+    "house past house_count": (
+        lambda s, sp, p: _set(s.house_arr, p["single"], sp.house_count),
+        "person {single}: house {houses} does not resolve"),
     "ancestry cycle": (
         lambda s, sp, p: _set(s.mother_arr, p["mum"], p["kid"]),
         "ancestry cycle"),
@@ -273,7 +279,9 @@ def test_sweep_reports_corruption(name):
     store, space, people = corruptible_state()
     assert collect_invariant_violations(store, space) == []
     corrupt, finding = CORRUPTIONS[name]
-    finding = finding.format(home=store.persons[people["dad"]].house, **people)
+    finding = finding.format(home=store.persons[people["dad"]].house,
+                             away=store.persons[people["single"]].house,
+                             houses=space.house_count, **people)
     corrupt(store, space, people)
     problems = collect_invariant_violations(store, space)
     assert any(finding in p for p in problems), problems

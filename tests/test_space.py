@@ -1,6 +1,7 @@
 """Town grid, density weights, distances, house allocation."""
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import housed
 from gridpop.population import Gender, PopulationStore
 from gridpop.space import (
     DEFAULT_DENSITY,
+    DEFAULT_TOWN_GRID_CELLS,
     GRID_COLS,
     GRID_ROWS,
     Space,
@@ -20,7 +22,7 @@ from gridpop.stochastics import make_rng
 
 class TestDensityGrid:
     def test_dimensions_and_inhabitable_count(self, space):
-        assert len(space.towns) == GRID_ROWS * GRID_COLS == 96
+        assert space.density.size == GRID_ROWS * GRID_COLS == 96
         assert len(space.inhabitable_towns) == 48
 
     def test_total_by_independent_summation(self, space):
@@ -81,7 +83,7 @@ class TestSampleTownWeighted:
 
     def test_zero_density_never_drawn(self, space):
         rng = make_rng(43)
-        zero_cells = {k for k, t in space.towns.items() if not t.inhabitable}
+        zero_cells = {(x + 1, y + 1) for x, y in np.argwhere(space.density == 0.0).tolist()}
         assert (1, 1) in zero_cells
         for _ in range(100_000):
             assert space.sample_town_weighted(rng) not in zero_cells
@@ -125,14 +127,96 @@ class TestHouses:
         for _ in range(300):
             town = sp.sample_town_weighted(rng)
             hid = sp.find_or_create_empty_house(town, rng)
-            assert sp.houses[hid].town == town
-            assert 1 <= sp.houses[hid].local_x <= sp.town_grid_cells
-            assert 1 <= sp.houses[hid].local_y <= sp.town_grid_cells
+            assert sp.house_town(hid) == town
+            assert 1 <= sp.local_x[hid] <= sp.town_grid_cells
+            assert 1 <= sp.local_y[hid] <= sp.town_grid_cells
 
     def test_uninhabitable_town_rejected(self, rng):
         sp = Space()
         with pytest.raises(ValueError):
             sp.new_house((1, 1), rng)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_houses_and_draws_as_town_scan(self, seed):
+        scan_found, scan_state = _drive(_TownScan(), seed)
+        found, state = _drive(_Arrays(), seed)
+        assert found == scan_found
+        assert state == scan_state
+        # Both branches ran: vacant houses were reused and new ones built.
+        assert len(set(found)) < len(found)
+
+
+class _TownScan:
+    """Reference for find_or_create_empty_house: each town's houses in
+    creation order, one uniform draw among the empty ones, else a new
+    house whose two coordinates are drawn."""
+
+    def __init__(self):
+        self.town_houses = defaultdict(list)
+        self.residents = []
+        self.home = []
+
+    def find(self, town, rng):
+        empties = [h for h in self.town_houses[town] if not self.residents[h]]
+        if empties:
+            return empties[int(rng.integers(len(empties)))]
+        rng.integers(1, DEFAULT_TOWN_GRID_CELLS + 1)  # local x
+        rng.integers(1, DEFAULT_TOWN_GRID_CELLS + 1)  # local y
+        self.residents.append(set())
+        self.town_houses[town].append(len(self.residents) - 1)
+        return len(self.residents) - 1
+
+    def arrive(self, house):
+        self.home.append(house)
+        self.residents[house].add(len(self.home) - 1)
+        return len(self.home) - 1
+
+    def move(self, pid, house):
+        self.residents[self.home[pid]].discard(pid)
+        self.residents[house].add(pid)
+        self.home[pid] = house
+
+    def kill(self, pid):
+        self.residents[self.home[pid]].discard(pid)
+
+
+class _Arrays:
+    """The same four operations on Space and PopulationStore."""
+
+    def __init__(self):
+        self.space, self.store = Space(), PopulationStore(12)
+        self.find = self.space.find_or_create_empty_house
+
+    def arrive(self, house):
+        return self.store.spawn_person(Gender.MALE, 30 * 12, house=house, space=self.space)
+
+    def move(self, pid, house):
+        self.space.move_person(self.store, pid, house)
+
+    def kill(self, pid):
+        self.store.kill(pid, self.space)
+
+
+def _drive(side, seed, ops=600):
+    """Scripted arrivals, moves and deaths in three towns. The script has
+    its own stream, so both sides see the same operations; returns every
+    house found and the final state of the model stream."""
+    rng, script = make_rng(seed), make_rng(seed + 1000)
+    towns = [(4, 3), (8, 4), (10, 6)]
+    alive, found = [], []
+    for _ in range(ops):
+        op = int(script.integers(4))
+        town = towns[int(script.integers(len(towns)))]
+        if op >= 2 and alive:
+            side.kill(alive.pop(int(script.integers(len(alive)))))
+            continue
+        house = side.find(town, rng)
+        found.append(house)
+        if op == 1 and alive:
+            side.move(alive[int(script.integers(len(alive)))], house)
+        else:
+            alive.append(side.arrive(house))
+    return found, rng.bit_generator.state
 
 
 class TestMovePerson:
@@ -140,7 +224,7 @@ class TestMovePerson:
         pids = [housed(store, space, Gender.MALE, 30, rng=rng) for _ in range(10)]
         for pid in pids[:5]:
             space.move_person(store, pid, space.find_or_create_empty_house((4, 3), rng))
-        total = sum(len(h.occupants) for h in space.houses.values())
+        total = sum(len(r) for r in space.residents)
         assert total == len(pids)
 
     def test_move_to_same_house_is_noop(self, store, space, rng):
@@ -148,13 +232,24 @@ class TestMovePerson:
         house = store.persons[pid].house
         space.move_person(store, pid, house)
         assert store.persons[pid].house == house
-        assert space.houses[house].occupants == {pid}
+        assert space.residents[house] == {pid}
 
     def test_dead_person_rejected(self, store, space, rng):
         pid = housed(store, space, Gender.MALE, 30, rng=rng)
         store.kill(pid, space)
         with pytest.raises(ValueError):
             space.move_person(store, pid, space.find_or_create_empty_house((4, 3), rng))
+
+    @pytest.mark.parametrize("bad", [-2, -1, "count"])
+    def test_unknown_house_rejected(self, store, space, rng, bad):
+        pid = housed(store, space, Gender.MALE, 30, rng=rng)
+        house = space.house_count if bad == "count" else bad
+        with pytest.raises(ValueError, match=f"house {house} does not exist"):
+            space.move_person(store, pid, house)
+        with pytest.raises(ValueError, match=f"house {house} does not exist"):
+            store.spawn_person(Gender.FEMALE, 0, house=house, space=space)
+        assert store.size == 1 and store.alive_count == 1
+        assert space.residents == [{pid}]
 
     def test_house_count_monotone(self, store, space, rng):
         counts = []
