@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of a fixed reference run's output files.
+"""Print SHA-256 digests of fixed reference runs' output files.
 
-CI runs this on every platform and compares against
-tests/golden/reference_run.sha256; identical digests across OSes pin
+CI runs this on every platform and compares against the committed files
+tests/golden/<run>.sha256; identical digests across OSes pin
 cross-platform byte-identity of the whole pipeline. The digests depend on
 the NumPy PCG64 stream, so CI pins the NumPy minor series.
+
+Two runs: ``reference_run`` (2,000 agents, monthly clock, 2 years), and
+``annual_run`` (2,000 agents, one step a year, 10 years), whose few
+distinct ages make init_partnerships take its cached-weight-row path.
 """
 
 import contextlib
@@ -16,14 +20,21 @@ from pathlib import Path
 
 from gridpop.cli import main
 
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-def compute() -> str:
+REFERENCE_RUNS = {
+    "reference_run": ["--seed", "20240101", "--dt", "monthly", "--t0", "2020",
+                      "--tfinal", "2022", "--initial-pop", "2000"],
+    "annual_run": ["--seed", "20240101", "--dt", "custom:1", "--t0", "2020",
+                   "--tfinal", "2030", "--initial-pop", "2000"],
+}
+
+
+def compute(run: str = "reference_run") -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", "--seed", "20240101", "--dt", "monthly",
-                         "--t0", "2020", "--tfinal", "2022",
-                         "--initial-pop", "2000", "--out", str(out)])
+            code = main(["run", *REFERENCE_RUNS[run], "--out", str(out)])
         if code != 0:
             raise SystemExit(code)
         lines = []
@@ -34,11 +45,16 @@ def compute() -> str:
 
 
 if __name__ == "__main__":
-    text = compute()
-    sys.stdout.write(text)
-    if len(sys.argv) > 1 and sys.argv[1] == "--check":
-        golden = Path(__file__).resolve().parent.parent / "tests" / "golden" / "reference_run.sha256"
-        if text != golden.read_text():
+    check = len(sys.argv) > 1 and sys.argv[1] == "--check"
+    failed = False
+    for run in REFERENCE_RUNS:
+        text = compute(run)
+        sys.stdout.write(f"{run}:\n{text}")
+        golden = GOLDEN / f"{run}.sha256"
+        if check and text != golden.read_text():
             sys.stderr.write(f"digest mismatch vs {golden}:\n{golden.read_text()}")
-            raise SystemExit(1)
-        print("digests match the committed golden file")
+            failed = True
+    if failed:
+        raise SystemExit(1)
+    if check:
+        print("digests match the committed golden files")

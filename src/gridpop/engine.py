@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from .events import StepEventLog, run_step
 from .features import StepSnapshot
 from .initialization import build_initial_state
@@ -301,21 +303,24 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     for array, refs in ((store.partner_arr, partners), (store.father_arr, fathers),
                         (store.mother_arr, mothers)):
         array[:n] = [-1 if r == "-" else int(r) for r in refs]
-    house_of = [-1 if h in ("-", "grave") else int(h) for h in houses]
-    store.house_arr[:n] = house_of
-    town_of: dict[int, tuple[int, int]] = {}
-    for pid, hid in enumerate(house_of):
-        if hid >= 0:
-            town = (int(towns_x[pid]), int(towns_y[pid]))
-            if town_of.setdefault(hid, town) != town:
-                raise ValueError(f"person {pid}: town {town} differs from the town "
-                                 f"{town_of[hid]} of other residents of house {hid}")
+    house = np.array([-1 if h in ("-", "grave") else int(h) for h in houses], dtype=np.int64)
+    store.house_arr[:n] = house
+    housed = np.flatnonzero(house >= 0)
+    towns = np.array([(int(towns_x[pid]), int(towns_y[pid])) for pid in housed.tolist()],
+                     dtype=np.int64).reshape(-1, 2)
+    # A house's town is that of its first resident; a later one must agree.
+    house_towns = np.zeros((int(house.max(initial=-1)) + 1, 2), dtype=np.int64)
+    homes, first = np.unique(house[housed], return_index=True)
+    house_towns[homes] = towns[first]
+    stray = np.flatnonzero((house_towns[house[housed]] != towns).any(axis=1))
+    if len(stray):
+        pid, hid = int(housed[stray[0]]), int(house[housed[stray[0]]])
+        raise ValueError(f"person {pid}: town {tuple(towns[stray[0]].tolist())} differs from "
+                         f"the town {tuple(house_towns[hid].tolist())} of other residents "
+                         f"of house {hid}")
     # Exported coordinates are town-level only.
-    for hid in range(max(town_of, default=-1) + 1):
-        space.add_house(town_of.get(hid, (0, 0)), 1, 1)
-    for pid, hid in enumerate(house_of):
-        if hid >= 0:
-            space.add_occupant(hid, pid)
+    space.add_houses(house_towns, np.ones_like(house_towns))
+    space.add_residents(house[housed], housed)
     store.recount()
 
     offsets, kids = store.children_index()

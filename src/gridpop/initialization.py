@@ -74,38 +74,66 @@ def _alive_adults(store: PopulationStore, male: bool, unmarried: bool = False) -
     return np.flatnonzero(mask)
 
 
+# The weight rows hold (distinct groom ages) x (distinct bride ages)
+# float64s: at most 16 MB, which every monthly or coarser pool fits. On
+# finer clocks the ages run to thousands of distinct values, and the
+# table would grow past the population's own arrays (weekly, 150,000
+# agents: 170 MB), so they compute the weights per candidate.
+_MAX_WEIGHT_ROW_ENTRIES = 1 << 21
+
+
 def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng) -> None:
     """Marry off adult males, each selected with probability start_married_rate.
 
     Every selected male draws a uniform candidate subset of the eligible
     female pool, weights it by age compatibility and picks a wife; she
     leaves the pool. An exhausted pool leaves the remaining males single.
+
+    A weight depends only on the two ages, so pool slots carry the code of
+    their age. When the pool has no more distinct ages than a candidate
+    subset has members, so that a row costs no more than one groom's
+    candidates, and the rows fit _MAX_WEIGHT_ROW_ENTRIES, each groom
+    age's weights over all bride ages are computed once and a groom
+    gathers his candidates' weights from that row. Otherwise (fine clocks,
+    small pools) the weights are computed per candidate. Either way the
+    weights and draws are those of the per-candidate computation.
     """
     n = store.steps_per_year
     adult_males = _alive_adults(store, male=True)
     picks = rng.random(len(adult_males)) < params.start_married_rate
-    selected = shuffle(rng, adult_males[picks].tolist())
+    selected = np.array(shuffle(rng, adult_males[picks].tolist()), dtype=np.int64)
 
     pool_ids = _alive_adults(store, male=False)
-    pool_ages = store.age_steps_arr[pool_ids] / n
+    bride_steps, pool_code = np.unique(store.age_steps_arr[pool_ids], return_inverse=True)
+    bride_years = bride_steps / n
     live = len(pool_ids)
     # Candidate-subset size is fixed from the initial pool size.
     n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
+    groom_steps, groom_code = np.unique(store.age_steps_arr[selected], return_inverse=True)
+    groom_years = groom_steps / n
+    rows = None
+    if (len(bride_years) <= n_cand
+            and len(groom_years) * len(bride_years) <= _MAX_WEIGHT_ROW_ENTRIES):
+        rows = np.empty((len(groom_years), len(bride_years)))
+        for code, years in enumerate(groom_years.tolist()):
+            rows[code] = age_compatibility_array(years, bride_years)
 
-    for rank, m in enumerate(selected):
+    for rank in range(len(selected)):
         if live == 0:
             logger.warning("eligible female pool exhausted; %d selected males stay single",
                            len(selected) - rank)
             break
-        k = min(n_cand, live)
-        cand = sample_indices_without_replacement(rng, live, k)
-        weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
+        cand = sample_indices_without_replacement(rng, live, min(n_cand, live))
+        codes = pool_code[cand]
+        if rows is None:
+            weights = age_compatibility_array(groom_years[groom_code[rank]], bride_years[codes])
+        else:
+            weights = rows[groom_code[rank]][codes]
         j = int(weighted_sample(rng, cand, weights))
-        wife = int(pool_ids[j])
-        store.wed(m, wife)
+        store.wed(int(selected[rank]), int(pool_ids[j]))
         live -= 1
         pool_ids[j] = pool_ids[live]
-        pool_ages[j] = pool_ages[live]
+        pool_code[j] = pool_code[live]
 
 
 def init_children(store: PopulationStore, rng: Rng) -> None:
@@ -115,10 +143,14 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
     older than the child and the wife is under 45 + child's age. An empty
     candidate set falls back to the couple with the largest age margin; if
     no couple exists at all, the oldest single adult pair is wed first.
+
+    Every child with qualifying couples draws one of them uniformly, all
+    in one draw in ascending id order; the couples of an age are then
+    found again, age by age, to resolve the draws.
     """
     n = store.steps_per_year
-    minors = np.flatnonzero(store.age_steps_arr[:store.size] < store.adult_age_steps).tolist()
-    if not minors:
+    minors = np.flatnonzero(store.age_steps_arr[:store.size] < store.adult_age_steps)
+    if len(minors) == 0:
         return
 
     def couple_arrays():
@@ -133,23 +165,30 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
         _wed_oldest_single_pair(store)
         men_ids, men_min_age, men_wife_age = couple_arrays()
 
-    cache: dict[int, np.ndarray] = {}
-    for child_id in minors:
-        a = int(store.age_steps_arr[child_id])
-        candidates = cache.get(a)
-        if candidates is None:
-            mask = (men_min_age >= a + 18.75 * n) & (men_wife_age < 45 * n + a)
-            candidates = np.flatnonzero(mask)
-            cache[a] = candidates
-        if len(candidates) > 0:
-            father = int(men_ids[candidates[int(rng.integers(len(candidates)))]])
-        else:
-            # Closest couple by age margin; the no-orphan guarantee wins.
-            father = int(men_ids[int(np.argmax(men_min_age))])
-            logger.warning("no qualifying parents for child %d (age %.2f); "
-                           "assigning closest couple", child_id, a / n)
-        mother = int(store.partner_arr[father])
-        store.assign_parents(child_id, father, mother)
+    def qualifying(a: int) -> np.ndarray:
+        return (men_min_age >= a + 18.75 * n) & (men_wife_age < 45 * n + a)
+
+    ages, group = np.unique(store.age_steps_arr[minors], return_inverse=True)
+    counts = np.array([np.count_nonzero(qualifying(a)) for a in ages.tolist()],
+                      dtype=np.int64)[group]
+    parented = counts > 0
+    draws = np.zeros(len(minors), dtype=np.int64)
+    if parented.any():
+        draws[parented] = rng.integers(0, counts[parented])
+
+    # Closest couple by age margin; the no-orphan guarantee wins.
+    fathers = np.full(len(minors), men_ids[np.argmax(men_min_age)], dtype=np.int64)
+    by_age = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group, minlength=len(ages)))
+    for a, lo, hi in zip(ages.tolist(), [0, *bounds[:-1].tolist()], bounds.tolist()):
+        members = by_age[lo:hi]
+        if parented[members[0]]:
+            fathers[members] = men_ids[np.flatnonzero(qualifying(a))[draws[members]]]
+    for child, a in zip(minors[~parented].tolist(),
+                        store.age_steps_arr[minors[~parented]].tolist()):
+        logger.warning("no qualifying parents for child %d (age %.2f); "
+                       "assigning closest couple", child, a / n)
+    store.assign_parents(minors, fathers, store.partner_arr[fathers])
 
 
 def _wed_oldest_single_pair(store: PopulationStore) -> None:
@@ -169,21 +208,27 @@ def init_housing(store: PopulationStore, space: Space,
                  town_of: dict[PersonId, TownKey], rng: Rng) -> None:
     """House everyone: singles alone in their town, families with the husband.
 
-    Every house is created on demand and immediately occupied, so the
-    initial house set has no vacancies.
+    The space must have no vacant house, so every household head (each
+    married man and each unmarried adult) gets a new house in their town,
+    in id order, and the initial house set has no vacancies. Raises
+    ValueError if a house stands vacant or anyone is housed already.
     """
+    if space.occupied_house_count < space.house_count:
+        raise ValueError("init_housing needs a space without vacant houses")
     n = store.size
+    if (store.house_arr[:n] >= 0).any():
+        raise ValueError("init_housing needs an unhoused population")
     male = store.male_arr[:n]
     married = store.status_arr[:n] == MARRIED_CODE
     adult = store.age_steps_arr[:n] >= store.adult_age_steps
-    for pid in np.flatnonzero((male & married) | (~married & adult)).tolist():
-        space.move_person(store, pid, space.find_or_create_empty_house(town_of[pid], rng))
+    heads = np.flatnonzero((male & married) | (~married & adult))
+    first = space.new_houses([town_of[pid] for pid in heads.tolist()], rng)
+    store.house_arr[heads] = np.arange(first, first + len(heads))
     # Wives join their husband, minors their father.
     dependents = np.flatnonzero((~male & married) | (~married & ~adult))
-    heads = np.where(married[dependents], store.partner_arr[dependents],
-                     store.father_arr[dependents])
-    for pid, house in zip(dependents.tolist(), store.house_arr[heads].tolist()):
-        space.move_person(store, pid, house)
+    store.house_arr[dependents] = store.house_arr[np.where(
+        married[dependents], store.partner_arr[dependents], store.father_arr[dependents])]
+    space.add_residents(store.house_arr[:n], np.arange(n))
 
 
 def build_initial_state(store: PopulationStore, space: Space,

@@ -325,14 +325,19 @@ class PopulationStore:
             space.remove_occupant(house, pid)
             self.house_arr[pid] = -1
 
-    def assign_parents(self, child: PersonId, father: PersonId, mother: PersonId) -> None:
-        """Late kinship registration for initialization staging."""
-        if self.father_arr[child] >= 0 or self.mother_arr[child] >= 0:
-            raise ValueError(f"person {child} already has parents")
-        self._check_parent(father, "father", True)
-        self._check_parent(mother, "mother", False)
-        self.father_arr[child] = father
-        self.mother_arr[child] = mother
+    def assign_parents(self, children: np.ndarray, fathers: np.ndarray,
+                       mothers: np.ndarray) -> None:
+        """Late kinship registration for initialization staging: children[i]
+        gets fathers[i] and mothers[i]. Checks every row before writing any."""
+        taken = (self.father_arr[children] >= 0) | (self.mother_arr[children] >= 0)
+        if taken.any():
+            raise ValueError(f"person {children[np.argmax(taken)]} already has parents")
+        for parent in sorted(set(fathers.tolist())):
+            self._check_parent(parent, "father", True)
+        for parent in sorted(set(mothers.tolist())):
+            self._check_parent(parent, "mother", False)
+        self.father_arr[children] = fathers
+        self.mother_arr[children] = mothers
         self._children = None
 
     def _set_status(self, pid: PersonId, code: int) -> None:

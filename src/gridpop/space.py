@@ -116,34 +116,46 @@ class Space:
 
     # -- houses --------------------------------------------------------
 
-    def add_house(self, town: TownKey, local_x: int, local_y: int) -> HouseId:
-        """Register an empty house; ids are issued in sequence."""
-        hid = len(self.residents)
-        cap = len(self.town_x)
-        if hid == cap:
+    def add_houses(self, towns: np.ndarray, local: np.ndarray) -> HouseId:
+        """Register empty houses, one per row of the (h, 2) arrays of towns
+        and local coordinates, with ids in sequence; returns the first.
+        The house arrays grow by doubling."""
+        first = len(self.residents)
+        end = first + len(towns)
+        cap = new_cap = len(self.town_x)
+        if end > cap:
+            while new_cap < end:
+                new_cap *= 2
             for name in _HOUSE_ARRAYS:
-                grown = np.zeros(2 * cap, dtype=np.int64)
+                grown = np.zeros(new_cap, dtype=np.int64)
                 grown[:cap] = getattr(self, name)
                 setattr(self, name, grown)
-        self.town_x[hid], self.town_y[hid] = town
-        self.local_x[hid], self.local_y[hid] = local_x, local_y
-        self.residents.append(set())
-        return hid
+        self.town_x[first:end], self.town_y[first:end] = towns.T
+        self.local_x[first:end], self.local_y[first:end] = local.T
+        self.residents.extend(set() for _ in range(len(towns)))
+        return first
+
+    def new_houses(self, towns, rng: Rng) -> HouseId:
+        """Create empty houses in the towns, a sequence of (x, y) pairs,
+        each at uniform coordinates inside its town (x then y, house by
+        house); returns the first id. Raises ValueError, drawing nothing,
+        if a town is not inhabitable."""
+        towns = np.asarray(towns, dtype=np.int64).reshape(-1, 2)
+        for town in dict.fromkeys(map(tuple, towns.tolist())):
+            if not self.inhabitable(town):
+                raise ValueError(f"town {town} is not inhabitable")
+        local = rng.integers(1, self.town_grid_cells + 1, size=towns.shape)
+        return self.add_houses(towns, local)
 
     def new_house(self, town: TownKey, rng: Rng) -> HouseId:
         """Create an empty house at uniform coordinates inside the town."""
-        if not self.inhabitable(town):
-            raise ValueError(f"town {town} is not inhabitable")
-        lx = int(rng.integers(1, self.town_grid_cells + 1))
-        ly = int(rng.integers(1, self.town_grid_cells + 1))
-        return self.add_house(town, lx, ly)
+        return self.new_houses([town], rng)
 
     def find_or_create_empty_house(self, town: TownKey, rng: Rng) -> HouseId:
         """A zero-occupant house in this town: uniform pick among existing
         empties in id order, or a freshly created one when none exists."""
         n = self.house_count
-        # No vacancy anywhere (always so while the initial state is housed):
-        # build at once instead of scanning.
+        # No vacancy anywhere: build at once instead of scanning.
         if self._occupied_houses < n:
             in_town = np.flatnonzero((self.town_x[:n] == town[0]) & (self.town_y[:n] == town[1]))
             empties = [hid for hid in in_town.tolist() if not self.residents[hid]]
@@ -173,6 +185,15 @@ class Space:
         if not residents:
             self._occupied_houses += 1
         residents.add(person_id)
+
+    def add_residents(self, house_ids: np.ndarray, person_ids: np.ndarray) -> None:
+        """Register each person as an occupant of the house at the same
+        position; callers write the store's house_arr themselves."""
+        bad = (house_ids < 0) | (house_ids >= self.house_count)
+        if bad.any():
+            raise ValueError(f"house {int(house_ids[np.argmax(bad)])} does not exist")
+        for house_id, person_id in zip(house_ids.tolist(), person_ids.tolist()):
+            self.add_occupant(house_id, person_id)
 
     def remove_occupant(self, house_id: HouseId, person_id: int) -> None:
         residents = self.residents[house_id]

@@ -1,4 +1,4 @@
-"""The reference run's output digests against the committed golden file.
+"""The reference runs' output digests against the committed golden files.
 
 The same check as ``python scripts/determinism_digest.py --check``, so a
 local test run sees any byte change in statistics.csv or population.txt.
@@ -11,9 +11,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_reference_run_matches_golden_digests():
+def _digest_module():
     spec = importlib.util.spec_from_file_location(
         "determinism_digest", ROOT / "scripts" / "determinism_digest.py")
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_reference_run_matches_golden_digests():
+    digest = _digest_module()
     assert digest.compute() == (ROOT / "tests" / "golden" / "reference_run.sha256").read_text()
+
+
+def test_annual_run_matches_golden_digests():
+    # One step a year: few distinct ages, so init_partnerships caches weight rows.
+    digest = _digest_module()
+    assert (digest.compute("annual_run")
+            == (ROOT / "tests" / "golden" / "annual_run.sha256").read_text())

@@ -3,25 +3,35 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
-from gridpop.events import age_compatibility
+from gridpop.events import age_compatibility, age_compatibility_array
 from gridpop.initialization import (
     InitializationError,
     build_initial_state,
+    init_ages_and_genders,
     init_children,
+    init_housing,
     init_partnerships,
     init_town_populations,
 )
 from gridpop.params import ModelParameters
 from gridpop.population import (
+    MARRIED_CODE,
     Gender,
     MaritalStatus,
     PopulationStore,
     collect_invariant_violations,
 )
 from gridpop.space import Space
-from gridpop.stochastics import ClockSpec, make_rng
+from gridpop.stochastics import (
+    ClockSpec,
+    make_rng,
+    sample_indices_without_replacement,
+    shuffle,
+    weighted_sample,
+)
 
 
 def build(initial_pop=2000, seed=11, clock=None, **param_overrides):
@@ -223,3 +233,212 @@ class TestFullSweep:
         store, _, _ = build(initial_pop=2000, seed=18)
         assert all(p.marital_status in (MaritalStatus.SINGLE, MaritalStatus.MARRIED)
                    for p in store.persons.values())
+
+
+# -- the per-person loops the bulk initialization replaced, as references ----
+
+
+def reference_partnerships(store, params, rng):
+    """One groom at a time: candidate subset, per-candidate weights, wedding."""
+    n = store.steps_per_year
+    size = store.size
+    adult = store.alive_arr[:size] & (store.age_steps_arr[:size] >= store.adult_age_steps)
+    adult_males = np.flatnonzero(adult & store.male_arr[:size])
+    picks = rng.random(len(adult_males)) < params.start_married_rate
+    selected = shuffle(rng, adult_males[picks].tolist())
+    pool_ids = np.flatnonzero(adult & ~store.male_arr[:size])
+    pool_ages = store.age_steps_arr[pool_ids] / n
+    live = len(pool_ids)
+    n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
+    for m in selected:
+        if live == 0:
+            break
+        cand = sample_indices_without_replacement(rng, live, min(n_cand, live))
+        weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
+        j = int(weighted_sample(rng, cand, weights))
+        store.wed(m, int(pool_ids[j]))
+        live -= 1
+        pool_ids[j] = pool_ids[live]
+        pool_ages[j] = pool_ages[live]
+
+
+def reference_children(store, rng):
+    """One child at a time, in id order: one scalar draw among the couples
+    that qualify for the child's age, or the fallback couple with a warning."""
+    n = store.steps_per_year
+    size = store.size
+    men = np.flatnonzero(store.male_arr[:size] & (store.status_arr[:size] == MARRIED_CODE))
+    wife_age = store.age_steps_arr[store.partner_arr[men]]
+    min_age = np.minimum(store.age_steps_arr[men], wife_age)
+    for child in np.flatnonzero(store.age_steps_arr[:size] < store.adult_age_steps).tolist():
+        a = int(store.age_steps_arr[child])
+        cand = np.flatnonzero((min_age >= a + 18.75 * n) & (wife_age < 45 * n + a))
+        if len(cand):
+            father = int(men[cand[int(rng.integers(len(cand)))]])
+        else:
+            father = int(men[np.argmax(min_age)])
+            logging.getLogger("gridpop.initialization").warning(
+                "no qualifying parents for child %d (age %.2f); assigning closest couple",
+                child, a / n)
+        store.father_arr[child] = father
+        store.mother_arr[child] = store.partner_arr[father]
+
+
+def reference_housing(store, space, town_of, rng):
+    """One head at a time through the empty-house lookup, then the dependents."""
+    n = store.size
+    male = store.male_arr[:n]
+    married = store.status_arr[:n] == MARRIED_CODE
+    adult = store.age_steps_arr[:n] >= store.adult_age_steps
+    for pid in np.flatnonzero((male & married) | (~married & adult)).tolist():
+        space.move_person(store, pid, space.find_or_create_empty_house(town_of[pid], rng))
+    for pid in np.flatnonzero((~male & married) | (~married & ~adult)).tolist():
+        head = store.partner_arr[pid] if married[pid] else store.father_arr[pid]
+        space.move_person(store, pid, int(store.house_arr[head]))
+
+
+def staged(initial_pop, clock, seed):
+    """The state build_initial_state hands to init_partnerships."""
+    params = ModelParameters(initial_pop=initial_pop)
+    store, space, rng = PopulationStore(clock.steps_per_year), Space(), make_rng(seed)
+    targets = init_town_populations(initial_pop, space)
+    pids = list(range(store.add_rows(initial_pop), store.size))
+    store.alive_arr[pids] = True
+    towns = [town for town in space.inhabitable_towns for _ in range(targets[town])]
+    init_ages_and_genders(store, pids, clock, rng)
+    return store, space, params, dict(zip(pids, towns)), rng
+
+
+def state_of(store, space, rng):
+    n, h = store.size, space.house_count
+    arrays = {name: getattr(store, name)[:n].tolist() for name in (
+        "partner_arr", "father_arr", "mother_arr", "house_arr", "status_arr")}
+    arrays.update({name: getattr(space, name)[:h].tolist() for name in (
+        "town_x", "town_y", "local_x", "local_y")})
+    arrays["residents"] = space.residents
+    arrays["tallies"] = store.alive_tallies()
+    arrays["occupied"] = space.occupied_house_count
+    arrays["rng"] = rng.bit_generator.state
+    return arrays
+
+
+def distinct_bride_ages_and_subset_size(store, params):
+    n = store.size
+    women = (store.alive_arr[:n] & ~store.male_arr[:n]
+             & (store.age_steps_arr[:n] >= store.adult_age_steps))
+    distinct = len(np.unique(store.age_steps_arr[:n][women]))
+    return distinct, max(params.max_num_marr_cand, math.ceil(np.count_nonzero(women) / 10))
+
+
+class TestBulkEqualsReference:
+    @pytest.mark.parametrize("clock, initial_pop, seed, cached", [
+        (ClockSpec.custom(1), 2000, 1, True),
+        (ClockSpec.custom(1), 6000, 2, True),  # over 1024 houses: the arrays grow
+        (ClockSpec.monthly(), 2000, 3, False),
+        (ClockSpec.weekly(), 1500, 4, False),
+    ])
+    def test_same_state_and_draws(self, clock, initial_pop, seed, cached):
+        store, space, params, town_of, rng = staged(initial_pop, clock, seed)
+        distinct, subset = distinct_bride_ages_and_subset_size(store, params)
+        # Both init_partnerships branches: cached weight rows, per-candidate weights.
+        assert (distinct <= subset) is cached
+        init_partnerships(store, params, rng)
+        init_children(store, rng)
+        init_housing(store, space, town_of, rng)
+
+        ref_store, ref_space, _, _, ref_rng = staged(initial_pop, clock, seed)
+        reference_partnerships(ref_store, params, ref_rng)
+        reference_children(ref_store, ref_rng)
+        reference_housing(ref_store, ref_space, town_of, ref_rng)
+        ref_store.recount()
+        assert state_of(store, space, rng) == state_of(ref_store, ref_space, ref_rng)
+        assert collect_invariant_violations(store, space) == []
+
+    def test_fallback_couple_and_warnings(self, caplog):
+        def family():
+            store = PopulationStore(12)
+            young = store.spawn_person(Gender.MALE, 25 * 12)
+            store.wed(young, store.spawn_person(Gender.FEMALE, 24 * 12))
+            old = store.spawn_person(Gender.MALE, 70 * 12)
+            store.wed(old, store.spawn_person(Gender.FEMALE, 60 * 12))
+            # Ages 0-5 fit the young couple, 16-17 the old one, 6-15 neither.
+            for years in (3, 10, 16, 0, 7, 17, 5, 12, 3, 16):
+                store.spawn_person(Gender.FEMALE, years * 12 + 4)
+            return store
+
+        rng, ref_rng = make_rng(21), make_rng(21)
+        store, ref_store = family(), family()
+        with caplog.at_level(logging.WARNING):
+            init_children(store, rng)
+        bulk_warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            reference_children(ref_store, ref_rng)
+        assert bulk_warnings == [r.getMessage() for r in caplog.records]
+        assert len(bulk_warnings) == 4
+        assert state_of(store, Space(), rng) == state_of(ref_store, Space(), ref_rng)
+
+
+class TestBulkChecks:
+    @staticmethod
+    def couple_and_minors(store):
+        m = store.spawn_person(Gender.MALE, 40 * 12)
+        f = store.spawn_person(Gender.FEMALE, 38 * 12)
+        store.wed(m, f)
+        return m, f
+
+    def test_child_with_parents_rejected_before_any_write(self, store):
+        m, f = self.couple_and_minors(store)
+        orphan = store.spawn_person(Gender.MALE, 5 * 12)
+        store.spawn_person(Gender.FEMALE, 8 * 12, father=m, mother=f)
+        with pytest.raises(ValueError, match="already has parents"):
+            init_children(store, make_rng(1))
+        assert store.father_arr[orphan] == -1 and store.mother_arr[orphan] == -1
+
+    def test_parent_genders_checked(self, store):
+        m, f = self.couple_and_minors(store)
+        child = np.array([store.spawn_person(Gender.MALE, 5 * 12)])
+        with pytest.raises(ValueError, match=f"father {f} is not male"):
+            store.assign_parents(child, np.array([f]), np.array([f]))
+        with pytest.raises(ValueError, match=f"mother {m} is not female"):
+            store.assign_parents(child, np.array([m]), np.array([m]))
+        assert store.father_arr[child[0]] == -1
+
+    def test_same_gender_couple_gives_no_mother(self, store):
+        # A corrupted store: two men recorded as married to each other.
+        a = store.spawn_person(Gender.MALE, 40 * 12)
+        b = store.spawn_person(Gender.MALE, 38 * 12)
+        store.status_arr[[a, b]] = MARRIED_CODE
+        store.partner_arr[[a, b]] = [b, a]
+        store.spawn_person(Gender.FEMALE, 5 * 12)
+        with pytest.raises(ValueError, match="is not female"):
+            init_children(store, make_rng(2))
+
+    def test_uninhabitable_town_rejected_in_bulk(self):
+        space, rng = Space(), make_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"town \(1, 1\) is not inhabitable"):
+            space.new_houses(np.array([[4, 3], [1, 1], [4, 3]]), rng)
+        with pytest.raises(ValueError, match=r"town \(13, 2\) is not inhabitable"):
+            space.new_houses(np.array([[13, 2]]), rng)
+        assert space.house_count == 0 and rng.bit_generator.state == state
+
+    def test_housing_rejects_uninhabitable_town(self):
+        store, space, params, town_of, rng = staged(200, ClockSpec.monthly(), 5)
+        init_partnerships(store, params, rng)
+        init_children(store, rng)
+        town_of = dict.fromkeys(town_of, (1, 1))
+        with pytest.raises(ValueError, match=r"town \(1, 1\) is not inhabitable"):
+            init_housing(store, space, town_of, rng)
+
+    def test_housing_needs_no_vacancy_and_no_one_housed(self):
+        store, space, params, town_of, rng = staged(200, ClockSpec.monthly(), 6)
+        init_partnerships(store, params, rng)
+        init_children(store, rng)
+        space.new_house((4, 3), rng)
+        with pytest.raises(ValueError, match="vacant"):
+            init_housing(store, space, town_of, rng)
+        space.add_residents(np.array([0]), np.array([0]))
+        store.house_arr[0] = 0
+        with pytest.raises(ValueError, match="unhoused"):
+            init_housing(store, space, town_of, rng)
