@@ -6,9 +6,15 @@ tests/golden/<run>.sha256; identical digests across OSes pin
 cross-platform byte-identity of the whole pipeline. The digests depend on
 the NumPy PCG64 stream, so CI pins the NumPy minor series.
 
-Two runs: ``reference_run`` (2,000 agents, monthly clock, 2 years), and
-``annual_run`` (2,000 agents, one step a year, 10 years), whose few
-distinct ages make init_partnerships take its cached-weight-row path.
+Four runs:
+
+- ``reference_run``: 2,000 agents, monthly clock, 2 years;
+- ``annual_run``: 2,000 agents, one step a year, 10 years, whose few
+  distinct ages make init_partnerships take its cached-weight-row path;
+- ``daily_run``: 2,000 agents, daily clock, 2 years, whose deaths look up
+  the death table and grow it;
+- ``hourly_run``: 100 agents, hourly clock, 1 year, whose death table would
+  exceed DEATH_TABLE_CAP, so deaths evaluate the hazard directly.
 """
 
 import contextlib
@@ -27,6 +33,10 @@ REFERENCE_RUNS = {
                       "--tfinal", "2022", "--initial-pop", "2000"],
     "annual_run": ["--seed", "20240101", "--dt", "custom:1", "--t0", "2020",
                    "--tfinal", "2030", "--initial-pop", "2000"],
+    "daily_run": ["--seed", "20240101", "--dt", "daily", "--t0", "2020",
+                  "--tfinal", "2022", "--initial-pop", "2000"],
+    "hourly_run": ["--seed", "20240101", "--dt", "hourly", "--t0", "2020",
+                   "--tfinal", "2021", "--initial-pop", "100"],
 }
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .events import StepEventLog, run_step
+from .events import HazardTables, StepEventLog, run_step
 from .features import StepSnapshot
 from .initialization import build_initial_state
 from .params import (
@@ -87,13 +87,11 @@ class StepStatistics:
 
 
 def collect_step_statistics(store: PopulationStore, space: Space,
-                            log: StepEventLog, t: float,
-                            audit: bool = False) -> StepStatistics:
-    """Aggregate counts for one boundary from the store's cached counters;
-    audit mode re-derives them by sweep and insists they agree."""
-    if audit:
-        _verify_cached_counters(store, space)
+                            events: Sequence[int], t: float) -> StepStatistics:
+    """Aggregate counts for one boundary from the store's cached counters
+    and the interval's event counts, given in StepEventLog.counts order."""
     single, married, divorced, widowed = store.alive_status_counts
+    births, deaths, marriages, divorces, orphan_moves, divorce_moves = events
     mean_age = (store.alive_age_steps_sum / store.alive_count / store.steps_per_year
                 if store.alive_count else 0.0)
     return StepStatistics(
@@ -106,26 +104,25 @@ def collect_step_statistics(store: PopulationStore, space: Space,
         divorced=divorced,
         widowed=widowed,
         mean_age=mean_age,
-        births=len(log.births),
-        deaths=len(log.deaths),
-        marriages=len(log.marriages),
-        divorces=len(log.divorces),
-        orphan_moves=len(log.orphan_moves),
-        divorce_moves=len(log.divorce_moves),
+        births=births,
+        deaths=deaths,
+        marriages=marriages,
+        divorces=divorces,
+        orphan_moves=orphan_moves,
+        divorce_moves=divorce_moves,
         houses=space.house_count,
         occupied_houses=space.occupied_house_count,
     )
 
 
-def _verify_cached_counters(store: PopulationStore, space: Space) -> None:
+def _counter_divergences(store: PopulationStore, space: Space) -> list[str]:
+    """Cached counters that differ from a brute-force sweep."""
     swept = store.alive_tallies()
     cached = {name: getattr(store, name) for name in swept}
     swept["occupied houses"] = sum(1 for r in space.residents if r)
     cached["occupied houses"] = space.occupied_house_count
-    bad = [f"{name}: cached {cached[name]} != sweep {swept[name]}"
-           for name in swept if cached[name] != swept[name]]
-    if bad:
-        raise AuditError("cached statistics diverge: " + "; ".join(bad))
+    return [f"{name}: cached {cached[name]} != sweep {swept[name]}"
+            for name in swept if cached[name] != swept[name]]
 
 
 @dataclass
@@ -169,24 +166,25 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     store = PopulationStore(n)
     build_initial_state(store, space, params, config.clock, rng,
                         max_initial_age=config.max_initial_age)
+    hazards = HazardTables(params, tables, n)
 
     if config.audit:
-        _audit_boundary(store, space)
-    stats = [collect_step_statistics(store, space, StepEventLog(), float(config.t0),
-                                     audit=config.audit)]
+        _audit_boundary(store, space, "initial state")
+    no_events = StepEventLog().counts()
+    stats = [collect_step_statistics(store, space, no_events, float(config.t0))]
 
     total = config.total_steps
     prev_alive = store.alive_count
     prev_houses = space.house_count
-    interval = StepEventLog()
+    interval = no_events
     for k in range(total):
         snapshot = StepSnapshot.capture(store, space)
         current_year = config.t0 + k // n
-        log = run_step(store, space, params, tables, snapshot, current_year,
+        log = run_step(store, space, params, hazards, snapshot, current_year,
                        rng, config.event_order)
-        interval.extend(log)
+        interval = [a + b for a, b in zip(interval, log.counts())]
         if config.audit:
-            _audit_boundary(store, space)
+            _audit_boundary(store, space, f"step {k}")
             if store.alive_count != prev_alive + len(log.births) - len(log.deaths):
                 raise AuditError(f"step {k}: population not conserved")
             if space.house_count < prev_houses:
@@ -195,18 +193,22 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
         prev_houses = space.house_count
         if (k + 1) % config.stats_every == 0 or k == total - 1:
             t = config.t0 + (k + 1) / n
-            stats.append(collect_step_statistics(store, space, interval, t, audit=config.audit))
-            interval = StepEventLog()
+            stats.append(collect_step_statistics(store, space, interval, t))
+            interval = no_events
         if step_hook is not None:
             step_hook(k, snapshot, log, store, space)
     return RunResult(statistics=stats, store=store, space=space)
 
 
-def _audit_boundary(store: PopulationStore, space: Space) -> None:
+def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
+    """Raise AuditError, prefixed with ``where`` (the step), on any violation."""
     problems = collect_invariant_violations(store, space)
     if problems:
-        raise AuditError(f"{len(problems)} invariant violations, first: {problems[0]}")
-    _verify_cached_counters(store, space)
+        raise AuditError(f"{where}: {len(problems)} invariant violations, "
+                         f"first: {problems[0]}")
+    bad = _counter_divergences(store, space)
+    if bad:
+        raise AuditError(f"{where}: cached statistics diverge: " + "; ".join(bad))
 
 
 # -- persistence -------------------------------------------------------------
@@ -224,6 +226,13 @@ def _opt(v: int) -> str:
     return "-" if v < 0 else str(v)
 
 
+def _children_cells(store: PopulationStore) -> list[str]:
+    """Each person's children column: ids ascending, comma-joined, or '-'."""
+    offsets, kids = store.children_index()
+    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
+    return [",".join(kids[a:b]) or "-" for a, b in zip(offsets, offsets[1:])]
+
+
 def export_population(store: PopulationStore, space: Space, path: str | Path) -> None:
     """One line per person, documented field order; dead persons carry
     'grave' in the house column. Re-importable for auditing."""
@@ -231,17 +240,15 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
              f"# steps_per_year={store.steps_per_year}",
              f"# fields: {EXPORT_FIELDS}"]
     n = store.size
-    offsets, kids = store.children_index()
-    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
     columns = [getattr(store, name)[:n].tolist() for name in (
         "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
         "father_arr", "mother_arr", "house_arr")]
     # The unhoused (-1) read the last array row; their town is not written.
     house = store.house_arr[:n]
-    columns += [space.town_x[house].tolist(), space.town_y[house].tolist()]
+    columns += [space.town_x[house].tolist(), space.town_y[house].tolist(),
+                _children_cells(store)]
     for pid, (male, age, alive, status, partner, father, mother, house,
-              town_x, town_y) in enumerate(zip(*columns)):
-        children = ",".join(kids[offsets[pid]:offsets[pid + 1]]) or "-"
+              town_x, town_y, children) in enumerate(zip(*columns)):
         if house >= 0:
             where = [str(house), str(town_x), str(town_y)]
         else:
@@ -323,11 +330,9 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     space.add_residents(house[housed], housed)
     store.recount()
 
-    offsets, kids = store.children_index()
-    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
-    for pid, cells in enumerate(rows):
-        derived = kids[offsets[pid]:offsets[pid + 1]] or ["-"]
-        if sorted(cells[8].split(",")) != sorted(derived):
+    # Exports list children in ascending order; sort only a cell that differs.
+    for pid, (cells, derived) in enumerate(zip(rows, _children_cells(store))):
+        if cells[8] != derived and sorted(cells[8].split(",")) != sorted(derived.split(",")):
             raise ValueError(f"person {pid}: children column {cells[8]} disagrees with "
-                             f"the father/mother columns ({','.join(derived)})")
+                             f"the father/mother columns ({derived})")
     return store, space

@@ -6,20 +6,21 @@ posthumous parenthood). All events within one step share the snapshot
 committed at the step's start, so every "just happened" exclusion refers
 to the previous boundary.
 
-The yearly hazards and matching weights are exposed as pure functions so
-they can be checked against scalar evaluation.
+Each hazard and matching weight is one array function. A run converts
+the hazards to per-step probabilities once, in HazardTables, and the
+events look them up by age each step instead of recomputing them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import StepSnapshot
-from .params import DataTables, ModelParameters, decade_index
+from .params import DataTables, ModelParameters
 from .population import (
     DIVORCED_CODE,
     Gender,
@@ -36,6 +37,15 @@ logger = logging.getLogger(__name__)
 # exp() argument cap; keeps pathological children counts from overflowing.
 _EXP_CAP = 700.0
 
+# Mothers are younger than this many whole years.
+FERTILE_YEARS = 45
+
+# The death table is looked up while it holds at most this many float64s
+# (2 MB); the daily clock needs ~81k to reach 110 years. The hourly clock
+# would need ~1.9M (15 MB, a third more than a 1,000-agent hourly run's
+# peak memory), so there deaths evaluate the hazard on the candidates' ages.
+DEATH_TABLE_CAP = 2**18
+
 
 @dataclass
 class StepEventLog:
@@ -48,49 +58,113 @@ class StepEventLog:
     orphan_moves: list[PersonId] = field(default_factory=list)
     divorce_moves: list[PersonId] = field(default_factory=list)
 
-    def extend(self, other: "StepEventLog") -> None:
-        """Append another log's events, to cover several steps."""
-        for f in fields(self):
-            getattr(self, f.name).extend(getattr(other, f.name))
+    def counts(self) -> tuple[int, int, int, int, int, int]:
+        """How many of each kind, in field order."""
+        return (len(self.births), len(self.deaths), len(self.marriages),
+                len(self.divorces), len(self.orphan_moves), len(self.divorce_moves))
 
 
 # -- yearly hazards and matching weights -----------------------------------
 
 
-def death_yearly_probability(age_years: float, gender: Gender, params: ModelParameters) -> float:
-    """Base rate plus an exponentially age-scaled, gender-specific term.
-
-    The raw value can exceed 1 for extreme ages; callers clamp before
-    converting to a per-step probability.
-    """
-    if gender is Gender.MALE:
-        return params.base_die_rate + math.exp(age_years / params.male_age_scaling) * params.male_age_die_prob
-    return params.base_die_rate + math.exp(age_years / params.female_age_scaling) * params.female_age_die_prob
-
-
 def death_yearly_probability_array(age_years: np.ndarray, is_male: np.ndarray,
                                    params: ModelParameters) -> np.ndarray:
+    """Base rate plus an exponentially age-scaled, gender-specific term.
+
+    The raw value can exceed 1 for extreme ages; death_step_probability_array
+    clamps it before converting to a per-step probability.
+    """
     scaling = np.where(is_male, params.male_age_scaling, params.female_age_scaling)
     slope = np.where(is_male, params.male_age_die_prob, params.female_age_die_prob)
     return params.base_die_rate + np.exp(age_years / scaling) * slope
 
 
-def divorce_yearly_probability(age_steps: int, steps_per_year: int,
-                               params: ModelParameters, tables: DataTables) -> float:
-    idx = decade_index(age_steps, steps_per_year)
-    return params.basic_divorce_rate * tables.divorce_modifier_by_decade[idx - 1]
+def death_step_probability_array(age_steps: np.ndarray, is_male: np.ndarray,
+                                 params: ModelParameters, steps_per_year: int) -> np.ndarray:
+    """Per-step death probability at an age in steps."""
+    p_yearly = death_yearly_probability_array(age_steps / steps_per_year, is_male, params)
+    return instantaneous_probability_array(np.clip(p_yearly, 0.0, 1.0), steps_per_year)
 
 
-def marriage_yearly_probability(age_steps: int, steps_per_year: int,
-                                params: ModelParameters, tables: DataTables) -> float:
-    idx = decade_index(age_steps, steps_per_year)
-    return params.basic_male_marriage_rate * tables.male_marriage_modifier_by_decade[idx - 1]
+def decade_yearly_probability_array(age_steps: np.ndarray, steps_per_year: int,
+                                    rate: float, modifiers) -> np.ndarray:
+    """Yearly hazard ``rate`` times the modifier of the age decade
+    ceil(age_years / 10), clamped to [1, 16], in exact integer arithmetic.
+
+    Divorce uses it with basic_divorce_rate and divorce_modifier_by_decade,
+    marriage with basic_male_marriage_rate and male_marriage_modifier_by_decade.
+    """
+    decade = np.clip(-(-np.asarray(age_steps) // (10 * steps_per_year)), 1, 16)
+    return rate * np.asarray(modifiers, dtype=float)[decade - 1]
 
 
-def _decade_modifier_array(age_steps: np.ndarray, steps_per_year: int, vec) -> np.ndarray:
-    idx = -(-age_steps // (10 * steps_per_year))
-    idx = np.clip(idx, 1, 16)
-    return np.take(np.asarray(vec, dtype=float), idx - 1)
+class HazardTables:
+    """One run's per-step event probabilities, built from the array
+    functions above and looked up by index.
+
+    - ``death``: female then male per-step probabilities by age in steps,
+      ``death_width`` ages each, grown when the oldest candidate passes the
+      end; None once it would exceed DEATH_TABLE_CAP entries, after which
+      deaths evaluate death_step_probability_array directly.
+    - ``divorce``, ``marriage``: by decade row min(ceil(age_years / 10), 16);
+      row 0 (age 0) repeats row 1.
+    - births: by whole-year age under FERTILE_YEARS for one calendar year,
+      rebuilt when the year changes.
+
+    Every entry equals the array function evaluated on its age, so lookups
+    and direct evaluation draw the same events.
+    """
+
+    def __init__(self, params: ModelParameters, tables: DataTables, steps_per_year: int):
+        self.params = params
+        self.fertility = tables.fertility
+        self.steps_per_year = n = steps_per_year
+        self.death: np.ndarray | None = np.empty(0)
+        self.death_width = 0
+        decade_ages = np.arange(17) * (10 * n)
+        self.divorce = instantaneous_probability_array(decade_yearly_probability_array(
+            decade_ages, n, params.basic_divorce_rate, tables.divorce_modifier_by_decade), n)
+        self.marriage = instantaneous_probability_array(decade_yearly_probability_array(
+            decade_ages, n, params.basic_male_marriage_rate,
+            tables.male_marriage_modifier_by_decade), n)
+        self._birth_year: int | None = None
+        self._births = np.empty(0)
+
+    def deaths(self, age_steps: np.ndarray, is_male: np.ndarray) -> np.ndarray:
+        """Per-step death probabilities of the given (at least one) persons."""
+        if self.death is not None:
+            oldest = int(age_steps.max())
+            if oldest >= self.death_width:
+                # One spare year of ages, so the table grows about once a year.
+                self._grow_death(oldest + 1 + self.steps_per_year)
+        if self.death is None:
+            return death_step_probability_array(age_steps, is_male, self.params,
+                                                self.steps_per_year)
+        return self.death.take(age_steps + self.death_width * is_male)
+
+    def _grow_death(self, width: int) -> None:
+        if 2 * width > DEATH_TABLE_CAP:
+            self.death = None
+            return
+        old = self.death_width
+        ages = np.arange(old, width)
+        female, male = (death_step_probability_array(ages, is_male, self.params,
+                                                     self.steps_per_year)
+                        for is_male in (False, True))
+        self.death = np.concatenate([self.death[:old], female, self.death[old:], male])
+        self.death_width = width
+
+    def decade_rows(self, age_steps: np.ndarray) -> np.ndarray:
+        """Row of each age in the divorce and marriage tables."""
+        return np.minimum(-(-age_steps // (10 * self.steps_per_year)), 16)
+
+    def births(self, year: int) -> np.ndarray:
+        """Per-step birth probabilities by whole-year age in a calendar year."""
+        if year != self._birth_year:
+            rates = self.fertility.rates_at(np.arange(FERTILE_YEARS), year)
+            self._births = instantaneous_probability_array(rates, self.steps_per_year)
+            self._birth_year = year
+        return self._births
 
 
 def age_compatibility(age_m_years: float, age_f_years: float) -> float:
@@ -150,7 +224,7 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
         log.orphan_moves.append(pid)
 
 
-def deaths_step(store: PopulationStore, space: Space, params: ModelParameters,
+def deaths_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 rng: Rng, log: StepEventLog) -> None:
     """Kill each living person with the per-step death probability for
     their age and gender, visiting them in shuffled order."""
@@ -159,21 +233,18 @@ def deaths_step(store: PopulationStore, space: Space, params: ModelParameters,
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    ages = store.age_steps_arr[ids] / store.steps_per_year
-    is_male = store.male_arr[ids]
-    p_yearly = np.clip(death_yearly_probability_array(ages, is_male, params), 0.0, 1.0)
-    p_step = instantaneous_probability_array(p_yearly, store.steps_per_year)
+    p_step = hazards.deaths(store.age_steps_arr[ids], store.male_arr[ids])
     dead = ids[rng.random(len(ids)) < p_step].tolist()
     for pid in dead:
         store.kill(pid, space)
         log.deaths.append(pid)
 
 
-def births_step(store: PopulationStore, space: Space, params: ModelParameters,
-                tables: DataTables, current_year: int, rng: Rng, log: StepEventLog) -> None:
-    """Married women under 45 whose youngest living child is over one year
-    old (or who have no living children) give birth at the fertility-table
-    rate for their age and the calendar year."""
+def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
+                current_year: int, rng: Rng, log: StepEventLog) -> None:
+    """Married women under FERTILE_YEARS whose youngest living child is over
+    one year old (or who have no living children) give birth at the
+    fertility-table rate for their age and the calendar year."""
     n = store.steps_per_year
     size = store.size
     alive = store.alive_arr[:size]
@@ -182,11 +253,11 @@ def births_step(store: PopulationStore, space: Space, params: ModelParameters,
     blocked = np.zeros(size, dtype=bool)
     blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
     mothers = np.flatnonzero(alive & ~store.male_arr[:size] & ~blocked
-                             & (store.status_arr[:size] == MARRIED_CODE) & (ages < 45 * n))
+                             & (store.status_arr[:size] == MARRIED_CODE)
+                             & (ages < FERTILE_YEARS * n))
     if len(mothers) == 0:
         return
-    rates = tables.fertility.rates_at(ages[mothers] // n, current_year)
-    p_step = instantaneous_probability_array(rates, n)
+    p_step = hazards.births(current_year).take(ages[mothers] // n)
     hits = mothers[rng.random(len(mothers)) < p_step].tolist()
     for mother in hits:
         gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
@@ -195,9 +266,8 @@ def births_step(store: PopulationStore, space: Space, params: ModelParameters,
         log.births.append(baby)
 
 
-def divorces_step(store: PopulationStore, space: Space, params: ModelParameters,
-                  tables: DataTables, snapshot: StepSnapshot | None,
-                  rng: Rng, log: StepEventLog) -> None:
+def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
+                  snapshot: StepSnapshot | None, rng: Rng, log: StepEventLog) -> None:
     """Divorce married men (skipping those married since the last boundary)
     at the decade-modified rate; the man moves out alone within his town."""
     n = store.size
@@ -213,10 +283,7 @@ def divorces_step(store: PopulationStore, space: Space, params: ModelParameters,
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    ages = store.age_steps_arr[ids]
-    modifiers = _decade_modifier_array(ages, store.steps_per_year, tables.divorce_modifier_by_decade)
-    p_step = instantaneous_probability_array(params.basic_divorce_rate * modifiers,
-                                             store.steps_per_year)
+    p_step = hazards.divorce.take(hazards.decade_rows(store.age_steps_arr[ids]))
     hits = ids[rng.random(len(ids)) < p_step].tolist()
     for pid in hits:
         wife = int(store.partner_arr[pid])
@@ -228,7 +295,7 @@ def divorces_step(store: PopulationStore, space: Space, params: ModelParameters,
 
 
 def marriages_step(store: PopulationStore, space: Space, params: ModelParameters,
-                   tables: DataTables, snapshot: StepSnapshot | None,
+                   hazards: HazardTables, snapshot: StepSnapshot | None,
                    rng: Rng, log: StepEventLog) -> None:
     """Marry eligible men at the decade-modified rate.
 
@@ -257,9 +324,7 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    ages = store.age_steps_arr[ids]
-    modifiers = _decade_modifier_array(ages, n, tables.male_marriage_modifier_by_decade)
-    p_step = instantaneous_probability_array(params.basic_male_marriage_rate * modifiers, n)
+    p_step = hazards.marriage.take(hazards.decade_rows(store.age_steps_arr[ids]))
     grooms = ids[rng.random(len(ids)) < p_step].tolist()
     if not grooms:
         return
@@ -329,21 +394,23 @@ def _merge_households(store: PopulationStore, space: Space,
 
 
 def run_step(store: PopulationStore, space: Space, params: ModelParameters,
-             tables: DataTables, snapshot: StepSnapshot | None, current_year: int,
+             hazards: HazardTables, snapshot: StepSnapshot | None, current_year: int,
              rng: Rng, order) -> StepEventLog:
-    """Apply all five events in the configured order (ageing first)."""
+    """Apply all five events in the configured order (ageing first).
+
+    ``hazards`` must be built for ``params`` and the store's clock."""
     log = StepEventLog()
     for name in order:
         if name == "ageing":
             ageing_step(store, space, rng, log)
         elif name == "deaths":
-            deaths_step(store, space, params, rng, log)
+            deaths_step(store, space, hazards, rng, log)
         elif name == "births":
-            births_step(store, space, params, tables, current_year, rng, log)
+            births_step(store, space, hazards, current_year, rng, log)
         elif name == "divorces":
-            divorces_step(store, space, params, tables, snapshot, rng, log)
+            divorces_step(store, space, hazards, snapshot, rng, log)
         elif name == "marriages":
-            marriages_step(store, space, params, tables, snapshot, rng, log)
+            marriages_step(store, space, params, hazards, snapshot, rng, log)
         else:
             raise ValueError(f"unknown event {name!r}")
     return log

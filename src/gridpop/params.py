@@ -143,12 +143,6 @@ class DataTables:
                 raise ConfigError(f"{name} entries must lie in [0, 1]")
 
 
-def decade_index(age_steps: int, steps_per_year: int) -> int:
-    """ceil(age_years / 10) clamped to [1, 16], in exact integer arithmetic."""
-    idx = -(-age_steps // (10 * steps_per_year))
-    return min(max(idx, 1), 16)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Clock, horizon, seed, event order and output options for one run."""

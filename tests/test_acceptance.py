@@ -19,14 +19,14 @@ from gridpop.engine import (
     statistics_to_csv,
 )
 from gridpop.events import (
+    HazardTables,
     StepEventLog,
     age_compatibility,
     children_factor,
     deaths_step,
-    death_yearly_probability,
-    divorce_yearly_probability,
+    death_yearly_probability_array,
+    decade_yearly_probability_array,
     geo_factor,
-    marriage_yearly_probability,
     run_step,
 )
 from gridpop.features import (
@@ -69,8 +69,9 @@ class TestCriterion1Compounding:
         for i in range(n):
             store.spawn_person(Gender.MALE if i % 2 else Gender.FEMALE,
                                int(30 * 365), house=house, space=space)
+        hazards = HazardTables(params, DataTables(), 365)
         for _ in range(365):
-            deaths_step(store, space, params, rng, StepEventLog())
+            deaths_step(store, space, hazards, rng, StepEventLog())
         survivors = store.alive_count
         elapsed = time.perf_counter() - start
         assert 89_550 <= survivors <= 90_450, f"survivors {survivors} out of range"
@@ -84,18 +85,29 @@ class TestCriterion2ScalarFormulas:
         params = ModelParameters()
         tables = DataTables()
         rel = 1e-9
+        male = np.array([True])
+
+        # The array functions the run's hazard tables are built from.
+        def death(age_years):
+            return death_yearly_probability_array(np.array([age_years]), male, params)[0]
+
+        def divorce(age_steps, n):
+            return decade_yearly_probability_array(np.array([age_steps]), n,
+                                                   params.basic_divorce_rate,
+                                                   tables.divorce_modifier_by_decade)[0]
+
+        def marriage(age_steps, n):
+            return decade_yearly_probability_array(np.array([age_steps]), n,
+                                                   params.basic_male_marriage_rate,
+                                                   tables.male_marriage_modifier_by_decade)[0]
+
         checks = [
             ("instantaneous(0.5, monthly)",
              instantaneous_probability(0.5, ClockSpec.monthly()), math.log(2) / 12),
-            ("male death age 0",
-             death_yearly_probability(0.0, Gender.MALE, params), 0.0001 + 0.00021),
-            ("male death age 70",
-             death_yearly_probability(70.0, Gender.MALE, params),
-             0.0001 + math.exp(70 / 14.0) * 0.00021),
-            ("divorce hazard age 25",
-             divorce_yearly_probability(25 * 12, 12, params, tables), 0.06 * 0.9),
-            ("marriage hazard age 25",
-             marriage_yearly_probability(25 * 12, 12, params, tables), 0.7 * 0.5),
+            ("male death age 0", death(0.0), 0.0001 + 0.00021),
+            ("male death age 70", death(70.0), 0.0001 + math.exp(70 / 14.0) * 0.00021),
+            ("divorce hazard age 25", divorce(25 * 12, 12), 0.06 * 0.9),
+            ("marriage hazard age 25", marriage(25 * 12, 12), 0.7 * 0.5),
             ("geo factor d=1", geo_factor(1), math.exp(-4.0)),
             ("children factor (2,3)", children_factor(2, 3), math.e),
             ("age factor diff 0", age_compatibility(40, 40), 1.0),
@@ -108,9 +120,9 @@ class TestCriterion2ScalarFormulas:
             assert got == pytest.approx(expected, rel=rel), (
                 f"{name}: {got!r} != {expected!r}")
         # The two round-number anchors from the hazard tables.
-        assert divorce_yearly_probability(25 * 12, 12, params, tables) == pytest.approx(0.054)
-        assert marriage_yearly_probability(25 * 12, 12, params, tables) == pytest.approx(0.35)
-        report(2, time.perf_counter() - start, f"{len(checks)} scalar formulas at rel 1e-9")
+        assert divorce(25 * 12, 12) == pytest.approx(0.054)
+        assert marriage(25 * 12, 12) == pytest.approx(0.35)
+        report(2, time.perf_counter() - start, f"{len(checks)} formulas at rel 1e-9")
 
 
 class TestCriterion3InitialDistributions:
@@ -312,13 +324,14 @@ class TestCriterion8EventEquations:
         rng = make_rng(88)
         build_initial_state(store, space, params, clock, rng)
         order = ("ageing", "deaths", "births", "divorces", "marriages")
+        hazards = HazardTables(params, tables, clock.steps_per_year)
 
         total_events = 0
         for k in range(365):
             prev = {p.id: (p.alive, p.married, p.partner)
                     for p in store.persons.values()}
             snapshot = StepSnapshot.capture(store, space)
-            log = run_step(store, space, params, tables, snapshot, 2020, rng, order)
+            log = run_step(store, space, params, hazards, snapshot, 2020, rng, order)
             ctx = EvalContext(store, space, snapshot)
 
             # Deaths: those dead now who were alive at the boundary.

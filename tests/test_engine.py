@@ -14,7 +14,8 @@ from gridpop.engine import (
     run_simulation,
     statistics_to_csv,
 )
-from gridpop.events import StepEventLog
+from gridpop.engine import AuditError
+from gridpop.events import StepEventLog, decade_yearly_probability_array
 from gridpop.params import (
     ConfigError,
     DataTables,
@@ -22,10 +23,9 @@ from gridpop.params import (
     ModelParameters,
     SimulationConfig,
     config_to_text,
-    decade_index,
     parse_config_text,
 )
-from gridpop.population import collect_invariant_violations
+from gridpop.population import MARRIED_CODE, collect_invariant_violations
 from gridpop.stochastics import ClockSpec
 
 
@@ -68,6 +68,11 @@ class TestDataTables:
         t.validate()
 
     def test_decade_index(self):
+        # Modifiers 1..16 at rate 1 make the hazard the decade index itself.
+        def decade_index(age_steps, n):
+            return decade_yearly_probability_array(np.array([age_steps]), n, 1.0,
+                                                   range(1, 17))[0]
+
         n = 12
         assert decade_index(0, n) == 1            # clamped up from 0
         assert decade_index(25 * n, n) == 3
@@ -225,8 +230,18 @@ class TestRunSimulation:
         assert sum(r.births for r in every) > 0
 
     def test_empty_population_statistics(self, store, space):
-        stats = collect_step_statistics(store, space, StepEventLog(), 2020.0)
+        stats = collect_step_statistics(store, space, StepEventLog().counts(), 2020.0)
         assert stats.alive == 0 and stats.mean_age == 0.0
+
+    def test_audit_error_names_the_step(self):
+        def corrupt(k, snapshot, log, store, space):
+            if k == 3:  # a married person loses the partner link
+                pid = int(np.flatnonzero(store.status_arr[:store.size] == MARRIED_CODE)[0])
+                store.partner_arr[pid] = -1
+
+        with pytest.raises(AuditError, match=r"^step 4: \d+ invariant violations"):
+            run_simulation(small_config(audit=True), ModelParameters(initial_pop=300),
+                           DataTables(), step_hook=corrupt)
 
     def test_custom_event_order(self):
         order = ("ageing", "marriages", "divorces", "births", "deaths")
@@ -318,6 +333,18 @@ class TestExport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"person {cells[0]}: children column"):
             import_population(path)
+
+    def test_unsorted_children_column_imports(self, export_lines):
+        path, lines = export_lines
+        i = next(i for i, ln in enumerate(lines)
+                 if not ln.startswith("#") and "," in ln.split(" ")[8])
+        cells = lines[i].split(" ")
+        kids = cells[8].split(",")
+        cells[8] = ",".join(kids[::-1])  # the same children, descending
+        lines[i] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        store, _ = import_population(path)
+        assert store.persons[int(cells[0])].children == {int(c) for c in kids}
 
     def test_residents_of_one_house_must_share_its_town(self, export_lines):
         path, lines = export_lines

@@ -7,6 +7,9 @@ import pytest
 
 from conftest import housed
 from gridpop.events import (
+    DEATH_TABLE_CAP,
+    FERTILE_YEARS,
+    HazardTables,
     StepEventLog,
     ageing_step,
     age_compatibility,
@@ -14,11 +17,11 @@ from gridpop.events import (
     births_step,
     children_factor,
     deaths_step,
-    death_yearly_probability,
-    divorce_yearly_probability,
+    death_step_probability_array,
+    death_yearly_probability_array,
+    decade_yearly_probability_array,
     divorces_step,
     geo_factor,
-    marriage_yearly_probability,
     marriages_step,
 )
 from gridpop.features import StepSnapshot
@@ -31,7 +34,7 @@ from gridpop.population import (
     collect_invariant_violations,
 )
 from gridpop.space import Space
-from gridpop.stochastics import ClockSpec, make_rng
+from gridpop.stochastics import ClockSpec, instantaneous_probability_array, make_rng
 
 PARAMS = ModelParameters()
 TABLES = DataTables()
@@ -41,44 +44,62 @@ def fresh():
     return PopulationStore(12), Space(), make_rng(77), StepEventLog()
 
 
+def hazards(params=PARAMS, tables=TABLES, steps_per_year=12):
+    return HazardTables(params, tables, steps_per_year)
+
+
+def death_yearly(age_years, gender):
+    """death_yearly_probability_array at one age."""
+    return float(death_yearly_probability_array(
+        np.array([age_years]), np.array([gender is Gender.MALE]), PARAMS)[0])
+
+
+def divorce_yearly(age_steps, n):
+    return float(decade_yearly_probability_array(
+        np.array([age_steps]), n, PARAMS.basic_divorce_rate,
+        TABLES.divorce_modifier_by_decade)[0])
+
+
+def marriage_yearly(age_steps, n):
+    return float(decade_yearly_probability_array(
+        np.array([age_steps]), n, PARAMS.basic_male_marriage_rate,
+        TABLES.male_marriage_modifier_by_decade)[0])
+
+
 class TestHazardFormulas:
     def test_death_male_newborn(self):
         # 0.0001 + e^0 * 0.00021, evaluated independently.
-        assert death_yearly_probability(0.0, Gender.MALE, PARAMS) == pytest.approx(
-            0.0001 + 0.00021, rel=1e-12)
-        assert death_yearly_probability(0.0, Gender.MALE, PARAMS) == pytest.approx(0.00031)
+        assert death_yearly(0.0, Gender.MALE) == pytest.approx(0.0001 + 0.00021, rel=1e-12)
+        assert death_yearly(0.0, Gender.MALE) == pytest.approx(0.00031)
 
     def test_death_male_70(self):
         expected = 0.0001 + math.exp(70 / 14.0) * 0.00021
-        got = death_yearly_probability(70.0, Gender.MALE, PARAMS)
+        got = death_yearly(70.0, Gender.MALE)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.031267, abs=5e-7)
 
     def test_death_female_70(self):
         expected = 0.0001 + math.exp(70 / 15.5) * 0.00019
-        got = death_yearly_probability(70.0, Gender.FEMALE, PARAMS)
+        got = death_yearly(70.0, Gender.FEMALE)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.01748, abs=5e-6)
 
     def test_death_hazard_monotone_in_age(self):
-        for gender in Gender:
-            probs = [death_yearly_probability(a, gender, PARAMS) for a in range(0, 111)]
-            assert all(a < b for a, b in zip(probs, probs[1:]))
+        ages = np.arange(0, 111, dtype=float)
+        for male in (True, False):
+            probs = death_yearly_probability_array(ages, np.full(len(ages), male), PARAMS)
+            assert np.all(probs[:-1] < probs[1:])
 
     def test_divorce_hazard_by_decade(self):
         n = 12
-        assert divorce_yearly_probability(25 * n, n, PARAMS, TABLES) == pytest.approx(
-            0.06 * 0.9)  # = 0.054
-        assert divorce_yearly_probability(35 * n, n, PARAMS, TABLES) == pytest.approx(
-            0.06 * 0.5)  # = 0.03
-        assert divorce_yearly_probability(135 * n, n, PARAMS, TABLES) == 0.0
+        assert divorce_yearly(25 * n, n) == pytest.approx(0.06 * 0.9)  # = 0.054
+        assert divorce_yearly(35 * n, n) == pytest.approx(0.06 * 0.5)  # = 0.03
+        assert divorce_yearly(135 * n, n) == 0.0
 
     def test_marriage_hazard_by_decade(self):
         n = 12
-        assert marriage_yearly_probability(25 * n, n, PARAMS, TABLES) == pytest.approx(
-            0.7 * 0.5)  # = 0.35
-        assert marriage_yearly_probability(19 * n, n, PARAMS, TABLES) == pytest.approx(
-            0.7 * 0.16)
+        assert marriage_yearly(25 * n, n) == pytest.approx(0.7 * 0.5)  # = 0.35
+        assert marriage_yearly(19 * n, n) == pytest.approx(0.7 * 0.16)
 
     def test_geo_factor(self):
         assert geo_factor(0) == 1.0
@@ -102,6 +123,99 @@ class TestHazardFormulas:
             got = age_compatibility_array(age_m, ages_f)
             assert got.tolist() == [age_compatibility(age_m, f) for f in ages_f.tolist()]
         assert age_compatibility_array(40.0, np.array([])).shape == (0,)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestHazardTables:
+    """Every table entry equals the array function on that input, bit for bit."""
+
+    @pytest.mark.parametrize("clock", ["monthly", "daily", "custom:1"])
+    def test_death_table_equals_array_function(self, clock):
+        n = ClockSpec.parse(clock).steps_per_year
+        table = hazards(steps_per_year=n)
+        rng = make_rng(3)
+        for oldest_years in (60, 130, 250):  # the later calls grow the table
+            ages = rng.permutation(oldest_years * n + 1)
+            male = rng.random(len(ages)) < 0.5
+            got = table.deaths(ages, male)
+            assert table.death_width > oldest_years * n
+            assert same_bits(got, death_step_probability_array(ages, male, PARAMS, n))
+            width = table.death_width
+            for row, is_male in enumerate((False, True)):
+                every_age = np.arange(width)
+                assert same_bits(table.death[row * width:(row + 1) * width],
+                                 death_step_probability_array(
+                                     every_age, np.full(width, is_male), PARAMS, n))
+        # The oldest ages cover a yearly hazard past 1, which is clamped.
+        oldest = np.array([table.death_width - 1]) / n
+        assert death_yearly_probability_array(oldest, np.array([True]), PARAMS)[0] > 1.0
+
+    @pytest.mark.parametrize("n", [1, 12, 365])
+    def test_decade_tables_equal_array_function(self, n):
+        table = hazards(steps_per_year=n)
+        decade = 10 * n
+        ages = np.array(sorted({0, 1, *range(decade - 1, 180 * n, decade),
+                                *range(decade, 180 * n, decade),
+                                *range(decade + 1, 180 * n, decade), 250 * n}))
+        rows = table.decade_rows(ages)
+        assert set(rows.tolist()) == set(range(17))
+        for rate, modifiers, looked_up in (
+                (PARAMS.basic_divorce_rate, TABLES.divorce_modifier_by_decade, table.divorce),
+                (PARAMS.basic_male_marriage_rate, TABLES.male_marriage_modifier_by_decade,
+                 table.marriage)):
+            direct = instantaneous_probability_array(
+                decade_yearly_probability_array(ages, n, rate, modifiers), n)
+            assert same_bits(looked_up[rows], direct)
+        assert table.divorce[0] == table.divorce[1]
+
+    def test_birth_table_equals_array_function(self):
+        from gridpop.params import FertilityTable
+        fertility = FertilityTable(make_rng(4).random((35, 100)))
+        table = hazards(tables=DataTables(fertility=fertility), steps_per_year=365)
+        ages = np.arange(FERTILE_YEARS)
+        for year in (2020, 1990, 2100, 2020):
+            direct = instantaneous_probability_array(fertility.rates_at(ages, year), 365)
+            assert same_bits(table.births(year), direct)
+        assert not table.births(2100).any()
+
+    def test_over_the_cap_deaths_evaluate_directly_with_the_same_draws(self, monkeypatch):
+        # The hourly clock needs 2 x ~8,760 entries per year of age: a
+        # population over 15 years old exceeds DEATH_TABLE_CAP at once.
+        n = ClockSpec.hourly().steps_per_year
+        params = ModelParameters(base_die_rate=1.0)
+        assert 2 * 15 * n > DEATH_TABLE_CAP
+
+        def run(cap):
+            monkeypatch.setattr("gridpop.events.DEATH_TABLE_CAP", cap)
+            store, space, rng = PopulationStore(n), Space(), make_rng(9)
+            house = space.new_house((4, 3), rng)
+            for i in range(400):
+                store.spawn_person(Gender.MALE if i % 3 else Gender.FEMALE,
+                                   int(rng.integers(15 * n, 90 * n)), house=house, space=space)
+            table, log = hazards(params, steps_per_year=n), StepEventLog()
+            draws = []
+            for _ in range(10):
+                ageing_step(store, space, rng, log)
+                ids = np.flatnonzero(store.alive_arr[:store.size])
+                probe = np.random.Generator(np.random.PCG64())
+                probe.bit_generator.state = rng.bit_generator.state
+                probe.shuffle(ids)
+                expected = death_step_probability_array(
+                    store.age_steps_arr[ids], store.male_arr[ids], params, n)
+                draws.append(ids[probe.random(len(ids)) < expected].tolist())
+                deaths_step(store, space, table, rng, log)
+            return table, log.deaths, draws, rng.bit_generator.state
+
+        table, deaths, draws, state = run(DEATH_TABLE_CAP)
+        assert table.death is None
+        assert deaths == [pid for step in draws for pid in step] and deaths
+        # A cap large enough to tabulate draws the same events.
+        table, *rest = run(2**22)
+        assert table.death is not None
+        assert rest == [deaths, draws, state]
 
 
 class TestAgeing:
@@ -161,7 +275,7 @@ class TestDeaths:
         for i in range(4000):
             store.spawn_person(Gender.MALE if i % 2 else Gender.FEMALE, 30 * 12,
                                house=house, space=space)
-        deaths_step(store, space, params, rng, log)
+        deaths_step(store, space, hazards(params), rng, log)
         p_step = -math.log(0.5) / 12
         expected = 4000 * p_step
         sigma = math.sqrt(4000 * p_step * (1 - p_step))
@@ -175,7 +289,7 @@ class TestDeaths:
         store.wed(m, f)
         params = ModelParameters(base_die_rate=1.0)  # certain-ish death
         for _ in range(40):
-            deaths_step(store, space, params, rng, log)
+            deaths_step(store, space, hazards(params), rng, log)
         assert not store.persons[m].alive and not store.persons[f].alive
         assert store.persons[m].house is None
         assert collect_invariant_violations(store, space) == []
@@ -198,7 +312,7 @@ class TestBirths:
         store, space, rng, log = fresh()
         housed(store, space, Gender.FEMALE, 30, rng=rng)
         for _ in range(200):
-            births_step(store, space, PARAMS, self.certain_tables(), 2020, rng, log)
+            births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
         assert log.births == []
 
     def test_young_child_blocks_reproduction(self):
@@ -207,7 +321,7 @@ class TestBirths:
         store.spawn_person(Gender.MALE, 6, father=m, mother=f,  # six months old
                            house=store.persons[f].house, space=space)
         for _ in range(200):
-            births_step(store, space, PARAMS, self.certain_tables(), 2020, rng, log)
+            births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
         assert log.births == []
 
     def test_child_over_one_unblocks(self):
@@ -216,7 +330,7 @@ class TestBirths:
         store.spawn_person(Gender.MALE, 13, father=m, mother=f,  # 13 months old
                            house=store.persons[f].house, space=space)
         for _ in range(500):
-            births_step(store, space, PARAMS, self.certain_tables(), 2020, rng, log)
+            births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
             if log.births:
                 break
         assert log.births
@@ -225,14 +339,14 @@ class TestBirths:
         store, space, rng, log = fresh()
         self.married_woman(store, space, rng, age=45.0)
         for _ in range(200):
-            births_step(store, space, PARAMS, self.certain_tables(), 2020, rng, log)
+            births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
         assert log.births == []
 
     def test_neonate_fields(self):
         store, space, rng, log = fresh()
         m, f = self.married_woman(store, space, rng)
         while not log.births:
-            births_step(store, space, PARAMS, self.certain_tables(), 2020, rng, log)
+            births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
         baby = store.persons[log.births[0]]
         assert baby.age_steps == 0
         assert baby.father == m and baby.mother == f
@@ -244,7 +358,7 @@ class TestBirths:
         self.married_woman(store, space, rng, age=30.0)
         for year in (1900, 2100):
             for _ in range(100):
-                births_step(store, space, PARAMS, self.certain_tables(), year, rng, log)
+                births_step(store, space, hazards(tables=self.certain_tables()), year, rng, log)
         assert log.births == []
 
     def test_per_step_probability_composition(self):
@@ -262,7 +376,7 @@ class TestBirths:
             store.wed(m, f)
             couples.append(f)
         log = StepEventLog()
-        births_step(store, space, PARAMS, tables, 2020, rng, log)
+        births_step(store, space, hazards(tables=tables), 2020, rng, log)
         p = -math.log(1 - r) / 12
         sigma = math.sqrt(3000 * p * (1 - p))
         assert abs(len(log.births) - 3000 * p) < 4 * sigma
@@ -284,7 +398,7 @@ class TestDivorces:
         params = ModelParameters(basic_divorce_rate=1.0)
         snap = StepSnapshot.capture(store, space)
         while not log.divorces:
-            divorces_step(store, space, params, TABLES, snap, rng, log)
+            divorces_step(store, space, hazards(params), snap, rng, log)
         assert store.persons[m].marital_status is MaritalStatus.DIVORCED
         assert store.persons[f].marital_status is MaritalStatus.DIVORCED
         assert store.persons[m].house != home
@@ -301,7 +415,7 @@ class TestDivorces:
         m, f, _ = self.couple(store, space, rng)
         params = ModelParameters(basic_divorce_rate=1.0)
         for _ in range(100):
-            divorces_step(store, space, params, TABLES, snap, rng, log)
+            divorces_step(store, space, hazards(params), snap, rng, log)
         assert log.divorces == []
         assert store.persons[m].married
 
@@ -311,7 +425,7 @@ class TestDivorces:
         params = ModelParameters(basic_divorce_rate=1.0)
         snap = StepSnapshot.capture(store, space)
         for _ in range(200):
-            divorces_step(store, space, params, TABLES, snap, rng, log)
+            divorces_step(store, space, hazards(params), snap, rng, log)
         assert log.divorces == []
 
 
@@ -327,7 +441,7 @@ class TestMarriages:
         params = ModelParameters(basic_male_marriage_rate=1.0)
         snap = StepSnapshot.capture(store, space)
         while not log.marriages:
-            marriages_step(store, space, params, TABLES, snap, rng, log)
+            marriages_step(store, space, params, hazards(params), snap, rng, log)
         assert store.persons[m].partner == f
         # Equal occupancy (1 vs 1): tie goes to the groom's house.
         assert store.persons[f].house == store.persons[m].house
@@ -371,7 +485,7 @@ class TestMarriages:
         store.unwed(m, UnwedReason.DIVORCE)        # divorced this step
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
-            marriages_step(store, space, params, TABLES, snap, rng, log)
+            marriages_step(store, space, params, hazards(params), snap, rng, log)
         assert all(groom != m for groom, _ in log.marriages)
 
     def test_just_turned_adult_excluded(self):
@@ -382,12 +496,12 @@ class TestMarriages:
         ageing_step(store, space, rng, log)  # m turns exactly 18
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
-            marriages_step(store, space, params, TABLES, snap, rng, log)
+            marriages_step(store, space, params, hazards(params), snap, rng, log)
         assert log.marriages == []
         # One boundary later he becomes eligible.
         snap2 = StepSnapshot.capture(store, space)
         while not log.marriages:
-            marriages_step(store, space, params, TABLES, snap2, rng, log)
+            marriages_step(store, space, params, hazards(params), snap2, rng, log)
         assert log.marriages[0][0] == m
 
     def test_all_zero_weights_leaves_man_single(self):
@@ -403,7 +517,7 @@ class TestMarriages:
                                house=store.persons[bride].house, space=space)
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(200):
-            marriages_step(store, space, params, TABLES, None, rng, log)
+            marriages_step(store, space, params, hazards(params), None, rng, log)
         assert log.marriages == []
         assert store.persons[groom].unmarried
 
@@ -418,7 +532,7 @@ class TestMarriages:
             local = housed(s, sp, Gender.FEMALE, 25, town=(8, 4), rng=trial_rng)
             housed(s, sp, Gender.FEMALE, 25, town=(9, 5), rng=trial_rng)  # distance 2
             lg = StepEventLog()
-            marriages_step(s, sp, params, TABLES, None, trial_rng, lg)
+            marriages_step(s, sp, params, hazards(params), None, trial_rng, lg)
             if lg.marriages:
                 picks["local" if lg.marriages[0][1] == local else "distant"] += 1
         assert picks["local"] > 0
@@ -434,10 +548,11 @@ class TestStepConservation:
         build_initial_state(store, space, ModelParameters(initial_pop=800),
                             ClockSpec.monthly(), rng)
         order = ("ageing", "deaths", "births", "divorces", "marriages")
+        run_hazards = hazards()
         for k in range(24):
             before = store.alive_count
             snap = StepSnapshot.capture(store, space)
-            log = run_step(store, space, PARAMS, TABLES, snap, 2020 + k // 12, rng, order)
+            log = run_step(store, space, PARAMS, run_hazards, snap, 2020 + k // 12, rng, order)
             assert store.alive_count == before + len(log.births) - len(log.deaths)
             assert collect_invariant_violations(store, space) == []
             assert all(not store.persons[pid].alive for pid in log.deaths)

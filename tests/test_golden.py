@@ -29,3 +29,17 @@ def test_annual_run_matches_golden_digests():
     digest = _digest_module()
     assert (digest.compute("annual_run")
             == (ROOT / "tests" / "golden" / "annual_run.sha256").read_text())
+
+
+def test_daily_run_matches_golden_digests():
+    # Daily clock: deaths look up the death table, which grows during the run.
+    digest = _digest_module()
+    assert (digest.compute("daily_run")
+            == (ROOT / "tests" / "golden" / "daily_run.sha256").read_text())
+
+
+def test_hourly_run_matches_golden_digests():
+    # Hourly clock: the death table would pass its cap, so deaths are evaluated directly.
+    digest = _digest_module()
+    assert (digest.compute("hourly_run")
+            == (ROOT / "tests" / "golden" / "hourly_run.sha256").read_text())
