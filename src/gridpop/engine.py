@@ -270,8 +270,9 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     in town (0, 0), off the grid.
 
     Raises ValueError, naming the line or the person, on a malformed line,
-    ids out of sequence, a children column that disagrees with the father
-    and mother columns, or two residents of one house in different towns.
+    ids out of sequence, an alive cell other than 0 or 1, a children
+    column that disagrees with the father and mother columns, or two
+    residents of one house in different towns.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != EXPORT_HEADER:
@@ -292,6 +293,8 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
             raise ValueError(f"line {lineno}: {len(cells)} fields, expected {n_fields}")
         if cells[0] != str(len(rows)):
             raise ValueError(f"line {lineno}: person id {cells[0]}, expected {len(rows)}")
+        if cells[3] not in ("0", "1"):
+            raise ValueError(f"line {lineno}: alive {cells[3]!r}, expected 0 or 1")
         rows.append(cells)
 
     n = len(rows)

@@ -167,18 +167,9 @@ class HazardTables:
         return self._births
 
 
-def age_compatibility(age_m_years: float, age_f_years: float) -> float:
+def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
     """Piecewise preference on the age gap: flat near zero, decaying with
     large gaps in either direction; always positive."""
-    diff = age_m_years - age_f_years
-    if diff >= 5:
-        return 1.0 / (diff - 4.0)
-    if diff <= -2:
-        return -1.0 / (diff + 1.0)
-    return 1.0
-
-
-def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
     diff = age_m_years - ages_f_years
     # Both branches are computed everywhere; the gaps 4 and -1 divide by zero
     # in the branch that is not taken.
@@ -187,12 +178,15 @@ def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.
                         np.where(diff <= -2, -1.0 / (diff + 1.0), 1.0))
 
 
-def geo_factor(distance: int) -> float:
-    return math.exp(-4.0 * distance)
+def geo_factor_array(dist: np.ndarray) -> np.ndarray:
+    """exp(-4 * distance) over Manhattan town distances."""
+    return np.exp(-4.0 * dist)
 
 
-def children_factor(n_m: int, n_f: int) -> float:
-    return math.exp(min(n_m * n_f - n_m - n_f, _EXP_CAP))
+def children_factor_array(n_m: int, n_f: np.ndarray) -> np.ndarray:
+    """exp(n_m * n_f - n_m - n_f) over the children counts of the groom
+    and the brides, capped in the exponent."""
+    return np.exp(np.minimum(n_m * n_f - n_m - n_f, _EXP_CAP))
 
 
 # -- the five events --------------------------------------------------------
@@ -348,15 +342,9 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
         n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
         k = min(n_cand, live)
         cand = rng.choice(live, size=k, replace=False)
-        cand_pids = pool[cand]
-        house_m = store.house_arr[groom_id]
-        cand_houses = store.house_arr[cand_pids]
-        dist = (np.abs(space.town_x[cand_houses] - space.town_x[house_m])
-                + np.abs(space.town_y[cand_houses] - space.town_y[house_m]))
-        nm = int(children[groom_id])
-        nf = pool_children[cand]
-        children_w = np.exp(np.minimum(nm * nf - nm - nf, _EXP_CAP))
-        weights = (np.exp(-4.0 * dist) * children_w
+        dist = space.town_distances(store.house_arr[groom_id], store.house_arr[pool[cand]])
+        weights = (geo_factor_array(dist)
+                   * children_factor_array(int(children[groom_id]), pool_children[cand])
                    * age_compatibility_array(store.age_steps_arr[groom_id] / n, pool_ages[cand]))
         if float(weights.sum()) <= 0.0:
             logger.debug("all marriage weights zero for man %d; stays single", groom_id)

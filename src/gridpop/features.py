@@ -68,10 +68,6 @@ class StepSnapshot:
     def capture(cls, store: PopulationStore, space: "Space") -> "StepSnapshot":
         return cls(store, copy=True)
 
-    def house_of(self, pid: PersonId) -> Optional[int]:
-        h = int(self.house[pid])
-        return None if h == -1 else h
-
 
 class EvalContext:
     """Store + space + previous-boundary snapshot used during evaluation."""
@@ -324,10 +320,6 @@ def in_house(house_id: int) -> FeatureExpr:
 
 
 # -- evaluation entry points ----------------------------------------------
-
-
-def evaluate(expr: FeatureExpr, ctx: EvalContext, pid: PersonId) -> bool:
-    return bool(expr.mask(ctx)[pid])
 
 
 def subpopulation(expr: FeatureExpr, ctx: EvalContext) -> list[PersonId]:

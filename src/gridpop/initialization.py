@@ -18,11 +18,10 @@ from .params import ModelParameters
 from .population import MARRIED_CODE, PersonId, PopulationStore
 from .space import Space, TownKey
 from .stochastics import (
+    DEFAULT_MAX_INITIAL_AGE_YEARS,
     ClockSpec,
     Rng,
     sample_half_normal_age_steps,
-    sample_indices_without_replacement,
-    shuffle,
     weighted_sample,
 )
 
@@ -55,7 +54,7 @@ def init_town_populations(initial_pop: int, space: Space) -> dict[TownKey, int]:
 
 def init_ages_and_genders(store: PopulationStore, pids: list[PersonId],
                           clock: ClockSpec, rng: Rng,
-                          max_age_years: float = 110.0) -> None:
+                          max_age_years: float = DEFAULT_MAX_INITIAL_AGE_YEARS) -> None:
     """Assign half-normal ages and fair-coin genders to freshly spawned persons."""
     n = len(pids)
     genders = rng.random(n) < 0.5  # True = male
@@ -101,7 +100,8 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     n = store.steps_per_year
     adult_males = _alive_adults(store, male=True)
     picks = rng.random(len(adult_males)) < params.start_married_rate
-    selected = np.array(shuffle(rng, adult_males[picks].tolist()), dtype=np.int64)
+    selected = adult_males[picks]
+    rng.shuffle(selected)
 
     pool_ids = _alive_adults(store, male=False)
     bride_steps, pool_code = np.unique(store.age_steps_arr[pool_ids], return_inverse=True)
@@ -123,7 +123,7 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
             logger.warning("eligible female pool exhausted; %d selected males stay single",
                            len(selected) - rank)
             break
-        cand = sample_indices_without_replacement(rng, live, min(n_cand, live))
+        cand = rng.choice(live, size=min(n_cand, live), replace=False)
         codes = pool_code[cand]
         if rows is None:
             weights = age_compatibility_array(groom_years[groom_code[rank]], bride_years[codes])
@@ -233,7 +233,8 @@ def init_housing(store: PopulationStore, space: Space,
 
 def build_initial_state(store: PopulationStore, space: Space,
                         params: ModelParameters, clock: ClockSpec, rng: Rng,
-                        max_initial_age: float = 110.0) -> dict[PersonId, TownKey]:
+                        max_initial_age: float = DEFAULT_MAX_INITIAL_AGE_YEARS,
+                        ) -> dict[PersonId, TownKey]:
     """Run the full initialization pipeline on a fresh store.
 
     Returns the density-weighted town each person was placed in. Families

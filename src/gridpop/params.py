@@ -87,9 +87,6 @@ class FertilityTable:
             raise ConfigError("fertility rates must lie in [0, 1]")
         self.rates = rates
 
-    def rate(self, age_years: int, year: int) -> float:
-        return float(self.rates_at(np.array([age_years]), year)[0])
-
     def rates_at(self, age_years: np.ndarray, year: int) -> np.ndarray:
         """Rates for an array of whole-year ages in one calendar year."""
         out = np.zeros(len(age_years))
@@ -119,10 +116,18 @@ class FertilityTable:
         lines = Path(path).read_text().splitlines()
         if not lines or lines[0].strip() != FERTILITY_HEADER:
             raise ConfigError(f"fertility file must start with {FERTILITY_HEADER!r}")
+        width = FERTILITY_MAX_YEAR - FERTILITY_MIN_YEAR + 1
         rows = []
-        for ln in lines[1:]:
-            if ln.strip():
-                rows.append([float(tok) for tok in ln.split()])
+        for lineno, ln in enumerate(lines[1:], start=2):
+            if not ln.strip():
+                continue
+            tokens = ln.split()
+            if len(tokens) != width:
+                raise ConfigError(f"{path}, line {lineno}: {len(tokens)} rates, expected {width}")
+            try:
+                rows.append([float(tok) for tok in tokens])
+            except ValueError as err:
+                raise ConfigError(f"{path}, line {lineno}: {err}") from None
         return cls(np.asarray(rows, dtype=float))
 
 

@@ -185,9 +185,6 @@ class PopulationStore:
         """Number of ids ever issued; the valid array prefix."""
         return self._next_id
 
-    def is_adult(self, person: Person) -> bool:
-        return person.age_steps >= self.adult_age_steps
-
     def alive_ids(self) -> list[PersonId]:
         return np.flatnonzero(self.alive_arr[: self._next_id]).tolist()
 
@@ -375,17 +372,6 @@ class PopulationStore:
                 sibs |= parents == parents[pid]
         sibs[pid] = False
         return sibs
-
-    def sibling_ids(self, pid: PersonId) -> set[PersonId]:
-        """Persons sharing at least one parent with pid."""
-        return set(np.flatnonzero(self.sibling_mask(pid)).tolist())
-
-    def is_orphan(self, person: Person) -> bool:
-        """Alive minor with no living parent."""
-        if not person.alive or self.is_adult(person):
-            return False
-        return all(parent is None or not self.alive_arr[parent]
-                   for parent in (person.father, person.mother))
 
 
 def collect_invariant_violations(store: PopulationStore, space: "Space") -> list[str]:

@@ -2,9 +2,9 @@
 
 Towns live on a fixed 12x8 grid (row 1 is northernmost, column 1
 westernmost). A built-in density grid marks 48 of the 96 cells as
-inhabited; density weights drive both initial placement and the weighted
-town draw used when a house is needed in an arbitrary town. Towns are
-cells of the density grid, not objects.
+inhabited; the density weights set each town's share of the initial
+population. Towns are cells of the density grid, not objects; the
+distance between two towns is the Manhattan distance of their cells.
 
 Houses are created on demand and never removed. A house is an id into one
 NumPy array per attribute (``town_x``, ``town_y``, ``local_x``,
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .stochastics import Rng, weighted_sample
+from .stochastics import Rng
 
 if TYPE_CHECKING:
     from .population import PopulationStore
@@ -63,13 +63,7 @@ def load_density_map(path: str | Path) -> np.ndarray:
     grid = np.asarray(rows, dtype=float)
     if np.any(grid < 0.0) or np.any(grid > 1.0):
         raise ValueError("density values must lie in [0, 1]")
-    if not np.any(grid > 0.0):
-        raise ValueError("density map has no inhabitable towns")
     return grid
-
-
-def manhattan_distance(a: TownKey, b: TownKey) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 # Every per-house array, indexed by house id.
@@ -86,6 +80,8 @@ class Space:
         grid = np.asarray(DEFAULT_DENSITY if density is None else density, dtype=float)
         if grid.shape != (GRID_ROWS, GRID_COLS):
             raise ValueError(f"density grid must be {GRID_ROWS}x{GRID_COLS}")
+        if not np.any(grid > 0.0):
+            raise ValueError("density grid has no inhabitable towns")
         if town_grid_cells < 1:
             raise ValueError("town_grid_cells must be >= 1")
         self.density = grid
@@ -106,13 +102,11 @@ class Space:
         x, y = town
         return 1 <= x <= GRID_ROWS and 1 <= y <= GRID_COLS and self.density[x - 1, y - 1] > 0.0
 
-    @property
-    def density_total(self) -> float:
-        return float(self.town_weights.sum())
-
-    def sample_town_weighted(self, rng: Rng) -> TownKey:
-        """Draw an inhabitable town with probability proportional to density."""
-        return weighted_sample(rng, self.inhabitable_towns, self.town_weights)
+    def town_distances(self, house: HouseId, houses: np.ndarray) -> np.ndarray:
+        """Manhattan distance from the town of ``house`` to the town of
+        each of ``houses``."""
+        return (np.abs(self.town_x[houses] - self.town_x[house])
+                + np.abs(self.town_y[houses] - self.town_y[house]))
 
     # -- houses --------------------------------------------------------
 

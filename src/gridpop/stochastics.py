@@ -2,12 +2,15 @@
 
 All randomness in a run flows through a single numpy Generator (PCG64),
 created by make_rng(seed). Identical seeds reproduce identical draw
-sequences across runs and platforms for a pinned numpy version.
+sequences across runs and platforms for a pinned numpy version. Beyond
+the Generator's own methods, a run draws through two functions here:
+weighted_sample for one weighted pick, and sample_half_normal_age_steps
+for the initial ages. instantaneous_probability_array converts yearly
+probabilities to per-step ones.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,32 +90,16 @@ def make_rng(seed: int) -> Rng:
     return np.random.default_rng(seed)
 
 
-def instantaneous_probability(p_yearly: float, clock: ClockSpec) -> float:
-    """Convert a yearly probability to the equivalent per-step probability.
+def instantaneous_probability_array(p_yearly: np.ndarray, steps_per_year: int) -> np.ndarray:
+    """Convert yearly probabilities to the equivalent per-step probabilities.
 
     Uses the exponential-hazard conversion -ln(1 - p) / steps_per_year so
-    that compounding over one year of steps recovers ~p_yearly. Inputs at
-    exactly 1 are clamped just below to keep the hazard finite; the result
-    is clamped into [0, 1].
+    that compounding over one year of steps recovers ~p_yearly. Callers
+    clamp the inputs to [0, 1]; inputs at exactly 1 are clamped just below
+    to keep the hazard finite, and the result is clamped into [0, 1].
     """
-    if not 0.0 <= p_yearly <= 1.0:
-        raise ValueError(f"yearly probability outside [0, 1]: {p_yearly}")
-    p = min(p_yearly, _CERTAINTY_CLAMP)
-    per_step = -math.log1p(-p) / clock.steps_per_year
-    return min(max(per_step, 0.0), 1.0)
-
-
-def instantaneous_probability_array(p_yearly: np.ndarray, steps_per_year: int) -> np.ndarray:
-    """Vectorized instantaneous_probability; callers pre-clamp inputs to [0, 1]."""
     p = np.minimum(p_yearly, _CERTAINTY_CLAMP)
     return np.clip(-np.log1p(-p) / steps_per_year, 0.0, 1.0)
-
-
-def bernoulli(rng: Rng, p: float) -> bool:
-    """True with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability outside [0, 1]: {p}")
-    return bool(rng.random() < p)
 
 
 def weighted_sample(rng: Rng, items, weights):
@@ -140,21 +127,6 @@ def weighted_sample(rng: Rng, items, weights):
     return items[idx]
 
 
-def shuffle(rng: Rng, items) -> list:
-    """Return a new uniformly permuted list of items."""
-    out = list(items)
-    rng.shuffle(out)
-    return out
-
-
-def sample_indices_without_replacement(rng: Rng, n: int, k: int) -> np.ndarray:
-    """k distinct indices drawn uniformly from range(n); k is capped at n."""
-    k = min(k, n)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(n, size=k, replace=False)
-
-
 def sample_half_normal_age_steps(
     rng: Rng,
     clock: ClockSpec,
@@ -176,13 +148,3 @@ def sample_half_normal_age_steps(
         if count == 0:
             return out
         out[over] = np.abs(np.floor(rng.normal(0.0, 25.0 * n, size=count))).astype(np.int64)
-
-
-def sample_half_normal_age(
-    rng: Rng,
-    clock: ClockSpec,
-    max_age_years: float = DEFAULT_MAX_INITIAL_AGE_YEARS,
-) -> float:
-    """Single initial-age draw in years (a multiple of 1/steps_per_year)."""
-    steps = sample_half_normal_age_steps(rng, clock, size=1, max_age_years=max_age_years)
-    return float(steps[0]) / clock.steps_per_year

@@ -18,15 +18,16 @@ from gridpop.engine import (
     run_simulation,
     statistics_to_csv,
 )
+from gridpop import events as events_module
 from gridpop.events import (
     HazardTables,
     StepEventLog,
-    age_compatibility,
-    children_factor,
+    age_compatibility_array,
+    children_factor_array,
     deaths_step,
     death_yearly_probability_array,
     decade_yearly_probability_array,
-    geo_factor,
+    geo_factor_array,
     run_step,
 )
 from gridpop.features import (
@@ -44,7 +45,7 @@ from gridpop.population import Gender, PopulationStore, UnwedReason
 from gridpop.space import Space
 from gridpop.stochastics import (
     ClockSpec,
-    instantaneous_probability,
+    instantaneous_probability_array,
     make_rng,
     sample_half_normal_age_steps,
 )
@@ -87,7 +88,12 @@ class TestCriterion2ScalarFormulas:
         rel = 1e-9
         male = np.array([True])
 
-        # The array functions the run's hazard tables are built from.
+        # The array functions the run evaluates (see the test below): the
+        # hazard tables are built from the conversion, death and decade
+        # hazards; marriages_step weighs brides by geo, children and age.
+        def instantaneous(p_yearly, n):
+            return instantaneous_probability_array(np.array([p_yearly]), n)[0]
+
         def death(age_years):
             return death_yearly_probability_array(np.array([age_years]), male, params)[0]
 
@@ -101,20 +107,28 @@ class TestCriterion2ScalarFormulas:
                                                    params.basic_male_marriage_rate,
                                                    tables.male_marriage_modifier_by_decade)[0]
 
+        def geo(dist):
+            return geo_factor_array(np.array([dist]))[0]
+
+        def children(n_m, n_f):
+            return children_factor_array(n_m, np.array([float(n_f)]))[0]
+
+        def age(age_m, age_f):
+            return age_compatibility_array(age_m, np.array([age_f], dtype=float))[0]
+
         checks = [
-            ("instantaneous(0.5, monthly)",
-             instantaneous_probability(0.5, ClockSpec.monthly()), math.log(2) / 12),
+            ("instantaneous(0.5, monthly)", instantaneous(0.5, 12), math.log(2) / 12),
             ("male death age 0", death(0.0), 0.0001 + 0.00021),
             ("male death age 70", death(70.0), 0.0001 + math.exp(70 / 14.0) * 0.00021),
             ("divorce hazard age 25", divorce(25 * 12, 12), 0.06 * 0.9),
             ("marriage hazard age 25", marriage(25 * 12, 12), 0.7 * 0.5),
-            ("geo factor d=1", geo_factor(1), math.exp(-4.0)),
-            ("children factor (2,3)", children_factor(2, 3), math.e),
-            ("age factor diff 0", age_compatibility(40, 40), 1.0),
-            ("age factor diff 5", age_compatibility(45, 40), 1.0),
-            ("age factor diff 10", age_compatibility(50, 40), 1.0 / 6.0),
-            ("age factor diff -2", age_compatibility(38, 40), 1.0),
-            ("age factor diff -5", age_compatibility(35, 40), 1.0 / 4.0),
+            ("geo factor d=1", geo(1), math.exp(-4.0)),
+            ("children factor (2,3)", children(2, 3), math.e),
+            ("age factor diff 0", age(40, 40), 1.0),
+            ("age factor diff 5", age(45, 40), 1.0),
+            ("age factor diff 10", age(50, 40), 1.0 / 6.0),
+            ("age factor diff -2", age(38, 40), 1.0),
+            ("age factor diff -5", age(35, 40), 1.0 / 4.0),
         ]
         for name, got, expected in checks:
             assert got == pytest.approx(expected, rel=rel), (
@@ -123,6 +137,28 @@ class TestCriterion2ScalarFormulas:
         assert divorce(25 * 12, 12) == pytest.approx(0.054)
         assert marriage(25 * 12, 12) == pytest.approx(0.35)
         report(2, time.perf_counter() - start, f"{len(checks)} formulas at rel 1e-9")
+
+    def test_run_calls_the_checked_functions(self, monkeypatch):
+        # A formula inlined again into the events would leave its checked
+        # function uncalled.
+        names = ("death_yearly_probability_array", "decade_yearly_probability_array",
+                 "instantaneous_probability_array", "geo_factor_array",
+                 "children_factor_array", "age_compatibility_array")
+        calls = dict.fromkeys(names, 0)
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(f"gridpop.events.{name}",
+                                spy(name, getattr(events_module, name)))
+        config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.monthly(), seed=3)
+        result = run_simulation(config, ModelParameters(initial_pop=500), DataTables())
+        assert sum(row.marriages for row in result.statistics) > 0
+        assert all(calls.values()), f"uncalled: {[n for n, c in calls.items() if not c]}"
 
 
 class TestCriterion3InitialDistributions:

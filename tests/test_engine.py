@@ -18,6 +18,7 @@ from gridpop.engine import AuditError
 from gridpop.events import StepEventLog, decade_yearly_probability_array
 from gridpop.params import (
     ConfigError,
+    FERTILITY_HEADER,
     DataTables,
     FertilityTable,
     ModelParameters,
@@ -82,17 +83,17 @@ class TestDataTables:
 
     def test_synthetic_profile(self):
         table = FertilityTable.synthetic()
-        assert table.rate(29, 2025) == pytest.approx(0.25)
-        assert table.rate(17, 2025) < table.rate(29, 2025) > table.rate(51, 2025)
-        assert table.rate(29, 1951) == table.rate(29, 2050)
+        young, peak, old = table.rates_at(np.array([17, 29, 51]), 2025).tolist()
+        assert peak == pytest.approx(0.25)
+        assert young < peak > old
+        assert table.rates_at(np.array([29]), 1951) == table.rates_at(np.array([29]), 2050)
         assert np.all((table.rates >= 0) & (table.rates <= 1))
 
     def test_out_of_range_rates_zero(self):
         table = FertilityTable.synthetic()
-        assert table.rate(16, 2025) == 0.0
-        assert table.rate(52, 2025) == 0.0
-        assert table.rate(30, 1950) == 0.0
-        assert table.rate(30, 2051) == 0.0
+        assert table.rates_at(np.array([16, 52]), 2025).tolist() == [0.0, 0.0]
+        assert table.rates_at(np.array([30]), 1950).tolist() == [0.0]
+        assert table.rates_at(np.array([30]), 2051).tolist() == [0.0]
 
     def test_file_round_trip(self, tmp_path):
         table = FertilityTable.synthetic()
@@ -110,11 +111,30 @@ class TestDataTables:
         with pytest.raises(ConfigError):
             FertilityTable.load(bad)
 
-    def test_load_fertility_table_dispatch(self, tmp_path):
-        assert load_fertility_table("synthetic").rate(29, 2025) == pytest.approx(0.25)
+    def test_ragged_row_names_the_line(self, tmp_path):
+        lines = FERTILITY_HEADER + "\n" + "0.1 " * 100 + "\n" + "0.1 " * 99 + "\n"
+        bad = tmp_path / "ragged.txt"
+        bad.write_text(lines)
+        with pytest.raises(ConfigError, match="line 3: 99 rates, expected 100"):
+            FertilityTable.load(bad)
+
+    def test_non_numeric_rate_names_the_line(self, tmp_path):
         path = tmp_path / "f.txt"
         FertilityTable.synthetic().write(path)
-        assert load_fertility_table(str(path)).rate(29, 2025) == pytest.approx(0.25)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split()
+        cells[7] = "n/a"
+        lines[5] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="line 6: .*'n/a'"):
+            FertilityTable.load(path)
+
+    def test_load_fertility_table_dispatch(self, tmp_path):
+        peak = np.array([29])
+        assert load_fertility_table("synthetic").rates_at(peak, 2025)[0] == pytest.approx(0.25)
+        path = tmp_path / "f.txt"
+        FertilityTable.synthetic().write(path)
+        assert load_fertility_table(str(path)).rates_at(peak, 2025)[0] == pytest.approx(0.25)
 
 
 class TestConfigFiles:
@@ -363,6 +383,16 @@ class TestExport:
         lines[5] = lines[5].rsplit(" ", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 6: 11 fields, expected 12"):
+            import_population(path)
+
+    @pytest.mark.parametrize("cell", ["yes", "2", "1.0", "true"])
+    def test_alive_must_be_0_or_1(self, export_lines, cell):
+        path, lines = export_lines
+        cells = lines[5].split(" ")
+        cells[3] = cell
+        lines[5] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 6: alive '{cell}', expected 0 or 1"):
             import_population(path)
 
 

@@ -12,16 +12,15 @@ from gridpop.events import (
     HazardTables,
     StepEventLog,
     ageing_step,
-    age_compatibility,
     age_compatibility_array,
     births_step,
-    children_factor,
+    children_factor_array,
     deaths_step,
     death_step_probability_array,
     death_yearly_probability_array,
     decade_yearly_probability_array,
     divorces_step,
-    geo_factor,
+    geo_factor_array,
     marriages_step,
 )
 from gridpop.features import StepSnapshot
@@ -102,26 +101,43 @@ class TestHazardFormulas:
         assert marriage_yearly(19 * n, n) == pytest.approx(0.7 * 0.16)
 
     def test_geo_factor(self):
-        assert geo_factor(0) == 1.0
-        assert geo_factor(1) == pytest.approx(math.exp(-4), rel=1e-12)
+        got = geo_factor_array(np.array([0, 1, 18]))
+        assert got[0] == 1.0
+        assert got[1] == pytest.approx(math.exp(-4), rel=1e-12)
+        assert got[2] == pytest.approx(math.exp(-72), rel=1e-12)
 
     def test_children_factor(self):
-        assert children_factor(0, 0) == 1.0
-        assert children_factor(1, 1) == pytest.approx(math.exp(-1), rel=1e-12)
-        assert children_factor(2, 3) == pytest.approx(math.e, rel=1e-12)  # e^-2 e^-3 e^6
+        assert children_factor_array(0, np.array([0.0]))[0] == 1.0
+        got = children_factor_array(2, np.array([0.0, 3.0]))
+        assert got[0] == pytest.approx(math.exp(-2), rel=1e-12)
+        assert got[1] == pytest.approx(math.e, rel=1e-12)  # e^-2 e^-3 e^6
+        got = children_factor_array(1, np.array([1.0]))
+        assert got[0] == pytest.approx(math.exp(-1), rel=1e-12)
+        # The exponent is capped, so huge families stay finite.
+        assert np.isfinite(children_factor_array(100, np.array([100.0]))[0])
 
     def test_age_factor_table(self):
         cases = {0: 1.0, 5: 1.0, 10: 1 / 6, -2: 1.0, -5: 1 / 4}
-        for diff, expected in cases.items():
-            assert age_compatibility(40.0, 40.0 - diff) == pytest.approx(expected, rel=1e-12)
+        got = age_compatibility_array(40.0, 40.0 - np.array(list(cases), dtype=float))
+        for value, expected in zip(got.tolist(), cases.values()):
+            assert value == pytest.approx(expected, rel=1e-12)
 
     def test_age_factor_array_equals_scalar_exactly(self):
+        def piecewise(age_m, age_f):
+            """The rule one pair at a time, as an oracle."""
+            diff = age_m - age_f
+            if diff >= 5:
+                return 1.0 / (diff - 4.0)
+            if diff <= -2:
+                return -1.0 / (diff + 1.0)
+            return 1.0
+
         gaps = [-30.0, -7.25, -2.0001, -2.0, -1.9999, -1.5, -1.0, -0.25, 0.0, 3.5,
                 3.9999, 4.0, 4.0001, 4.5, 4.9999, 5.0, 5.0001, 12.75, 60.0]
         for age_m in (40.0, 18.0 + 1 / 12, 73.5):
             ages_f = age_m - np.array(gaps)
             got = age_compatibility_array(age_m, ages_f)
-            assert got.tolist() == [age_compatibility(age_m, f) for f in ages_f.tolist()]
+            assert got.tolist() == [piecewise(age_m, f) for f in ages_f.tolist()]
         assert age_compatibility_array(40.0, np.array([])).shape == (0,)
 
 

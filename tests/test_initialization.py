@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridpop.events import age_compatibility, age_compatibility_array
+from gridpop.events import age_compatibility_array
 from gridpop.initialization import (
     InitializationError,
     build_initial_state,
@@ -25,13 +25,7 @@ from gridpop.population import (
     collect_invariant_violations,
 )
 from gridpop.space import Space
-from gridpop.stochastics import (
-    ClockSpec,
-    make_rng,
-    sample_indices_without_replacement,
-    shuffle,
-    weighted_sample,
-)
+from gridpop.stochastics import ClockSpec, make_rng, weighted_sample
 
 
 def build(initial_pop=2000, seed=11, clock=None, **param_overrides):
@@ -61,7 +55,7 @@ class TestTownQuotas:
         half = targets[(4, 4)]
         assert abs(full - 2 * half) <= 2
         # Quota for a density-1.0 cell is initial_pop / sum(density).
-        total = space.density_total
+        total = space.town_weights.sum()
         assert abs(full - 100_000 / total) <= 1
 
     def test_deterministic(self, space):
@@ -86,16 +80,19 @@ class TestAgesAndGenders:
 class TestPartnerships:
     def test_age_compatibility_cases(self):
         # Hand evaluation of the piecewise weight.
-        assert age_compatibility(30, 30) == 1.0
-        assert age_compatibility(35, 25) == pytest.approx(1 / 6)   # gap 10
-        assert age_compatibility(25, 30) == pytest.approx(1 / 4)   # gap -5
-        assert age_compatibility(30, 25) == 1.0                    # gap 5
-        assert age_compatibility(28, 30) == 1.0                    # gap -2
+        def weight(age_m, age_f):
+            return age_compatibility_array(age_m, np.array([age_f], dtype=float))[0]
+
+        assert weight(30, 30) == 1.0
+        assert weight(35, 25) == pytest.approx(1 / 6)   # gap 10
+        assert weight(25, 30) == pytest.approx(1 / 4)   # gap -5
+        assert weight(30, 25) == 1.0                    # gap 5
+        assert weight(28, 30) == 1.0                    # gap -2
 
     def test_married_rate_within_3_sigma(self):
         store, _, params = build(initial_pop=20_000, seed=3)
         adult_males = [p for p in store.persons.values()
-                       if p.gender is Gender.MALE and store.is_adult(p)]
+                       if p.gender is Gender.MALE and p.age_steps >= store.adult_age_steps]
         married = sum(1 for p in adult_males if p.married)
         n = len(adult_males)
         rate = params.start_married_rate
@@ -108,7 +105,7 @@ class TestPartnerships:
             if p.married:
                 q = store.persons[p.partner]
                 assert p.gender is not q.gender
-                assert store.is_adult(p) and store.is_adult(q)
+                assert min(p.age_steps, q.age_steps) >= store.adult_age_steps
 
     def test_pool_exhaustion_leaves_singles(self, caplog):
         # Overwhelmingly male store: many selected men find no wife.
@@ -214,7 +211,7 @@ class TestHousing:
                     child = store.persons[c]
                     if child.age_steps < store.adult_age_steps and child.unmarried:
                         assert child.house == p.house
-            elif p.unmarried and store.is_adult(p):
+            elif p.unmarried and p.age_steps >= store.adult_age_steps:
                 assert space.residents[p.house] == {p.id}
 
     def test_town_targets_respected_for_singles(self):
@@ -245,7 +242,8 @@ def reference_partnerships(store, params, rng):
     adult = store.alive_arr[:size] & (store.age_steps_arr[:size] >= store.adult_age_steps)
     adult_males = np.flatnonzero(adult & store.male_arr[:size])
     picks = rng.random(len(adult_males)) < params.start_married_rate
-    selected = shuffle(rng, adult_males[picks].tolist())
+    selected = adult_males[picks].tolist()
+    rng.shuffle(selected)
     pool_ids = np.flatnonzero(adult & ~store.male_arr[:size])
     pool_ages = store.age_steps_arr[pool_ids] / n
     live = len(pool_ids)
@@ -253,7 +251,7 @@ def reference_partnerships(store, params, rng):
     for m in selected:
         if live == 0:
             break
-        cand = sample_indices_without_replacement(rng, live, min(n_cand, live))
+        cand = rng.choice(live, size=min(n_cand, live), replace=False)
         weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
         j = int(weighted_sample(rng, cand, weights))
         store.wed(m, int(pool_ids[j]))

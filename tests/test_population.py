@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import housed
-from gridpop.features import ALIVE, ADULT, EvalContext, MARRIED, evaluate
+from gridpop.features import ALIVE, ADULT, EvalContext, MARRIED
 from gridpop.population import (
     Gender,
     MaritalStatus,
@@ -128,8 +128,8 @@ class TestUnwed:
         store.unwed(m, UnwedReason.DIVORCE)
         ctx = EvalContext(store, space)
         eligible = ~MARRIED & ADULT & ALIVE
-        assert evaluate(eligible, ctx, m)
-        assert evaluate(eligible, ctx, f)
+        assert eligible.mask(ctx)[m]
+        assert eligible.mask(ctx)[f]
 
 
 class TestKill:
@@ -162,7 +162,8 @@ class TestKill:
         store.kill(mum, space)
         k = store.persons[kid]
         assert k.father == dad and k.mother == mum
-        assert store.is_orphan(k)
+        assert k.alive and k.age_steps < store.adult_age_steps
+        assert not (store.alive_arr[dad] or store.alive_arr[mum])
         sweep_ok(store, space)
 
     def test_double_kill(self, store, space):
@@ -200,10 +201,10 @@ class TestRandomWalkInvariants:
             if op == 0:  # wed a random eligible pair
                 males = [q.id for q in store.persons.values()
                          if q.alive and q.gender is Gender.MALE and q.unmarried
-                         and store.is_adult(q)]
+                         and q.age_steps >= store.adult_age_steps]
                 females = [q.id for q in store.persons.values()
                            if q.alive and q.gender is Gender.FEMALE and q.unmarried
-                           and store.is_adult(q)]
+                           and q.age_steps >= store.adult_age_steps]
                 if males and females:
                     store.wed(males[int(rng.integers(len(males)))],
                               females[int(rng.integers(len(females)))])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import housed
+from gridpop.initialization import init_town_populations
 from gridpop.population import Gender, PopulationStore
 from gridpop.space import (
     DEFAULT_DENSITY,
@@ -15,7 +16,6 @@ from gridpop.space import (
     GRID_ROWS,
     Space,
     load_density_map,
-    manhattan_distance,
 )
 from gridpop.stochastics import make_rng
 
@@ -27,7 +27,7 @@ class TestDensityGrid:
 
     def test_total_by_independent_summation(self, space):
         total = sum(v for row in DEFAULT_DENSITY for v in row)
-        assert space.density_total == pytest.approx(total)
+        assert space.town_weights.sum() == pytest.approx(total)
         assert total == pytest.approx(21.3)
 
     def test_values_in_unit_interval(self):
@@ -50,47 +50,56 @@ class TestDensityGrid:
 
 
 class TestManhattanDistance:
-    def test_same_town(self):
-        assert manhattan_distance((5, 5), (5, 5)) == 0
+    """Space.town_distances, the distance of the marriage geo factor."""
 
-    def test_corners(self):
-        assert manhattan_distance((1, 1), (12, 8)) == 11 + 7 == 18
+    def test_same_town(self, rng):
+        sp = Space()
+        houses = np.array([sp.new_house((5, 5), rng) for _ in range(3)])
+        assert sp.town_distances(houses[0], houses).tolist() == [0, 0, 0]
 
-    def test_symmetric_over_all_inhabitable_pairs(self, space):
-        for a in space.inhabitable_towns:
-            for b in space.inhabitable_towns:
-                assert manhattan_distance(a, b) == manhattan_distance(b, a)
-                assert manhattan_distance(a, b) >= 0
+    def test_corners(self, rng):
+        sp = Space(density=np.ones((GRID_ROWS, GRID_COLS)))
+        a, b = sp.new_house((1, 1), rng), sp.new_house((12, 8), rng)
+        assert sp.town_distances(a, np.array([b])).tolist() == [11 + 7] == [18]
+
+    def test_symmetric_over_all_inhabitable_pairs(self, space, rng):
+        towns = space.inhabitable_towns
+        first = space.new_houses(towns, rng)
+        houses = np.arange(first, first + len(towns))
+        for h, (x, y) in zip(houses.tolist(), towns):
+            got = space.town_distances(h, houses).tolist()
+            assert got == [abs(x - tx) + abs(y - ty) for tx, ty in towns]
+            assert min(got) == 0
 
 
 class TestSampleTownWeighted:
+    """The density weights and init_town_populations, which places the
+    initial population in proportion to them."""
+
     def test_single_nonzero_cell(self):
         grid = np.zeros((12, 8))
         grid[3, 2] = 0.7
         sp = Space(density=grid)
-        rng = make_rng(1)
-        assert all(sp.sample_town_weighted(rng) == (4, 3) for _ in range(200))
+        assert sp.inhabitable_towns == [(4, 3)]
+        assert sp.town_weights.tolist() == [0.7]
+        assert init_town_populations(200, sp) == {(4, 3): 200}
 
     def test_default_map_frequency(self, space):
-        # Town (4,3) has density 1.0; expected frequency 1.0 / sum(all cells).
-        rng = make_rng(42)
+        # Town (4,3) has density 1.0; its share is 1.0 / sum(all cells),
+        # up to one person of rounding.
         n = 1_000_000
         total = sum(v for row in DEFAULT_DENSITY for v in row)
-        p = 1.0 / total
-        hits = sum(space.sample_town_weighted(rng) == (4, 3) for _ in range(n))
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(hits / n - p) < 3 * sigma
+        assert abs(init_town_populations(n, space)[(4, 3)] - n / total) <= 1
 
     def test_zero_density_never_drawn(self, space):
-        rng = make_rng(43)
         zero_cells = {(x + 1, y + 1) for x, y in np.argwhere(space.density == 0.0).tolist()}
         assert (1, 1) in zero_cells
-        for _ in range(100_000):
-            assert space.sample_town_weighted(rng) not in zero_cells
+        assert not zero_cells & set(space.inhabitable_towns)
+        assert not zero_cells & set(init_town_populations(100_000, space))
 
     def test_all_zero_map_rejected(self):
-        with pytest.raises(ValueError):
-            Space(density=np.zeros((12, 8))).sample_town_weighted(make_rng(0))
+        with pytest.raises(ValueError, match="no inhabitable towns"):
+            Space(density=np.zeros((12, 8)))
 
 
 class TestHouses:
@@ -125,7 +134,7 @@ class TestHouses:
     def test_house_in_requested_town(self, rng):
         sp = Space()
         for _ in range(300):
-            town = sp.sample_town_weighted(rng)
+            town = sp.inhabitable_towns[int(rng.integers(len(sp.inhabitable_towns)))]
             hid = sp.find_or_create_empty_house(town, rng)
             assert sp.house_town(hid) == town
             assert 1 <= sp.local_x[hid] <= sp.town_grid_cells

@@ -11,17 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridpop.params import ConfigError, DataTables, FertilityTable, ModelParameters
 from gridpop.stochastics import (
     ClockSpec,
-    bernoulli,
-    instantaneous_probability,
     instantaneous_probability_array,
     make_rng,
-    sample_half_normal_age,
     sample_half_normal_age_steps,
-    shuffle,
     weighted_sample,
 )
+
+
+def per_step(p_yearly, steps_per_year):
+    return float(instantaneous_probability_array(np.array([p_yearly]), steps_per_year)[0])
 
 
 class TestClockSpec:
@@ -48,38 +49,47 @@ class TestClockSpec:
 
 class TestInstantaneousProbability:
     def test_zero(self):
-        assert instantaneous_probability(0.0, ClockSpec.daily()) == 0.0
+        assert per_step(0.0, 365) == 0.0
 
     def test_half_yearly_monthly(self):
         # Independent scalar evaluation: -ln(1 - 0.5) / 12 = ln(2)/12.
         expected = math.log(2) / 12
-        got = instantaneous_probability(0.5, ClockSpec.monthly())
+        got = per_step(0.5, 12)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.0577623, abs=5e-8)
 
     def test_tenth_yearly_daily(self):
         expected = -math.log(0.9) / 365
-        got = instantaneous_probability(0.1, ClockSpec.daily())
+        got = per_step(0.1, 365)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.8866e-4, abs=1e-8)
 
     def test_certainty_clamped_finite(self):
-        got = instantaneous_probability(1.0, ClockSpec.daily())
+        got = per_step(1.0, 365)
         assert 0.0 < got <= 1.0
         assert math.isfinite(got)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            instantaneous_probability(-0.1, ClockSpec.daily())
-        with pytest.raises(ValueError):
-            instantaneous_probability(1.5, ClockSpec.daily())
+        # The conversion takes its inputs as given; every yearly rate that
+        # reaches it is validated into [0, 1] when the run is configured,
+        # and the death hazard is clipped.
+        with pytest.raises(ConfigError):
+            ModelParameters(basic_divorce_rate=1.5).validate()
+        with pytest.raises(ConfigError):
+            ModelParameters(base_die_rate=-0.1).validate()
+        with pytest.raises(ConfigError):
+            DataTables(male_marriage_modifier_by_decade=(1.5,) * 16).validate()
+        rates = FertilityTable.synthetic().rates.copy()
+        rates[0, 0] = 1.5
+        with pytest.raises(ConfigError):
+            FertilityTable(rates)
 
     def test_array_matches_scalar(self):
         ps = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
         arr = instantaneous_probability_array(ps, 52)
-        clock = ClockSpec.weekly()
-        for p, a in zip(ps, arr):
-            assert a == pytest.approx(instantaneous_probability(float(p), clock), rel=1e-12)
+        for p, a in zip(ps.tolist(), arr.tolist()):
+            # Certainty is clamped just below 1 to keep the hazard finite.
+            assert a == pytest.approx(-math.log1p(-min(p, 1.0 - 1e-9)) / 52, rel=1e-12)
 
     def test_compounding_recovers_yearly(self):
         # Survival over a year of steps: (1-h/N)^N = (1-p) * exp(-h^2/2N + O(N^-2))
@@ -87,27 +97,10 @@ class TestInstantaneousProbability:
         h = -math.log(0.9)
         for clock in (ClockSpec.monthly(), ClockSpec.daily()):
             n = clock.steps_per_year
-            p_step = instantaneous_probability(0.1, clock)
+            p_step = per_step(0.1, n)
             survival = (1 - p_step) ** n
             assert survival == pytest.approx(0.9, abs=h * h / n)
             assert survival == pytest.approx(0.9 * math.exp(-h * h / (2 * n)), rel=5e-6)
-
-
-class TestBernoulli:
-    def test_degenerate(self, rng):
-        assert not any(bernoulli(rng, 0.0) for _ in range(100))
-        assert all(bernoulli(rng, 1.0) for _ in range(100))
-
-    def test_rejects_out_of_range(self, rng):
-        with pytest.raises(ValueError):
-            bernoulli(rng, 1.0001)
-
-    def test_mean_within_3_sigma(self):
-        rng = make_rng(99)
-        n, p = 1_000_000, 0.3
-        hits = sum(bernoulli(rng, p) for _ in range(n))
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(hits / n - p) < 3 * sigma  # 3 sigma ~ 0.0014
 
 
 class TestWeightedSample:
@@ -138,22 +131,32 @@ class TestWeightedSample:
 
 
 class TestShuffle:
-    def test_empty(self, rng):
-        assert shuffle(rng, []) == []
+    """init_partnerships shuffles the selected men as an int64 array; the
+    runs' digests were recorded when it shuffled them as a list."""
+
+    def test_empty(self):
+        rng, before = make_rng(5), make_rng(5).bit_generator.state
+        rng.shuffle(np.empty(0, dtype=np.int64))
+        assert rng.bit_generator.state == before
 
     def test_same_seed_same_permutation(self):
-        items = list(range(50))
-        assert shuffle(make_rng(3), items) == shuffle(make_rng(3), items)
+        for size in (1, 2, 3, 50, 1000):
+            items = list(range(size))
+            as_list, as_array = make_rng(3), make_rng(3)
+            array = np.array(items, dtype=np.int64)
+            as_list.shuffle(items)
+            as_array.shuffle(array)
+            assert array.tolist() == items
+            assert as_array.bit_generator.state == as_list.bit_generator.state
 
     @settings(max_examples=50)
-    @given(st.lists(st.integers(), max_size=50), st.integers(0, 2**32 - 1))
+    @given(st.lists(st.integers(0, 2**62), max_size=50), st.integers(0, 2**32 - 1))
     def test_is_permutation(self, items, seed):
-        assert sorted(shuffle(make_rng(seed), items)) == sorted(items)
-
-    def test_input_not_mutated(self, rng):
-        items = [3, 1, 2]
-        shuffle(rng, items)
-        assert items == [3, 1, 2]
+        array = np.array(items, dtype=np.int64)
+        make_rng(seed).shuffle(array)
+        assert sorted(array.tolist()) == sorted(items)
+        make_rng(seed).shuffle(items)
+        assert array.tolist() == items
 
 
 class TestHalfNormalAges:
@@ -165,12 +168,10 @@ class TestHalfNormalAges:
         assert (steps < 110 * 12).all()
 
     def test_years_are_step_multiples(self):
-        rng = make_rng(22)
-        clock = ClockSpec.monthly()
-        for _ in range(200):
-            years = sample_half_normal_age(rng, clock)
-            assert years >= 0
-            assert (years * 12) == round(years * 12)
+        # Ages are whole steps: integers, so years are multiples of 1/12.
+        steps = sample_half_normal_age_steps(make_rng(22), ClockSpec.monthly(), size=200)
+        assert steps.dtype == np.int64
+        assert (steps >= 0).all()
 
     def test_mean_matches_half_normal(self):
         # E|N(0, sigma)| = sigma * sqrt(2/pi); sigma = 25 years.
@@ -197,7 +198,7 @@ class TestDeterminism:
         # Per-step kill at the converted hazard leaves ~(1-p_yearly) alive.
         rng = make_rng(31)
         clock = ClockSpec.monthly()
-        p_step = instantaneous_probability(0.1, clock)
+        p_step = per_step(0.1, clock.steps_per_year)
         n = 100_000
         alive = np.ones(n, dtype=bool)
         for _ in range(clock.steps_per_year):
