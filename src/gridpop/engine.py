@@ -36,7 +36,7 @@ from .population import (
     PopulationStore,
     collect_invariant_violations,
 )
-from .space import Space, load_density_map
+from .space import GRID_COLS, GRID_ROWS, Space, load_density_map
 from .stochastics import make_rng
 
 logger = logging.getLogger(__name__)
@@ -328,6 +328,11 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
         raise ValueError(f"person {pid}: town {tuple(towns[stray[0]].tolist())} differs from "
                          f"the town {tuple(house_towns[hid].tolist())} of other residents "
                          f"of house {hid}")
+    off_grid = np.flatnonzero((towns < 1).any(axis=1) | (towns > (GRID_ROWS, GRID_COLS)).any(axis=1))
+    if len(off_grid):
+        raise ValueError(f"person {int(housed[off_grid[0]])}: town "
+                         f"{tuple(towns[off_grid[0]].tolist())} lies off the "
+                         f"{GRID_ROWS}x{GRID_COLS} grid")
     # Exported coordinates are town-level only.
     space.add_houses(house_towns, np.ones_like(house_towns))
     space.add_residents(house[housed], housed)

@@ -8,7 +8,9 @@ to the previous boundary.
 
 Each hazard and matching weight is one array function. A run converts
 the hazards to per-step probabilities once, in HazardTables, and the
-events look them up by age each step instead of recomputing them.
+events look them up by age each step instead of recomputing them. The
+marriage geo factor is tabulated once per run by town pair, and the
+children factor once per step by child counts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .population import (
     PopulationStore,
     UnwedReason,
 )
-from .space import Space
+from .space import Space, cell_distances
 from .stochastics import Rng, instantaneous_probability_array, weighted_sample
 
 logger = logging.getLogger(__name__)
@@ -110,9 +112,11 @@ class HazardTables:
       row 0 (age 0) repeats row 1.
     - births: by whole-year age under FERTILE_YEARS for one calendar year,
       rebuilt when the year changes.
+    - ``geo``: the marriage geo factor between every pair of grid cells,
+      indexed by ``Space.town_cell``.
 
-    Every entry equals the array function evaluated on its age, so lookups
-    and direct evaluation draw the same events.
+    Every entry equals the array function evaluated on its input, so
+    lookups and direct evaluation draw the same events.
     """
 
     def __init__(self, params: ModelParameters, tables: DataTables, steps_per_year: int):
@@ -129,6 +133,7 @@ class HazardTables:
             tables.male_marriage_modifier_by_decade), n)
         self._birth_year: int | None = None
         self._births = np.empty(0)
+        self.geo = geo_factor_array(cell_distances())
 
     def deaths(self, age_steps: np.ndarray, is_male: np.ndarray) -> np.ndarray:
         """Per-step death probabilities of the given (at least one) persons."""
@@ -328,12 +333,17 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
                           & (store.age_steps_arr[:size] >= adult_steps))
     pool_ages = store.age_steps_arr[pool] / n
     # Child counts cannot change during this event; houses can (household
-    # merges move co-residents), so distances read the live house array.
+    # merges move co-residents), so towns are read through the live house
+    # array.
     alive = store.alive_arr[:size]
     children = np.zeros(size, dtype=np.int64)
     for parents in (store.father_arr[:size][alive], store.mother_arr[:size][alive]):
         children += np.bincount(parents[parents >= 0], minlength=size)
-    pool_children = children[pool].astype(float)
+    pool_children = children[pool]
+    # Children factor of each groom child count over every bride count.
+    bride_counts = np.arange(int(pool_children.max(initial=0)) + 1, dtype=float)
+    children_rows: dict[int, np.ndarray] = {}
+    house_arr, town_cell = store.house_arr, space.town_cell
     live = len(pool)
 
     for groom_id in grooms:
@@ -342,14 +352,19 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
         n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
         k = min(n_cand, live)
         cand = rng.choice(live, size=k, replace=False)
-        dist = space.town_distances(store.house_arr[groom_id], store.house_arr[pool[cand]])
-        weights = (geo_factor_array(dist)
-                   * children_factor_array(int(children[groom_id]), pool_children[cand])
+        n_m = int(children[groom_id])
+        children_row = children_rows.get(n_m)
+        if children_row is None:
+            children_row = children_rows[n_m] = children_factor_array(n_m, bride_counts)
+        geo_row = hazards.geo[town_cell[house_arr[groom_id]]]
+        weights = (geo_row.take(town_cell.take(house_arr.take(pool.take(cand))))
+                   * children_row.take(pool_children.take(cand))
                    * age_compatibility_array(store.age_steps_arr[groom_id] / n, pool_ages[cand]))
-        if float(weights.sum()) <= 0.0:
+        total = float(weights.sum())
+        if total <= 0.0:
             logger.debug("all marriage weights zero for man %d; stays single", groom_id)
             continue
-        j = int(weighted_sample(rng, cand, weights))
+        j = int(weighted_sample(rng, cand, weights, total))
         bride_id = int(pool[j])
         store.wed(groom_id, bride_id)
         _merge_households(store, space, groom_id, bride_id)

@@ -129,7 +129,7 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
             weights = age_compatibility_array(groom_years[groom_code[rank]], bride_years[codes])
         else:
             weights = rows[groom_code[rank]][codes]
-        j = int(weighted_sample(rng, cand, weights))
+        j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
         store.wed(int(selected[rank]), int(pool_ids[j]))
         live -= 1
         pool_ids[j] = pool_ids[live]

@@ -7,13 +7,24 @@ population. Towns are cells of the density grid, not objects; the
 distance between two towns is the Manhattan distance of their cells.
 
 Houses are created on demand and never removed. A house is an id into one
-NumPy array per attribute (``town_x``, ``town_y``, ``local_x``,
-``local_y``); ``residents[h]``, the set of persons living in house h, is
-the inverse of the store's ``house_arr`` and the only per-house object.
+NumPy array per attribute (``town_x``, ``town_y``, ``town_cell``,
+``local_x``, ``local_y``); ``residents[h]``, the set of persons living in
+house h, is the inverse of the store's ``house_arr`` and the only
+per-house object. ``town_cell`` numbers the town's grid cell row by row
+from 0, the index into ``cell_distances()``; it is negative for town
+(0, 0), where an import puts the houses no one lived in.
+
+Vacancies are indexed: ``vacant_by_town`` maps a town to its empty houses
+in ascending id order, so ``find_or_create_empty_house`` draws among them
+without scanning the houses. The index is built from the resident sets at
+the first lookup that meets a vacant house (so building the initial state
+pays nothing for it) and is updated from then on whenever a house turns
+empty or occupied and whenever houses are added.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -50,24 +61,40 @@ DEFAULT_TOWN_GRID_CELLS = 25  # side length of the town-internal house grid
 
 
 def load_density_map(path: str | Path) -> np.ndarray:
-    """Read a density override file: 12 lines of 8 whitespace-separated decimals."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) != GRID_ROWS:
-        raise ValueError(f"density map must have {GRID_ROWS} rows, got {len(lines)}")
+    """Read a density override file: 12 lines of 8 whitespace-separated
+    decimals in [0, 1]; blank lines are skipped."""
+    numbered = [(lineno, ln) for lineno, ln in
+                enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+    if len(numbered) != GRID_ROWS:
+        raise ValueError(f"{path}: density map must have {GRID_ROWS} rows, got {len(numbered)}")
     rows = []
-    for i, ln in enumerate(lines, start=1):
-        vals = [float(tok) for tok in ln.split()]
+    for lineno, ln in numbered:
+        try:
+            vals = [float(tok) for tok in ln.split()]
+        except ValueError as err:
+            raise ValueError(f"{path}, line {lineno}: {err}") from None
         if len(vals) != GRID_COLS:
-            raise ValueError(f"density map row {i} must have {GRID_COLS} values, got {len(vals)}")
+            raise ValueError(f"{path}, line {lineno}: density map row must have "
+                             f"{GRID_COLS} values, got {len(vals)}")
         rows.append(vals)
-    grid = np.asarray(rows, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
+    return _check_density(np.asarray(rows, dtype=float))
+
+
+def _check_density(grid: np.ndarray) -> np.ndarray:
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
         raise ValueError("density values must lie in [0, 1]")
     return grid
 
 
+def cell_distances() -> np.ndarray:
+    """Manhattan distance between every pair of grid cells, indexed by
+    ``town_cell`` codes: a (96, 96) integer matrix."""
+    x, y = np.divmod(np.arange(GRID_ROWS * GRID_COLS), GRID_COLS)
+    return np.abs(x[:, None] - x) + np.abs(y[:, None] - y)
+
+
 # Every per-house array, indexed by house id.
-_HOUSE_ARRAYS = ("town_x", "town_y", "local_x", "local_y")
+_HOUSE_ARRAYS = ("town_x", "town_y", "town_cell", "local_x", "local_y")
 
 _INITIAL_HOUSES = 1024
 
@@ -80,6 +107,7 @@ class Space:
         grid = np.asarray(DEFAULT_DENSITY if density is None else density, dtype=float)
         if grid.shape != (GRID_ROWS, GRID_COLS):
             raise ValueError(f"density grid must be {GRID_ROWS}x{GRID_COLS}")
+        _check_density(grid)
         if not np.any(grid > 0.0):
             raise ValueError("density grid has no inhabitable towns")
         if town_grid_cells < 1:
@@ -95,18 +123,14 @@ class Space:
             setattr(self, name, np.zeros(_INITIAL_HOUSES, dtype=np.int64))
         self.residents: list[set[int]] = []
         self._occupied_houses = 0
+        # Town -> vacant house ids, ascending; None until first needed.
+        self.vacant_by_town: dict[TownKey, list[HouseId]] | None = None
 
     # -- towns ---------------------------------------------------------
 
     def inhabitable(self, town: TownKey) -> bool:
         x, y = town
         return 1 <= x <= GRID_ROWS and 1 <= y <= GRID_COLS and self.density[x - 1, y - 1] > 0.0
-
-    def town_distances(self, house: HouseId, houses: np.ndarray) -> np.ndarray:
-        """Manhattan distance from the town of ``house`` to the town of
-        each of ``houses``."""
-        return (np.abs(self.town_x[houses] - self.town_x[house])
-                + np.abs(self.town_y[houses] - self.town_y[house]))
 
     # -- houses --------------------------------------------------------
 
@@ -125,8 +149,13 @@ class Space:
                 grown[:cap] = getattr(self, name)
                 setattr(self, name, grown)
         self.town_x[first:end], self.town_y[first:end] = towns.T
+        self.town_cell[first:end] = (towns[:, 0] - 1) * GRID_COLS + towns[:, 1] - 1
         self.local_x[first:end], self.local_y[first:end] = local.T
         self.residents.extend(set() for _ in range(len(towns)))
+        if self.vacant_by_town is not None:
+            # New ids exceed every listed one, so appending keeps the order.
+            for house_id, town in enumerate(map(tuple, towns.tolist()), start=first):
+                self.vacant_by_town.setdefault(town, []).append(house_id)
         return first
 
     def new_houses(self, towns, rng: Rng) -> HouseId:
@@ -148,14 +177,23 @@ class Space:
     def find_or_create_empty_house(self, town: TownKey, rng: Rng) -> HouseId:
         """A zero-occupant house in this town: uniform pick among existing
         empties in id order, or a freshly created one when none exists."""
-        n = self.house_count
-        # No vacancy anywhere: build at once instead of scanning.
-        if self._occupied_houses < n:
-            in_town = np.flatnonzero((self.town_x[:n] == town[0]) & (self.town_y[:n] == town[1]))
-            empties = [hid for hid in in_town.tolist() if not self.residents[hid]]
+        # No vacancy anywhere: build at once, without the index.
+        if self._occupied_houses < self.house_count:
+            if self.vacant_by_town is None:
+                self._index_vacancies()
+            empties = self.vacant_by_town.get(town)
             if empties:
                 return empties[int(rng.integers(len(empties)))]
         return self.new_house(town, rng)
+
+    def _index_vacancies(self) -> None:
+        n = self.house_count
+        sizes = np.fromiter(map(len, self.residents), dtype=np.int64, count=n)
+        vacant = np.flatnonzero(sizes == 0)
+        self.vacant_by_town = {}
+        for house_id, town in zip(vacant.tolist(), zip(self.town_x[vacant].tolist(),
+                                                       self.town_y[vacant].tolist())):
+            self.vacant_by_town.setdefault(town, []).append(house_id)
 
     def house_town(self, house_id: HouseId) -> TownKey:
         return int(self.town_x[house_id]), int(self.town_y[house_id])
@@ -178,6 +216,9 @@ class Space:
         residents = self.residents[house_id]
         if not residents:
             self._occupied_houses += 1
+            if self.vacant_by_town is not None:
+                empties = self.vacant_by_town[self.house_town(house_id)]
+                del empties[bisect_left(empties, house_id)]
         residents.add(person_id)
 
     def add_residents(self, house_ids: np.ndarray, person_ids: np.ndarray) -> None:
@@ -190,10 +231,16 @@ class Space:
             self.add_occupant(house_id, person_id)
 
     def remove_occupant(self, house_id: HouseId, person_id: int) -> None:
+        """Raises ValueError, changing nothing, if the person does not live
+        in the house."""
         residents = self.residents[house_id]
-        residents.discard(person_id)
+        if person_id not in residents:
+            raise ValueError(f"person {person_id} does not live in house {house_id}")
+        residents.remove(person_id)
         if not residents:
             self._occupied_houses -= 1
+            if self.vacant_by_town is not None:
+                insort(self.vacant_by_town.setdefault(self.house_town(house_id), []), house_id)
 
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:
         """Relocate an alive person; moving to the current house is a no-op."""

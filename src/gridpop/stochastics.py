@@ -102,27 +102,30 @@ def instantaneous_probability_array(p_yearly: np.ndarray, steps_per_year: int) -
     return np.clip(-np.log1p(-p) / steps_per_year, 0.0, 1.0)
 
 
-def weighted_sample(rng: Rng, items, weights):
+def weighted_sample(rng: Rng, items, weights, total: float | None = None):
     """Pick one item with probability weight_i / sum(weights).
 
     weights must be non-negative with a positive total; zero-weight items
-    are never returned.
+    are never returned. A caller that has already summed a float64 weight
+    array passes ``total`` (its ``float(weights.sum())``), and the weights
+    are then taken as valid without being checked or summed again.
     """
-    if len(items) == 0:
-        raise ValueError("weighted_sample from empty sequence")
-    if len(items) != len(weights):
-        raise ValueError("items and weights differ in length")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("negative weight")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("all weights are zero")
-    cum = np.cumsum(w)
+    if total is None:
+        if len(items) == 0:
+            raise ValueError("weighted_sample from empty sequence")
+        if len(items) != len(weights):
+            raise ValueError("items and weights differ in length")
+        weights = np.asarray(weights, dtype=float)
+        if np.any(weights < 0.0):
+            raise ValueError("negative weight")
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise ValueError("all weights are zero")
+    cum = np.cumsum(weights)
     idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
     # Guard against the draw landing exactly on the total due to rounding.
     idx = min(idx, len(items) - 1)
-    while w[idx] == 0.0:  # searchsorted may land on a trailing zero-weight slot
+    while weights[idx] == 0.0:  # searchsorted may land on a trailing zero-weight slot
         idx -= 1
     return items[idx]
 

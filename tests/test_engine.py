@@ -378,6 +378,20 @@ class TestExport:
         with pytest.raises(ValueError, match=f"person {cells[0]}: town .* house {cells[9]}"):
             import_population(path)
 
+    @pytest.mark.parametrize("town", [("13", "2"), ("4", "9"), ("0", "3")])
+    def test_town_off_the_grid_rejected(self, export_lines, town):
+        path, lines = export_lines
+        rows = [ln.split(" ") for ln in lines if not ln.startswith("#")]
+        first = next(c for c in rows if c[9].isdigit())
+        for cells in rows:
+            if cells[9] == first[9]:
+                i = lines.index(" ".join(cells))
+                cells[10:12] = town
+                lines[i] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"person {first[0]}: town .* lies off the 12x8 grid"):
+            import_population(path)
+
     def test_wrong_field_count(self, export_lines):
         path, lines = export_lines
         lines[5] = lines[5].rsplit(" ", 1)[0]

@@ -1,5 +1,7 @@
 """Contracts and invariants of the person store: spawn, wed, unwed, kill."""
 
+from bisect import insort
+
 import pytest
 
 from conftest import housed
@@ -224,7 +226,8 @@ class TestRandomWalkInvariants:
 
 def corruptible_state():
     """A married couple with a daughter in one house, a single man in
-    another, and a dead widow; every invariant holds."""
+    another, and a dead widow whose house stands vacant, all in town
+    (4, 3); the vacancy index is built and every invariant holds."""
     store, space = PopulationStore(12), Space()
     dad = housed(store, space, Gender.MALE, 40)
     home = store.persons[dad].house
@@ -233,8 +236,12 @@ def corruptible_state():
     kid = housed(store, space, Gender.FEMALE, 10, house=home, father=dad, mother=mum)
     single = housed(store, space, Gender.MALE, 30)
     widow = housed(store, space, Gender.FEMALE, 80)
+    vacant = store.persons[widow].house
     store.kill(widow, space)
-    return store, space, dict(dad=dad, mum=mum, kid=kid, single=single, widow=widow)
+    # The first lookup that meets a vacancy builds the index.
+    assert space.find_or_create_empty_house((4, 3), make_rng(0)) == vacant
+    return store, space, dict(dad=dad, mum=mum, kid=kid, single=single, widow=widow,
+                              vacant=vacant)
 
 
 def _set(array, pid, value):
@@ -272,6 +279,16 @@ CORRUPTIONS = {
     "ancestry cycle": (
         lambda s, sp, p: _set(s.mother_arr, p["mum"], p["kid"]),
         "ancestry cycle"),
+    "vacant house missing from the vacancy index": (
+        lambda s, sp, p: sp.vacant_by_town[(4, 3)].remove(p["vacant"]),
+        "house {vacant}: vacant but missing from the vacancy list of town (4, 3)"),
+    "occupied house in the vacancy index": (
+        lambda s, sp, p: insort(sp.vacant_by_town[(4, 3)], int(s.house_arr[p["dad"]])),
+        "house {home}: occupied but listed vacant"),
+    "vacancy list out of id order": (
+        # A second vacant house, then the town's two vacancies reversed.
+        lambda s, sp, p: (sp.new_house((4, 3), make_rng(1)), sp.vacant_by_town[(4, 3)].reverse()),
+        "town (4, 3): vacancy list not in ascending id order"),
 }
 
 

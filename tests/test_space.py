@@ -5,16 +5,26 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import housed
 from gridpop.initialization import init_town_populations
-from gridpop.population import Gender, PopulationStore
+from gridpop.population import (
+    MARRIED_CODE,
+    Gender,
+    PopulationStore,
+    UnwedReason,
+    collect_invariant_violations,
+)
 from gridpop.space import (
     DEFAULT_DENSITY,
     DEFAULT_TOWN_GRID_CELLS,
     GRID_COLS,
     GRID_ROWS,
     Space,
+    cell_distances,
     load_density_map,
 )
 from gridpop.stochastics import make_rng
@@ -48,26 +58,48 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             load_density_map(bad)
 
+    def test_non_numeric_value_names_the_line(self, tmp_path):
+        path = tmp_path / "density.txt"
+        rows = [" ".join(str(v) for v in row) for row in DEFAULT_DENSITY]
+        rows[11] = "0.0 0.2 x 0.0 0.0 0.0 0.0 0.0"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"density\.txt, line 12: .*'x'"):
+            load_density_map(path)
+
+    @pytest.mark.parametrize("value", [-0.5, 3.0])
+    def test_constructor_rejects_values_outside_unit_interval(self, value):
+        grid = np.asarray(DEFAULT_DENSITY)
+        grid[0, 0] = value
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            Space(density=grid)
+
+
+def town_distances(sp, house, houses):
+    """Distances from the town of ``house`` to the towns of ``houses`` as
+    marriages_step reads them: cell_distances() by Space.town_cell."""
+    return cell_distances()[sp.town_cell[house], sp.town_cell[houses]]
+
 
 class TestManhattanDistance:
-    """Space.town_distances, the distance of the marriage geo factor."""
+    """cell_distances through Space.town_cell, the distance of the marriage
+    geo factor."""
 
     def test_same_town(self, rng):
         sp = Space()
         houses = np.array([sp.new_house((5, 5), rng) for _ in range(3)])
-        assert sp.town_distances(houses[0], houses).tolist() == [0, 0, 0]
+        assert town_distances(sp, houses[0], houses).tolist() == [0, 0, 0]
 
     def test_corners(self, rng):
         sp = Space(density=np.ones((GRID_ROWS, GRID_COLS)))
         a, b = sp.new_house((1, 1), rng), sp.new_house((12, 8), rng)
-        assert sp.town_distances(a, np.array([b])).tolist() == [11 + 7] == [18]
+        assert town_distances(sp, a, np.array([b])).tolist() == [11 + 7] == [18]
 
     def test_symmetric_over_all_inhabitable_pairs(self, space, rng):
         towns = space.inhabitable_towns
         first = space.new_houses(towns, rng)
         houses = np.arange(first, first + len(towns))
         for h, (x, y) in zip(houses.tolist(), towns):
-            got = space.town_distances(h, houses).tolist()
+            got = town_distances(space, h, houses).tolist()
             assert got == [abs(x - tx) + abs(y - ty) for tx, ty in towns]
             assert min(got) == 0
 
@@ -145,6 +177,26 @@ class TestHouses:
         with pytest.raises(ValueError):
             sp.new_house((1, 1), rng)
 
+    def test_removing_a_non_resident_raises(self, rng):
+        sp = Space()
+        house = sp.new_house((4, 3), rng)
+        sp.add_occupant(house, 7)
+        sp.remove_occupant(house, 7)
+        assert sp.find_or_create_empty_house((4, 3), rng) == house  # builds the index
+        with pytest.raises(ValueError, match="person 7 does not live in house"):
+            sp.remove_occupant(house, 7)
+        assert sp.occupied_house_count == 0
+        assert sp.residents == [set()]
+        assert sp.vacant_by_town == {(4, 3): [house]}
+
+    def test_vacancy_index_built_at_first_vacant_lookup(self, rng):
+        sp = Space()
+        first = sp.new_houses([(4, 3), (8, 4), (4, 3)], rng)
+        assert sp.vacant_by_town is None
+        sp.add_occupant(first, 0)
+        assert sp.find_or_create_empty_house((4, 3), rng) == first + 2
+        assert sp.vacant_by_town == {(4, 3): [first + 2], (8, 4): [first + 1]}
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_houses_and_draws_as_town_scan(self, seed):
         scan_found, scan_state = _drive(_TownScan(), seed)
@@ -188,6 +240,14 @@ class _TownScan:
     def kill(self, pid):
         self.residents[self.home[pid]].discard(pid)
 
+    def build(self, towns, rng):
+        """New houses in the towns, their coordinates drawn as
+        Space.new_houses draws them."""
+        rng.integers(1, DEFAULT_TOWN_GRID_CELLS + 1, size=(len(towns), 2))
+        for town in towns:
+            self.town_houses[town].append(len(self.residents))
+            self.residents.append(set())
+
 
 class _Arrays:
     """The same four operations on Space and PopulationStore."""
@@ -226,6 +286,98 @@ def _drive(side, seed, ops=600):
         else:
             alive.append(side.arrive(house))
     return found, rng.bit_generator.state
+
+
+MACHINE_TOWNS = [(4, 3), (8, 4), (10, 6)]
+
+
+class SpaceMachine(RuleBasedStateMachine):
+    """Random sequences of the store's and the space's mutators. After each
+    step the sweep finds nothing and the cached counters equal a fresh
+    count; every lookup returns the house _TownScan returns and leaves the
+    model stream where _TownScan leaves its own."""
+
+    def __init__(self):
+        super().__init__()
+        self.store, self.space, self.ref = PopulationStore(12), Space(), _TownScan()
+        self.rng, self.ref_rng = make_rng(5), make_rng(5)
+
+    def pick(self, data, mask):
+        ids = np.flatnonzero(mask[:self.store.size]).tolist()
+        return data.draw(st.sampled_from(ids)) if ids else None
+
+    def adults(self, male):
+        s = self.store
+        return (s.alive_arr & (s.male_arr == male) & (s.status_arr != MARRIED_CODE)
+                & (s.age_steps_arr >= s.adult_age_steps))
+
+    @rule(town=st.sampled_from(MACHINE_TOWNS))
+    def find_or_create_empty_house(self, town):
+        house = self.space.find_or_create_empty_house(town, self.rng)
+        assert house == self.ref.find(town, self.ref_rng)
+        assert self.rng.bit_generator.state == self.ref_rng.bit_generator.state
+
+    @rule(towns=st.lists(st.sampled_from(MACHINE_TOWNS), min_size=1, max_size=3))
+    def new_houses(self, towns):
+        assert self.space.new_houses(towns, self.rng) == len(self.ref.residents)
+        self.ref.build(towns, self.ref_rng)
+
+    @rule(data=st.data(), male=st.booleans(), years=st.sampled_from([5, 20, 40, 70]),
+          with_parents=st.booleans())
+    def spawn_person(self, data, male, years, with_parents):
+        if self.space.house_count == 0:
+            return
+        house = data.draw(st.integers(0, self.space.house_count - 1))
+        s = self.store
+        mother = father = None
+        if with_parents:
+            mother = self.pick(data, s.alive_arr & ~s.male_arr & (s.status_arr == MARRIED_CODE))
+        if mother is not None:
+            father = int(s.partner_arr[mother])
+        pid = s.spawn_person(Gender.MALE if male else Gender.FEMALE, years * 12,
+                             father=father, mother=mother, house=house, space=self.space)
+        assert pid == self.ref.arrive(house)
+
+    @rule(data=st.data())
+    def wed(self, data):
+        groom, bride = self.pick(data, self.adults(True)), self.pick(data, self.adults(False))
+        if groom is not None and bride is not None:
+            self.store.wed(groom, bride)
+
+    @rule(data=st.data())
+    def unwed(self, data):
+        s = self.store
+        pid = self.pick(data, s.alive_arr & (s.status_arr == MARRIED_CODE))
+        if pid is not None:
+            s.unwed(pid, UnwedReason.DIVORCE)
+
+    @rule(data=st.data())
+    def kill(self, data):
+        pid = self.pick(data, self.store.alive_arr)
+        if pid is not None:
+            self.store.kill(pid, self.space)
+            self.ref.kill(pid)
+
+    @rule(data=st.data())
+    def move_person(self, data):
+        pid = self.pick(data, self.store.alive_arr)
+        if pid is not None:
+            house = data.draw(st.integers(0, self.space.house_count - 1))
+            self.space.move_person(self.store, pid, house)
+            self.ref.move(pid, house)
+
+    @invariant()
+    def consistent(self):
+        assert collect_invariant_violations(self.store, self.space) == []
+        tallies = self.store.alive_tallies()
+        assert {name: getattr(self.store, name) for name in tallies} == tallies
+        assert self.space.occupied_house_count == sum(1 for r in self.space.residents if r)
+        assert self.space.residents == self.ref.residents
+
+
+SpaceMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40,
+                                          deadline=None)
+TestSpaceMachine = SpaceMachine.TestCase
 
 
 class TestMovePerson:

@@ -119,6 +119,15 @@ class TestWeightedSample:
         for _ in range(10_000):
             assert weighted_sample(rng, ["a", "b", "c"], [1.0, 0.0, 2.0]) != "b"
 
+    def test_given_total_draws_as_checked_path(self):
+        # Trailing zero weights exercise the step back from a zero slot.
+        weights = np.array([0.5, 0.0, 2.0, 1.5, 0.0, 0.0])
+        for seed in range(50):
+            checked, trusted = make_rng(seed), make_rng(seed)
+            assert (weighted_sample(checked, "abcdef", weights)
+                    == weighted_sample(trusted, "abcdef", weights, float(weights.sum())))
+            assert checked.bit_generator.state == trusted.bit_generator.state
+
     def test_errors(self, rng):
         with pytest.raises(ValueError):
             weighted_sample(rng, [], [])
