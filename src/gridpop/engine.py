@@ -36,7 +36,7 @@ from .population import (
     PopulationStore,
     collect_invariant_violations,
 )
-from .space import GRID_COLS, GRID_ROWS, Space, load_density_map
+from .space import GRID_COLS, GRID_ROWS, UNPLACED_CELL, Space, cell_of, load_density_map
 from .stochastics import make_rng
 
 logger = logging.getLogger(__name__)
@@ -48,6 +48,8 @@ STATISTICS_HEADER = ("time,alive,males,females,married,single,divorced,widowed,"
 EXPORT_HEADER = "# gridpop population export v1"
 EXPORT_FIELDS = ("id gender age_steps alive status partner father mother "
                  "children house town_x town_y")
+# The export's "town_x town_y" fields of each cell code.
+_TOWN_FIELDS = [f"{x} {y}" for x in range(1, GRID_ROWS + 1) for y in range(1, GRID_COLS + 1)]
 
 
 class AuditError(AssertionError):
@@ -244,13 +246,11 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
         "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
         "father_arr", "mother_arr", "house_arr")]
     # The unhoused (-1) read the last array row; their town is not written.
-    house = store.house_arr[:n]
-    columns += [space.town_x[house].tolist(), space.town_y[house].tolist(),
-                _children_cells(store)]
+    columns += [space.town_cell[store.house_arr[:n]].tolist(), _children_cells(store)]
     for pid, (male, age, alive, status, partner, father, mother, house,
-              town_x, town_y, children) in enumerate(zip(*columns)):
+              cell, children) in enumerate(zip(*columns)):
         if house >= 0:
-            where = [str(house), str(town_x), str(town_y)]
+            where = [str(house), _TOWN_FIELDS[cell]]
         else:
             where = ["-" if alive else "grave", "-", "-"]
         lines.append(" ".join([
@@ -267,7 +267,7 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
 
     House ids are kept. The export records the town of occupied houses
     only, so a house id that no one lives in is restored as a vacant house
-    in town (0, 0), off the grid.
+    whose town_cell is UNPLACED_CELL.
 
     Raises ValueError, naming the line or the person, on a malformed line,
     ids out of sequence, an alive cell other than 0 or 1, a children
@@ -333,8 +333,9 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
         raise ValueError(f"person {int(housed[off_grid[0]])}: town "
                          f"{tuple(towns[off_grid[0]].tolist())} lies off the "
                          f"{GRID_ROWS}x{GRID_COLS} grid")
+    house_cells = np.where(house_towns[:, 0] > 0, cell_of(house_towns.T), UNPLACED_CELL)
     # Exported coordinates are town-level only.
-    space.add_houses(house_towns, np.ones_like(house_towns))
+    space.add_houses(house_cells, np.ones((len(house_cells), 2), dtype=np.int64))
     space.add_residents(house[housed], housed)
     store.recount()
 

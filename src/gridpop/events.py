@@ -218,8 +218,8 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     for pid in new_adults[orphaned].tolist():
         if not np.any(store.sibling_mask(pid) & alive & (ages > ages[pid])):
             continue
-        town = space.house_town(int(store.house_arr[pid]))
-        space.move_person(store, pid, space.find_or_create_empty_house(town, rng))
+        cell = int(space.town_cell[store.house_arr[pid]])
+        space.move_person(store, pid, space.find_or_create_empty_house(cell, rng))
         log.orphan_moves.append(pid)
 
 
@@ -287,8 +287,8 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
     for pid in hits:
         wife = int(store.partner_arr[pid])
         store.unwed(pid, UnwedReason.DIVORCE)
-        town = space.house_town(int(store.house_arr[pid]))
-        space.move_person(store, pid, space.find_or_create_empty_house(town, rng))
+        cell = int(space.town_cell[store.house_arr[pid]])
+        space.move_person(store, pid, space.find_or_create_empty_house(cell, rng))
         log.divorces.append((pid, wife))
         log.divorce_moves.append(pid)
 

@@ -22,7 +22,7 @@ links never disappear and only ever gain newly created persons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from .population import (
     PopulationStore,
     STATUS_CODE,
 )
-
-if TYPE_CHECKING:
-    from .space import Space
+from .space import GRID_COLS, GRID_ROWS, Space, cell_of
 
 
 class FeatureError(Exception):
@@ -271,8 +269,9 @@ class InTown(FeatureExpr):
     def mask(self, ctx, past=False):
         # The unhoused (-1) read the last array row and are masked out.
         house = ctx.state(past).house
-        return ((house >= 0) & (ctx.space.town_x[house] == self.town[0])
-                & (ctx.space.town_y[house] == self.town[1]))
+        x, y = self.town
+        on_grid = 1 <= x <= GRID_ROWS and 1 <= y <= GRID_COLS
+        return (house >= 0) & on_grid & (ctx.space.town_cell[house] == cell_of(self.town))
 
 
 @dataclass(frozen=True)

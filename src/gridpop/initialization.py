@@ -15,8 +15,8 @@ import numpy as np
 
 from .events import age_compatibility_array
 from .params import ModelParameters
-from .population import MARRIED_CODE, PersonId, PopulationStore
-from .space import Space, TownKey
+from .population import MARRIED_CODE, PopulationStore
+from .space import Space, TownKey, cell_of
 from .stochastics import (
     DEFAULT_MAX_INITIAL_AGE_YEARS,
     ClockSpec,
@@ -28,7 +28,7 @@ from .stochastics import (
 logger = logging.getLogger(__name__)
 
 
-class InitializationError(RuntimeError):
+class InitializationError(ValueError):
     """The population cannot satisfy the initial-state guarantees."""
 
 
@@ -52,7 +52,7 @@ def init_town_populations(initial_pop: int, space: Space) -> dict[TownKey, int]:
     return {k: int(c) for k, c in zip(towns, counts)}
 
 
-def init_ages_and_genders(store: PopulationStore, pids: list[PersonId],
+def init_ages_and_genders(store: PopulationStore, pids: np.ndarray,
                           clock: ClockSpec, rng: Rng,
                           max_age_years: float = DEFAULT_MAX_INITIAL_AGE_YEARS) -> None:
     """Assign half-normal ages and fair-coin genders to freshly spawned persons."""
@@ -204,14 +204,14 @@ def _wed_oldest_single_pair(store: PopulationStore) -> None:
     store.wed(groom, bride)
 
 
-def init_housing(store: PopulationStore, space: Space,
-                 town_of: dict[PersonId, TownKey], rng: Rng) -> None:
+def init_housing(store: PopulationStore, space: Space, cells: np.ndarray, rng: Rng) -> None:
     """House everyone: singles alone in their town, families with the husband.
 
     The space must have no vacant house, so every household head (each
     married man and each unmarried adult) gets a new house in their town,
-    in id order, and the initial house set has no vacancies. Raises
-    ValueError if a house stands vacant or anyone is housed already.
+    ``cells[head]``, in id order, and the initial house set has no
+    vacancies. Raises ValueError if a house stands vacant or anyone is
+    housed already.
     """
     if space.occupied_house_count < space.house_count:
         raise ValueError("init_housing needs a space without vacant houses")
@@ -222,7 +222,7 @@ def init_housing(store: PopulationStore, space: Space,
     married = store.status_arr[:n] == MARRIED_CODE
     adult = store.age_steps_arr[:n] >= store.adult_age_steps
     heads = np.flatnonzero((male & married) | (~married & adult))
-    first = space.new_houses([town_of[pid] for pid in heads.tolist()], rng)
+    first = space.new_houses(cells[heads], rng)
     store.house_arr[heads] = np.arange(first, first + len(heads))
     # Wives join their husband, minors their father.
     dependents = np.flatnonzero((~male & married) | (~married & ~adult))
@@ -234,23 +234,22 @@ def init_housing(store: PopulationStore, space: Space,
 def build_initial_state(store: PopulationStore, space: Space,
                         params: ModelParameters, clock: ClockSpec, rng: Rng,
                         max_initial_age: float = DEFAULT_MAX_INITIAL_AGE_YEARS,
-                        ) -> dict[PersonId, TownKey]:
+                        ) -> np.ndarray:
     """Run the full initialization pipeline on a fresh store.
 
-    Returns the density-weighted town each person was placed in. Families
-    consolidate into the husband's town during housing, so final per-town
-    headcounts deviate from this placement by the relocated dependents.
+    Returns each person's density-weighted town as a cell code, by id.
+    Families consolidate into the husband's town during housing, so final
+    per-town headcounts deviate from this by the relocated dependents.
     """
     if len(store) != 0:
         raise ValueError("initialization requires an empty store")
     targets = init_town_populations(params.initial_pop, space)
-    first = store.add_rows(params.initial_pop)
-    pids = list(range(first, store.size))
-    store.alive_arr[pids] = True
-    towns = [town for town in space.inhabitable_towns for _ in range(targets[town])]
-    town_of = dict(zip(pids, towns))
-    init_ages_and_genders(store, pids, clock, rng, max_age_years=max_initial_age)
+    store.add_rows(params.initial_pop)
+    store.alive_arr[:store.size] = True
+    cells = np.repeat([cell_of(town) for town in targets], list(targets.values()))
+    init_ages_and_genders(store, np.arange(store.size), clock, rng,
+                          max_age_years=max_initial_age)
     init_partnerships(store, params, rng)
     init_children(store, rng)
-    init_housing(store, space, town_of, rng)
-    return town_of
+    init_housing(store, space, cells, rng)
+    return cells

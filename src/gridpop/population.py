@@ -10,7 +10,7 @@ The state of all persons is one NumPy array per attribute, indexed by id
 ``house_arr``, ``partner_arr``, ``father_arr``, ``mother_arr``; -1 means
 none). The events gather whole subpopulations from them. Children and
 towns are not stored: they are derived from the parent arrays and from
-the house arrays of ``Space``. ``store.persons`` is a read-only mapping
+``Space.town_cell`` of the house. ``store.persons`` is a read-only mapping
 of ``Person`` views over the rows, for code that works one person at a
 time.
 
@@ -444,36 +444,32 @@ def collect_invariant_violations(store: PopulationStore, space: "Space") -> list
     if len(occ_pid) != alive_total:
         problems.append(f"occupancy bijection broken: {len(occ_pid)} occupants vs {alive_total} alive")
 
-    # The vacancy index, once built: each town's empty houses, ascending.
-    index = space.vacant_by_town
-    if index is not None:
-        towns = list(index)
-        lengths = [len(empties) for empties in index.values()]
-        listed = np.fromiter(chain.from_iterable(index.values()), dtype=np.int64,
-                             count=sum(lengths))
-        owner = np.repeat(np.arange(len(towns)), lengths)
-        unordered = (owner[1:] == owner[:-1]) & (listed[1:] <= listed[:-1])
-        for i in dict.fromkeys(owner[1:][unordered].tolist()):
-            problems.append(f"town {towns[i]}: vacancy list not in ascending id order")
-        exists = (listed >= 0) & (listed < space.house_count)
-        for i in np.flatnonzero(~exists).tolist():
-            problems.append(f"town {towns[owner[i]]}: vacancy list names unknown house {listed[i]}")
-        listed, owner = listed[exists], owner[exists]
-        town_of_list = np.array(towns, dtype=np.int64).reshape(-1, 2)[owner]
-        here = ((space.town_x[listed] == town_of_list[:, 0])
-                & (space.town_y[listed] == town_of_list[:, 1]))
-        for i in np.flatnonzero(~here).tolist():
-            hid = int(listed[i])
-            problems.append(f"house {hid}: in the vacancy list of town {towns[owner[i]]}, "
-                            f"lies in town {space.house_town(hid)}")
-        vacant = np.bincount(occ_house, minlength=space.house_count) == 0
-        for hid in listed[~vacant[listed]].tolist():
-            problems.append(f"house {hid}: occupied but listed vacant")
-        indexed = np.zeros(space.house_count, dtype=bool)
-        indexed[listed[here]] = True
-        for hid in np.flatnonzero(vacant & ~indexed).tolist():
-            problems.append(f"house {hid}: vacant but missing from the vacancy list "
-                            f"of town {space.house_town(hid)}")
+    # The vacancy index: each cell's empty houses, ascending.
+    index = space.vacant_by_cell
+    lengths = [len(empties) for empties in index.values()]
+    listed = np.fromiter(chain.from_iterable(index.values()), dtype=np.int64,
+                         count=sum(lengths))
+    # The cell code of the list each id is in.
+    owner = np.repeat(np.fromiter(index, dtype=np.int64, count=len(index)), lengths)
+    unordered = (owner[1:] == owner[:-1]) & (listed[1:] <= listed[:-1])
+    for cell in dict.fromkeys(owner[1:][unordered].tolist()):
+        problems.append(f"cell {cell}: vacancy list not in ascending id order")
+    exists = (listed >= 0) & (listed < space.house_count)
+    for i in np.flatnonzero(~exists).tolist():
+        problems.append(f"cell {owner[i]}: vacancy list names unknown house {listed[i]}")
+    listed, owner = listed[exists], owner[exists]
+    here = space.town_cell[listed] == owner
+    for hid, cell in zip(listed[~here].tolist(), owner[~here].tolist()):
+        problems.append(f"house {hid}: in the vacancy list of cell {cell}, "
+                        f"lies in cell {space.town_cell[hid]}")
+    vacant = np.bincount(occ_house, minlength=space.house_count) == 0
+    for hid in listed[~vacant[listed]].tolist():
+        problems.append(f"house {hid}: occupied but listed vacant")
+    indexed = np.zeros(space.house_count, dtype=bool)
+    indexed[listed[here]] = True
+    for hid in np.flatnonzero(vacant & ~indexed).tolist():
+        problems.append(f"house {hid}: vacant but missing from the vacancy list "
+                        f"of cell {space.town_cell[hid]}")
 
     # Kinship acyclicity by peeling: drop everyone who is no remaining
     # person's parent until nothing drops; what remains is a cycle and

@@ -3,23 +3,20 @@
 Towns live on a fixed 12x8 grid (row 1 is northernmost, column 1
 westernmost). A built-in density grid marks 48 of the 96 cells as
 inhabited; the density weights set each town's share of the initial
-population. Towns are cells of the density grid, not objects; the
-distance between two towns is the Manhattan distance of their cells.
+population. Towns are cells of the density grid, not objects: users name
+a town (x, y), the code records it as its cell numbered row by row from 0
+(``cell_of``, ``town_at``), the index into ``cell_distances()``.
 
 Houses are created on demand and never removed. A house is an id into one
-NumPy array per attribute (``town_x``, ``town_y``, ``town_cell``,
-``local_x``, ``local_y``); ``residents[h]``, the set of persons living in
-house h, is the inverse of the store's ``house_arr`` and the only
-per-house object. ``town_cell`` numbers the town's grid cell row by row
-from 0, the index into ``cell_distances()``; it is negative for town
-(0, 0), where an import puts the houses no one lived in.
+NumPy array per attribute (``town_cell``, ``local_x``, ``local_y``);
+``town_cell`` is the only record of its town (``UNPLACED_CELL`` for a
+house an import restores without one). ``residents[h]``, the set of
+persons living in house h, is the inverse of the store's ``house_arr``.
 
-Vacancies are indexed: ``vacant_by_town`` maps a town to its empty houses
-in ascending id order, so ``find_or_create_empty_house`` draws among them
-without scanning the houses. The index is built from the resident sets at
-the first lookup that meets a vacant house (so building the initial state
-pays nothing for it) and is updated from then on whenever a house turns
-empty or occupied and whenever houses are added.
+``vacant_by_cell`` maps a cell code to its empty houses in ascending id
+order, so ``find_or_create_empty_house`` draws among them without a scan.
+It is current from the constructor on; the bulk ``add_residents``
+rebuilds it, and the occupied count, in one pass over the houses.
 """
 
 from __future__ import annotations
@@ -59,6 +56,21 @@ HouseId = int
 
 DEFAULT_TOWN_GRID_CELLS = 25  # side length of the town-internal house grid
 
+# The town_cell of an imported house that no one lived in: no grid cell.
+UNPLACED_CELL = -1
+
+
+def cell_of(town):
+    """The cell code of a grid town (x, y), or of a pair of x and y arrays."""
+    x, y = town
+    return (x - 1) * GRID_COLS + y - 1
+
+
+def town_at(cell: int) -> TownKey:
+    """The grid town (x, y) of a cell code."""
+    x, y = divmod(int(cell), GRID_COLS)
+    return x + 1, y + 1
+
 
 def load_density_map(path: str | Path) -> np.ndarray:
     """Read a density override file: 12 lines of 8 whitespace-separated
@@ -94,7 +106,7 @@ def cell_distances() -> np.ndarray:
 
 
 # Every per-house array, indexed by house id.
-_HOUSE_ARRAYS = ("town_x", "town_y", "town_cell", "local_x", "local_y")
+_HOUSE_ARRAYS = ("town_cell", "local_x", "local_y")
 
 _INITIAL_HOUSES = 1024
 
@@ -123,24 +135,18 @@ class Space:
             setattr(self, name, np.zeros(_INITIAL_HOUSES, dtype=np.int64))
         self.residents: list[set[int]] = []
         self._occupied_houses = 0
-        # Town -> vacant house ids, ascending; None until first needed.
-        self.vacant_by_town: dict[TownKey, list[HouseId]] | None = None
-
-    # -- towns ---------------------------------------------------------
-
-    def inhabitable(self, town: TownKey) -> bool:
-        x, y = town
-        return 1 <= x <= GRID_ROWS and 1 <= y <= GRID_COLS and self.density[x - 1, y - 1] > 0.0
+        # Cell code -> vacant house ids, ascending.
+        self.vacant_by_cell: dict[int, list[HouseId]] = {}
 
     # -- houses --------------------------------------------------------
 
-    def add_houses(self, towns: np.ndarray, local: np.ndarray) -> HouseId:
-        """Register empty houses, one per row of the (h, 2) arrays of towns
-        and local coordinates, with ids in sequence; returns the first.
-        The house arrays grow by doubling."""
+    def add_houses(self, cells: np.ndarray, local: np.ndarray) -> HouseId:
+        """Register empty houses, one per cell code and (h, 2) row of local
+        coordinates, with ids in sequence; returns the first. The house
+        arrays grow by doubling."""
         first = len(self.residents)
-        end = first + len(towns)
-        cap = new_cap = len(self.town_x)
+        end = first + len(cells)
+        cap = new_cap = len(self.town_cell)
         if end > cap:
             while new_cap < end:
                 new_cap *= 2
@@ -148,55 +154,43 @@ class Space:
                 grown = np.zeros(new_cap, dtype=np.int64)
                 grown[:cap] = getattr(self, name)
                 setattr(self, name, grown)
-        self.town_x[first:end], self.town_y[first:end] = towns.T
-        self.town_cell[first:end] = (towns[:, 0] - 1) * GRID_COLS + towns[:, 1] - 1
+        self.town_cell[first:end] = cells
         self.local_x[first:end], self.local_y[first:end] = local.T
-        self.residents.extend(set() for _ in range(len(towns)))
-        if self.vacant_by_town is not None:
-            # New ids exceed every listed one, so appending keeps the order.
-            for house_id, town in enumerate(map(tuple, towns.tolist()), start=first):
-                self.vacant_by_town.setdefault(town, []).append(house_id)
+        self.residents.extend(set() for _ in range(len(cells)))
+        # New ids exceed every listed one, so appending keeps the order.
+        for house_id, cell in enumerate(self.town_cell[first:end].tolist(), start=first):
+            self.vacant_by_cell.setdefault(cell, []).append(house_id)
         return first
 
-    def new_houses(self, towns, rng: Rng) -> HouseId:
-        """Create empty houses in the towns, a sequence of (x, y) pairs,
-        each at uniform coordinates inside its town (x then y, house by
-        house); returns the first id. Raises ValueError, drawing nothing,
-        if a town is not inhabitable."""
-        towns = np.asarray(towns, dtype=np.int64).reshape(-1, 2)
-        for town in dict.fromkeys(map(tuple, towns.tolist())):
-            if not self.inhabitable(town):
-                raise ValueError(f"town {town} is not inhabitable")
-        local = rng.integers(1, self.town_grid_cells + 1, size=towns.shape)
-        return self.add_houses(towns, local)
+    def new_houses(self, cells, rng: Rng) -> HouseId:
+        """Create empty houses in the towns of one or more cell codes, each at
+        uniform coordinates in its town (x then y, house by house); returns
+        the first id. Raises ValueError, drawing nothing, on a code off the
+        grid or of an uninhabitable town."""
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1)
+        off_grid = (cells < 0) | (cells >= GRID_ROWS * GRID_COLS)
+        if off_grid.any():
+            raise ValueError(f"cell {int(cells[np.argmax(off_grid)])} lies off the "
+                             f"{GRID_ROWS}x{GRID_COLS} grid")
+        empty = self.density.ravel()[cells] == 0.0
+        if empty.any():
+            raise ValueError(f"town {town_at(cells[np.argmax(empty)])} is not inhabitable")
+        local = rng.integers(1, self.town_grid_cells + 1, size=(len(cells), 2))
+        return self.add_houses(cells, local)
 
-    def new_house(self, town: TownKey, rng: Rng) -> HouseId:
-        """Create an empty house at uniform coordinates inside the town."""
-        return self.new_houses([town], rng)
+    def find_or_create_empty_house(self, cell: int, rng: Rng) -> HouseId:
+        """A zero-occupant house in this cell's town: uniform pick among
+        existing empties in id order, or a freshly created one when none
+        exists."""
+        empties = self.vacant_by_cell.get(cell)
+        if empties:
+            return empties[int(rng.integers(len(empties)))]
+        return self.new_houses(cell, rng)
 
-    def find_or_create_empty_house(self, town: TownKey, rng: Rng) -> HouseId:
-        """A zero-occupant house in this town: uniform pick among existing
-        empties in id order, or a freshly created one when none exists."""
-        # No vacancy anywhere: build at once, without the index.
-        if self._occupied_houses < self.house_count:
-            if self.vacant_by_town is None:
-                self._index_vacancies()
-            empties = self.vacant_by_town.get(town)
-            if empties:
-                return empties[int(rng.integers(len(empties)))]
-        return self.new_house(town, rng)
-
-    def _index_vacancies(self) -> None:
-        n = self.house_count
-        sizes = np.fromiter(map(len, self.residents), dtype=np.int64, count=n)
-        vacant = np.flatnonzero(sizes == 0)
-        self.vacant_by_town = {}
-        for house_id, town in zip(vacant.tolist(), zip(self.town_x[vacant].tolist(),
-                                                       self.town_y[vacant].tolist())):
-            self.vacant_by_town.setdefault(town, []).append(house_id)
-
-    def house_town(self, house_id: HouseId) -> TownKey:
-        return int(self.town_x[house_id]), int(self.town_y[house_id])
+    def house_town(self, house_id: HouseId) -> TownKey | None:
+        """The grid town (x, y) of the house; None for an unplaced house."""
+        cell = int(self.town_cell[house_id])
+        return None if cell == UNPLACED_CELL else town_at(cell)
 
     def require_house(self, house_id: HouseId) -> None:
         if not 0 <= house_id < self.house_count:
@@ -216,19 +210,25 @@ class Space:
         residents = self.residents[house_id]
         if not residents:
             self._occupied_houses += 1
-            if self.vacant_by_town is not None:
-                empties = self.vacant_by_town[self.house_town(house_id)]
-                del empties[bisect_left(empties, house_id)]
+            empties = self.vacant_by_cell[int(self.town_cell[house_id])]
+            del empties[bisect_left(empties, house_id)]
         residents.add(person_id)
 
     def add_residents(self, house_ids: np.ndarray, person_ids: np.ndarray) -> None:
         """Register each person as an occupant of the house at the same
-        position; callers write the store's house_arr themselves."""
+        position, then rebuild the vacancy index and the occupied count;
+        callers write the store's house_arr themselves."""
         bad = (house_ids < 0) | (house_ids >= self.house_count)
         if bad.any():
             raise ValueError(f"house {int(house_ids[np.argmax(bad)])} does not exist")
         for house_id, person_id in zip(house_ids.tolist(), person_ids.tolist()):
-            self.add_occupant(house_id, person_id)
+            self.residents[house_id].add(person_id)
+        sizes = np.fromiter(map(len, self.residents), dtype=np.int64, count=self.house_count)
+        vacant = np.flatnonzero(sizes == 0)
+        self._occupied_houses = self.house_count - len(vacant)
+        self.vacant_by_cell = {}
+        for house_id, cell in zip(vacant.tolist(), self.town_cell[vacant].tolist()):
+            self.vacant_by_cell.setdefault(cell, []).append(house_id)
 
     def remove_occupant(self, house_id: HouseId, person_id: int) -> None:
         """Raises ValueError, changing nothing, if the person does not live
@@ -239,8 +239,7 @@ class Space:
         residents.remove(person_id)
         if not residents:
             self._occupied_houses -= 1
-            if self.vacant_by_town is not None:
-                insort(self.vacant_by_town.setdefault(self.house_town(house_id), []), house_id)
+            insort(self.vacant_by_cell.setdefault(int(self.town_cell[house_id]), []), house_id)
 
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:
         """Relocate an alive person; moving to the current house is a no-op."""

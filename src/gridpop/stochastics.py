@@ -140,10 +140,13 @@ def sample_half_normal_age_steps(
 
     The half-normal has mean 25*sqrt(2/pi) ~ 19.95 years. Draws at or above
     max_age_years are redrawn (the unbounded tail admits unrealistic ages
-    with tiny probability).
+    with tiny probability). A cap below one step fails before any draw.
     """
     n = clock.steps_per_year
     cap_steps = int(max_age_years * n)
+    if cap_steps < 1:
+        raise ValueError(f"maxInitialAge {max_age_years} years is shorter than "
+                         f"one step of the {clock.kind} clock ({n} steps per year)")
     out = np.abs(np.floor(rng.normal(0.0, 25.0 * n, size=size))).astype(np.int64)
     while True:
         over = out >= cap_steps

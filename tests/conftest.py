@@ -3,7 +3,7 @@
 import pytest
 
 from gridpop.population import Gender, PopulationStore
-from gridpop.space import Space
+from gridpop.space import Space, cell_of
 from gridpop.stochastics import make_rng
 
 
@@ -28,6 +28,6 @@ def housed(store: PopulationStore, space: Space, gender: Gender, age_years: floa
     """Spawn an alive person with a house (fresh one in `town` unless given)."""
     rng = rng or make_rng(0)
     if house is None:
-        house = space.new_house(town, rng)
+        house = space.new_houses(cell_of(town), rng)
     age_steps = round(age_years * store.steps_per_year)
     return store.spawn_person(gender, age_steps, house=house, space=space, **kwargs)

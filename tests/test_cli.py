@@ -1,12 +1,26 @@
 """CLI behavior: subcommands, precedence, determinism, replicates, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gridpop
 from gridpop.cli import main
 
 
 def run_cli(args):
     return main(args)
+
+
+def run_process(args, timeout=60):
+    """The CLI in a child process, so that a hang fails by the timeout and
+    an uncaught exception shows as a traceback on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gridpop.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "gridpop.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestExportDefaults:
@@ -86,6 +100,15 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["2", "4"])
+    def test_unbuildable_initial_state_is_an_input_error(self, tmp_path, seed):
+        # One person, a minor: no married couple can parent them.
+        done = run_process(["run", "--initial-pop", "1", "--seed", seed, "--dt", "monthly",
+                            "--tfinal", "2021", "--out", str(tmp_path / "out")])
+        assert done.returncode == 1
+        assert done.stderr.strip() == ("error: minors present but no married couple "
+                                       "can be formed")
+
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["run", "--frobnicate"])
@@ -131,3 +154,11 @@ class TestValidate:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("startMarriedRate = 7\n")
         assert run_cli(["validate", "--config", str(cfg)]) == 1
+
+    def test_max_initial_age_below_one_step_rejected(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("initialPop = 300\nclock = monthly\nmaxInitialAge = 0.05\n")
+        done = run_process(["validate", "--config", str(cfg)], timeout=20)
+        assert done.returncode == 1
+        assert done.stderr.strip() == ("error: maxInitialAge 0.05 years is shorter than one "
+                                       "step of the monthly clock (12 steps per year)")

@@ -32,7 +32,7 @@ from gridpop.population import (
     UnwedReason,
     collect_invariant_violations,
 )
-from gridpop.space import Space
+from gridpop.space import Space, cell_of
 from gridpop.stochastics import ClockSpec, instantaneous_probability_array, make_rng
 
 PARAMS = ModelParameters()
@@ -207,7 +207,7 @@ class TestHazardTables:
         def run(cap):
             monkeypatch.setattr("gridpop.events.DEATH_TABLE_CAP", cap)
             store, space, rng = PopulationStore(n), Space(), make_rng(9)
-            house = space.new_house((4, 3), rng)
+            house = space.new_houses(cell_of((4, 3)), rng)
             for i in range(400):
                 store.spawn_person(Gender.MALE if i % 3 else Gender.FEMALE,
                                    int(rng.integers(15 * n, 90 * n)), house=house, space=space)
@@ -287,7 +287,7 @@ class TestDeaths:
         params = ModelParameters(base_die_rate=0.5, male_age_die_prob=0.0,
                                  female_age_die_prob=0.0)
         store, space, rng, log = fresh()
-        house = space.new_house((4, 3), rng)
+        house = space.new_houses(cell_of((4, 3)), rng)
         for i in range(4000):
             store.spawn_person(Gender.MALE if i % 2 else Gender.FEMALE, 30 * 12,
                                house=house, space=space)
@@ -385,7 +385,7 @@ class TestBirths:
         rng = make_rng(5)
         store, space = PopulationStore(12), Space()
         couples = []
-        house = space.new_house((4, 3), rng)
+        house = space.new_houses(cell_of((4, 3)), rng)
         for _ in range(3000):
             m = store.spawn_person(Gender.MALE, 32 * 12, house=house, space=space)
             f = store.spawn_person(Gender.FEMALE, 30 * 12, house=house, space=space)

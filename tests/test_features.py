@@ -22,12 +22,13 @@ from gridpop.features import (
     StepSnapshot,
     age_over,
     in_house,
+    in_town,
     just,
     pre,
     subpopulation,
 )
 from gridpop.population import Gender, PopulationStore, UnwedReason
-from gridpop.space import Space
+from gridpop.space import Space, cell_of
 from gridpop.stochastics import make_rng
 
 
@@ -284,10 +285,30 @@ class TestTemporalOperators:
         store, space, m, f = self.build_couple()
         old = store.persons[m].house
         snap = StepSnapshot.capture(store, space)
-        new = space.find_or_create_empty_house((4, 3), make_rng(9))
+        new = space.find_or_create_empty_house(cell_of((4, 3)), make_rng(9))
         space.move_person(store, m, new)
         assert snap.house[m] == old
         assert store.persons[m].house == new != old
         ctx = EvalContext(store, space, snap)
         assert pre(in_house(old)).mask(ctx)[m]
         assert not in_house(old).mask(ctx)[m]
+
+
+class TestInTown:
+    def test_town_read_through_the_house(self):
+        store, space = PopulationStore(12), Space()
+        a = housed(store, space, Gender.MALE, 30, town=(2, 1))
+        b = housed(store, space, Gender.FEMALE, 30, town=(4, 3))
+        c = housed(store, space, Gender.FEMALE, 30, town=(2, 1))
+        store.kill(c, space)
+        ctx = EvalContext(store, space)
+        assert in_town((2, 1)).mask(ctx).tolist() == [True, False, False]
+        assert in_town((4, 3)).mask(ctx).tolist() == [False, True, False]
+        assert [a, b, c] == [0, 1, 2]
+
+    @pytest.mark.parametrize("town", [(1, 9), (0, 0), (13, 1)])
+    def test_town_off_the_grid_matches_no_one(self, town):
+        # (1, 9) has the cell code of (2, 1), (0, 0) that of no town.
+        store, space = PopulationStore(12), Space()
+        housed(store, space, Gender.MALE, 30, town=(2, 1))
+        assert not in_town(town).mask(EvalContext(store, space)).any()

@@ -24,7 +24,7 @@ from gridpop.population import (
     PopulationStore,
     collect_invariant_violations,
 )
-from gridpop.space import Space
+from gridpop.space import Space, cell_of
 from gridpop.stochastics import ClockSpec, make_rng, weighted_sample
 
 
@@ -45,7 +45,7 @@ class TestTownQuotas:
 
     def test_zero_density_towns_get_zero(self, space):
         targets = init_town_populations(10_000, space)
-        assert all(space.inhabitable(k) for k in targets)
+        assert set(targets) <= set(space.inhabitable_towns)
         assert (1, 1) not in targets
 
     def test_proportionality(self, space):
@@ -282,14 +282,14 @@ def reference_children(store, rng):
         store.mother_arr[child] = store.partner_arr[father]
 
 
-def reference_housing(store, space, town_of, rng):
+def reference_housing(store, space, cells, rng):
     """One head at a time through the empty-house lookup, then the dependents."""
     n = store.size
     male = store.male_arr[:n]
     married = store.status_arr[:n] == MARRIED_CODE
     adult = store.age_steps_arr[:n] >= store.adult_age_steps
     for pid in np.flatnonzero((male & married) | (~married & adult)).tolist():
-        space.move_person(store, pid, space.find_or_create_empty_house(town_of[pid], rng))
+        space.move_person(store, pid, space.find_or_create_empty_house(int(cells[pid]), rng))
     for pid in np.flatnonzero((~male & married) | (~married & ~adult)).tolist():
         head = store.partner_arr[pid] if married[pid] else store.father_arr[pid]
         space.move_person(store, pid, int(store.house_arr[head]))
@@ -302,9 +302,10 @@ def staged(initial_pop, clock, seed):
     targets = init_town_populations(initial_pop, space)
     pids = list(range(store.add_rows(initial_pop), store.size))
     store.alive_arr[pids] = True
-    towns = [town for town in space.inhabitable_towns for _ in range(targets[town])]
+    cells = np.array([cell_of(town) for town in space.inhabitable_towns
+                      for _ in range(targets[town])])
     init_ages_and_genders(store, pids, clock, rng)
-    return store, space, params, dict(zip(pids, towns)), rng
+    return store, space, params, cells, rng
 
 
 def state_of(store, space, rng):
@@ -312,7 +313,7 @@ def state_of(store, space, rng):
     arrays = {name: getattr(store, name)[:n].tolist() for name in (
         "partner_arr", "father_arr", "mother_arr", "house_arr", "status_arr")}
     arrays.update({name: getattr(space, name)[:h].tolist() for name in (
-        "town_x", "town_y", "local_x", "local_y")})
+        "town_cell", "local_x", "local_y")})
     arrays["residents"] = space.residents
     arrays["tallies"] = store.alive_tallies()
     arrays["occupied"] = space.occupied_house_count
@@ -336,18 +337,18 @@ class TestBulkEqualsReference:
         (ClockSpec.weekly(), 1500, 4, False),
     ])
     def test_same_state_and_draws(self, clock, initial_pop, seed, cached):
-        store, space, params, town_of, rng = staged(initial_pop, clock, seed)
+        store, space, params, cells, rng = staged(initial_pop, clock, seed)
         distinct, subset = distinct_bride_ages_and_subset_size(store, params)
         # Both init_partnerships branches: cached weight rows, per-candidate weights.
         assert (distinct <= subset) is cached
         init_partnerships(store, params, rng)
         init_children(store, rng)
-        init_housing(store, space, town_of, rng)
+        init_housing(store, space, cells, rng)
 
         ref_store, ref_space, _, _, ref_rng = staged(initial_pop, clock, seed)
         reference_partnerships(ref_store, params, ref_rng)
         reference_children(ref_store, ref_rng)
-        reference_housing(ref_store, ref_space, town_of, ref_rng)
+        reference_housing(ref_store, ref_space, cells, ref_rng)
         ref_store.recount()
         assert state_of(store, space, rng) == state_of(ref_store, ref_space, ref_rng)
         assert collect_invariant_violations(store, space) == []
@@ -416,27 +417,29 @@ class TestBulkChecks:
         space, rng = Space(), make_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"town \(1, 1\) is not inhabitable"):
-            space.new_houses(np.array([[4, 3], [1, 1], [4, 3]]), rng)
-        with pytest.raises(ValueError, match=r"town \(13, 2\) is not inhabitable"):
-            space.new_houses(np.array([[13, 2]]), rng)
+            space.new_houses(np.array([cell_of((4, 3)), cell_of((1, 1)), cell_of((4, 3))]), rng)
+        with pytest.raises(ValueError, match=r"cell 97 lies off the 12x8 grid"):
+            space.new_houses(np.array([cell_of((13, 2))]), rng)
+        with pytest.raises(ValueError, match=r"cell -1 lies off the 12x8 grid"):
+            space.new_houses(np.array([cell_of((4, 3)), -1]), rng)
         assert space.house_count == 0 and rng.bit_generator.state == state
 
     def test_housing_rejects_uninhabitable_town(self):
-        store, space, params, town_of, rng = staged(200, ClockSpec.monthly(), 5)
+        store, space, params, cells, rng = staged(200, ClockSpec.monthly(), 5)
         init_partnerships(store, params, rng)
         init_children(store, rng)
-        town_of = dict.fromkeys(town_of, (1, 1))
+        cells[:] = cell_of((1, 1))
         with pytest.raises(ValueError, match=r"town \(1, 1\) is not inhabitable"):
-            init_housing(store, space, town_of, rng)
+            init_housing(store, space, cells, rng)
 
     def test_housing_needs_no_vacancy_and_no_one_housed(self):
-        store, space, params, town_of, rng = staged(200, ClockSpec.monthly(), 6)
+        store, space, params, cells, rng = staged(200, ClockSpec.monthly(), 6)
         init_partnerships(store, params, rng)
         init_children(store, rng)
-        space.new_house((4, 3), rng)
+        space.new_houses(cell_of((4, 3)), rng)
         with pytest.raises(ValueError, match="vacant"):
-            init_housing(store, space, town_of, rng)
+            init_housing(store, space, cells, rng)
         space.add_residents(np.array([0]), np.array([0]))
         store.house_arr[0] = 0
         with pytest.raises(ValueError, match="unhoused"):
-            init_housing(store, space, town_of, rng)
+            init_housing(store, space, cells, rng)

@@ -13,7 +13,7 @@ from gridpop.population import (
     UnwedReason,
     collect_invariant_violations,
 )
-from gridpop.space import Space
+from gridpop.space import Space, cell_of
 from gridpop.stochastics import make_rng
 
 
@@ -227,7 +227,7 @@ class TestRandomWalkInvariants:
 def corruptible_state():
     """A married couple with a daughter in one house, a single man in
     another, and a dead widow whose house stands vacant, all in town
-    (4, 3); the vacancy index is built and every invariant holds."""
+    (4, 3); every invariant holds."""
     store, space = PopulationStore(12), Space()
     dad = housed(store, space, Gender.MALE, 40)
     home = store.persons[dad].house
@@ -238,10 +238,11 @@ def corruptible_state():
     widow = housed(store, space, Gender.FEMALE, 80)
     vacant = store.persons[widow].house
     store.kill(widow, space)
-    # The first lookup that meets a vacancy builds the index.
-    assert space.find_or_create_empty_house((4, 3), make_rng(0)) == vacant
     return store, space, dict(dad=dad, mum=mum, kid=kid, single=single, widow=widow,
                               vacant=vacant)
+
+
+TOWN = cell_of((4, 3))
 
 
 def _set(array, pid, value):
@@ -280,15 +281,19 @@ CORRUPTIONS = {
         lambda s, sp, p: _set(s.mother_arr, p["mum"], p["kid"]),
         "ancestry cycle"),
     "vacant house missing from the vacancy index": (
-        lambda s, sp, p: sp.vacant_by_town[(4, 3)].remove(p["vacant"]),
-        "house {vacant}: vacant but missing from the vacancy list of town (4, 3)"),
+        lambda s, sp, p: sp.vacant_by_cell[TOWN].remove(p["vacant"]),
+        "house {vacant}: vacant but missing from the vacancy list of cell 26"),
     "occupied house in the vacancy index": (
-        lambda s, sp, p: insort(sp.vacant_by_town[(4, 3)], int(s.house_arr[p["dad"]])),
+        lambda s, sp, p: insort(sp.vacant_by_cell[TOWN], int(s.house_arr[p["dad"]])),
         "house {home}: occupied but listed vacant"),
+    "house listed under another cell": (
+        lambda s, sp, p: (sp.vacant_by_cell[TOWN].remove(p["vacant"]),
+                          sp.vacant_by_cell.setdefault(cell_of((8, 4)), []).append(p["vacant"])),
+        "house {vacant}: in the vacancy list of cell 59, lies in cell 26"),
     "vacancy list out of id order": (
         # A second vacant house, then the town's two vacancies reversed.
-        lambda s, sp, p: (sp.new_house((4, 3), make_rng(1)), sp.vacant_by_town[(4, 3)].reverse()),
-        "town (4, 3): vacancy list not in ascending id order"),
+        lambda s, sp, p: (sp.new_houses(TOWN, make_rng(1)), sp.vacant_by_cell[TOWN].reverse()),
+        "cell 26: vacancy list not in ascending id order"),
 }
 
 

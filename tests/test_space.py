@@ -23,9 +23,12 @@ from gridpop.space import (
     DEFAULT_TOWN_GRID_CELLS,
     GRID_COLS,
     GRID_ROWS,
+    UNPLACED_CELL,
     Space,
     cell_distances,
+    cell_of,
     load_density_map,
+    town_at,
 )
 from gridpop.stochastics import make_rng
 
@@ -86,17 +89,17 @@ class TestManhattanDistance:
 
     def test_same_town(self, rng):
         sp = Space()
-        houses = np.array([sp.new_house((5, 5), rng) for _ in range(3)])
+        houses = np.array([sp.new_houses(cell_of((5, 5)), rng) for _ in range(3)])
         assert town_distances(sp, houses[0], houses).tolist() == [0, 0, 0]
 
     def test_corners(self, rng):
         sp = Space(density=np.ones((GRID_ROWS, GRID_COLS)))
-        a, b = sp.new_house((1, 1), rng), sp.new_house((12, 8), rng)
+        a, b = sp.new_houses(cell_of((1, 1)), rng), sp.new_houses(cell_of((12, 8)), rng)
         assert town_distances(sp, a, np.array([b])).tolist() == [11 + 7] == [18]
 
     def test_symmetric_over_all_inhabitable_pairs(self, space, rng):
         towns = space.inhabitable_towns
-        first = space.new_houses(towns, rng)
+        first = space.new_houses([cell_of(t) for t in towns], rng)
         houses = np.arange(first, first + len(towns))
         for h, (x, y) in zip(houses.tolist(), towns):
             got = town_distances(space, h, houses).tolist()
@@ -134,32 +137,44 @@ class TestSampleTownWeighted:
             Space(density=np.zeros((12, 8)))
 
 
+TOWN = cell_of((4, 3))
+
+
+class TestCellCodes:
+    def test_row_by_row_from_zero(self):
+        assert cell_of((1, 1)) == 0
+        assert cell_of((4, 3)) == 26
+        assert cell_of((12, 8)) == GRID_ROWS * GRID_COLS - 1
+        assert [town_at(c) for c in range(GRID_ROWS * GRID_COLS)] == [
+            (x, y) for x in range(1, GRID_ROWS + 1) for y in range(1, GRID_COLS + 1)]
+
+
 class TestHouses:
     def test_reuses_existing_empty(self, rng):
         sp = Space()
-        empties = [sp.new_house((4, 3), rng) for _ in range(3)]
+        empties = [sp.new_houses(TOWN, rng) for _ in range(3)]
         for _ in range(50):
-            assert sp.find_or_create_empty_house((4, 3), rng) in empties
+            assert sp.find_or_create_empty_house(TOWN, rng) in empties
         assert sp.house_count == 3
 
     def test_uniform_among_empties(self):
         sp = Space()
         rng = make_rng(17)
-        empties = [sp.new_house((4, 3), rng) for _ in range(3)]
+        empties = [sp.new_houses(TOWN, rng) for _ in range(3)]
         counts = {h: 0 for h in empties}
         n = 30_000
         for _ in range(n):
-            counts[sp.find_or_create_empty_house((4, 3), rng)] += 1
+            counts[sp.find_or_create_empty_house(TOWN, rng)] += 1
         for h in empties:
             assert abs(counts[h] / n - 1 / 3) < 3 * math.sqrt((1 / 3) * (2 / 3) / n)
 
     def test_creates_when_none_empty(self, rng):
         sp = Space()
         store = PopulationStore(12)
-        hid = sp.new_house((4, 3), rng)
+        hid = sp.new_houses(TOWN, rng)
         housed(store, sp, Gender.MALE, 30, house=hid, rng=rng)
         before = sp.house_count
-        new = sp.find_or_create_empty_house((4, 3), rng)
+        new = sp.find_or_create_empty_house(TOWN, rng)
         assert new != hid
         assert sp.house_count == before + 1
 
@@ -167,7 +182,7 @@ class TestHouses:
         sp = Space()
         for _ in range(300):
             town = sp.inhabitable_towns[int(rng.integers(len(sp.inhabitable_towns)))]
-            hid = sp.find_or_create_empty_house(town, rng)
+            hid = sp.find_or_create_empty_house(cell_of(town), rng)
             assert sp.house_town(hid) == town
             assert 1 <= sp.local_x[hid] <= sp.town_grid_cells
             assert 1 <= sp.local_y[hid] <= sp.town_grid_cells
@@ -175,27 +190,55 @@ class TestHouses:
     def test_uninhabitable_town_rejected(self, rng):
         sp = Space()
         with pytest.raises(ValueError):
-            sp.new_house((1, 1), rng)
+            sp.new_houses(cell_of((1, 1)), rng)
 
     def test_removing_a_non_resident_raises(self, rng):
         sp = Space()
-        house = sp.new_house((4, 3), rng)
+        house = sp.new_houses(TOWN, rng)
         sp.add_occupant(house, 7)
         sp.remove_occupant(house, 7)
-        assert sp.find_or_create_empty_house((4, 3), rng) == house  # builds the index
+        assert sp.find_or_create_empty_house(TOWN, rng) == house
         with pytest.raises(ValueError, match="person 7 does not live in house"):
             sp.remove_occupant(house, 7)
         assert sp.occupied_house_count == 0
         assert sp.residents == [set()]
-        assert sp.vacant_by_town == {(4, 3): [house]}
+        assert sp.vacant_by_cell == {TOWN: [house]}
 
-    def test_vacancy_index_built_at_first_vacant_lookup(self, rng):
+    def test_vacancy_index_current_from_construction(self, rng):
         sp = Space()
-        first = sp.new_houses([(4, 3), (8, 4), (4, 3)], rng)
-        assert sp.vacant_by_town is None
+        assert sp.vacant_by_cell == {}
+        other = cell_of((8, 4))
+        first = sp.new_houses([TOWN, other, TOWN], rng)
+        assert sp.vacant_by_cell == {TOWN: [first, first + 2], other: [first + 1]}
         sp.add_occupant(first, 0)
-        assert sp.find_or_create_empty_house((4, 3), rng) == first + 2
-        assert sp.vacant_by_town == {(4, 3): [first + 2], (8, 4): [first + 1]}
+        assert sp.vacant_by_cell == {TOWN: [first + 2], other: [first + 1]}
+        assert sp.find_or_create_empty_house(TOWN, rng) == first + 2
+
+    def test_bulk_residents_rebuild_the_index_and_count(self, rng):
+        sp = Space()
+        other = cell_of((8, 4))
+        first = sp.new_houses([TOWN, other, TOWN, other], rng)
+        sp.add_occupant(first + 1, 0)
+        sp.add_residents(np.array([first + 2, first + 2, first + 3]), np.array([1, 2, 3]))
+        assert sp.residents == [set(), {0}, {1, 2}, {3}]
+        assert sp.occupied_house_count == 3
+        assert sp.vacant_by_cell == {TOWN: [first]}
+        sp.remove_occupant(first + 3, 3)
+        assert sp.vacant_by_cell == {TOWN: [first], other: [first + 3]}
+
+    def test_bulk_residents_reject_unknown_house(self, rng):
+        sp = Space()
+        sp.new_houses(TOWN, rng)
+        with pytest.raises(ValueError, match="house 1 does not exist"):
+            sp.add_residents(np.array([0, 1]), np.array([0, 1]))
+        assert sp.residents == [set()] and sp.occupied_house_count == 0
+
+    def test_unplaced_house_has_no_town(self):
+        sp = Space()
+        sp.add_houses(np.array([UNPLACED_CELL, TOWN]), np.ones((2, 2), dtype=np.int64))
+        assert sp.house_town(0) is None
+        assert sp.house_town(1) == (4, 3)
+        assert sp.vacant_by_cell == {UNPLACED_CELL: [0], TOWN: [1]}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_houses_and_draws_as_town_scan(self, seed):
@@ -271,7 +314,7 @@ def _drive(side, seed, ops=600):
     its own stream, so both sides see the same operations; returns every
     house found and the final state of the model stream."""
     rng, script = make_rng(seed), make_rng(seed + 1000)
-    towns = [(4, 3), (8, 4), (10, 6)]
+    towns = [cell_of(t) for t in [(4, 3), (8, 4), (10, 6)]]
     alive, found = [], []
     for _ in range(ops):
         op = int(script.integers(4))
@@ -288,14 +331,15 @@ def _drive(side, seed, ops=600):
     return found, rng.bit_generator.state
 
 
-MACHINE_TOWNS = [(4, 3), (8, 4), (10, 6)]
+MACHINE_CELLS = [cell_of(t) for t in [(4, 3), (8, 4), (10, 6)]]
 
 
 class SpaceMachine(RuleBasedStateMachine):
     """Random sequences of the store's and the space's mutators. After each
-    step the sweep finds nothing and the cached counters equal a fresh
-    count; every lookup returns the house _TownScan returns and leaves the
-    model stream where _TownScan leaves its own."""
+    step the sweep finds nothing, the cached counters equal a fresh count
+    and the vacancy index lists _TownScan's empty houses; every lookup
+    returns the house _TownScan returns and leaves the model stream where
+    _TownScan leaves its own."""
 
     def __init__(self):
         super().__init__()
@@ -311,13 +355,13 @@ class SpaceMachine(RuleBasedStateMachine):
         return (s.alive_arr & (s.male_arr == male) & (s.status_arr != MARRIED_CODE)
                 & (s.age_steps_arr >= s.adult_age_steps))
 
-    @rule(town=st.sampled_from(MACHINE_TOWNS))
+    @rule(town=st.sampled_from(MACHINE_CELLS))
     def find_or_create_empty_house(self, town):
         house = self.space.find_or_create_empty_house(town, self.rng)
         assert house == self.ref.find(town, self.ref_rng)
         assert self.rng.bit_generator.state == self.ref_rng.bit_generator.state
 
-    @rule(towns=st.lists(st.sampled_from(MACHINE_TOWNS), min_size=1, max_size=3))
+    @rule(towns=st.lists(st.sampled_from(MACHINE_CELLS), min_size=1, max_size=3))
     def new_houses(self, towns):
         assert self.space.new_houses(towns, self.rng) == len(self.ref.residents)
         self.ref.build(towns, self.ref_rng)
@@ -337,6 +381,21 @@ class SpaceMachine(RuleBasedStateMachine):
         pid = s.spawn_person(Gender.MALE if male else Gender.FEMALE, years * 12,
                              father=father, mother=mother, house=house, space=self.space)
         assert pid == self.ref.arrive(house)
+
+    @rule(data=st.data(), years=st.lists(st.sampled_from([5, 20, 40]), min_size=1,
+                                         max_size=4))
+    def add_residents(self, data, years):
+        """Unhoused persons, registered in bulk as initialization and
+        import register theirs."""
+        if self.space.house_count == 0:
+            return
+        houses = np.array(data.draw(st.lists(st.integers(0, self.space.house_count - 1),
+                                             min_size=len(years), max_size=len(years))))
+        pids = np.array([self.store.spawn_person(Gender.FEMALE, y * 12) for y in years])
+        self.store.house_arr[pids] = houses
+        self.space.add_residents(houses, pids)
+        for pid, house in zip(pids.tolist(), houses.tolist()):
+            assert pid == self.ref.arrive(house)
 
     @rule(data=st.data())
     def wed(self, data):
@@ -373,6 +432,10 @@ class SpaceMachine(RuleBasedStateMachine):
         assert {name: getattr(self.store, name) for name in tallies} == tallies
         assert self.space.occupied_house_count == sum(1 for r in self.space.residents if r)
         assert self.space.residents == self.ref.residents
+        vacancies = {cell: [h for h in houses if not self.ref.residents[h]]
+                     for cell, houses in self.ref.town_houses.items()}
+        assert ({c: h for c, h in self.space.vacant_by_cell.items() if h}
+                == {c: h for c, h in vacancies.items() if h})
 
 
 SpaceMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40,
@@ -384,7 +447,7 @@ class TestMovePerson:
     def test_occupancy_bijection_preserved(self, store, space, rng):
         pids = [housed(store, space, Gender.MALE, 30, rng=rng) for _ in range(10)]
         for pid in pids[:5]:
-            space.move_person(store, pid, space.find_or_create_empty_house((4, 3), rng))
+            space.move_person(store, pid, space.find_or_create_empty_house(TOWN, rng))
         total = sum(len(r) for r in space.residents)
         assert total == len(pids)
 
@@ -399,7 +462,7 @@ class TestMovePerson:
         pid = housed(store, space, Gender.MALE, 30, rng=rng)
         store.kill(pid, space)
         with pytest.raises(ValueError):
-            space.move_person(store, pid, space.find_or_create_empty_house((4, 3), rng))
+            space.move_person(store, pid, space.find_or_create_empty_house(TOWN, rng))
 
     @pytest.mark.parametrize("bad", [-2, -1, "count"])
     def test_unknown_house_rejected(self, store, space, rng, bad):

@@ -197,6 +197,20 @@ class TestHalfNormalAges:
         nonzero = counts[counts > 0]
         assert all(a > b for a, b in zip(nonzero, nonzero[1:]))
 
+    @pytest.mark.parametrize("max_age_years", [0.0, 0.05, 1 / 12 - 1e-9])
+    def test_cap_below_one_step_rejected_before_any_draw(self, max_age_years):
+        rng = make_rng(25)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="shorter than one step of the monthly clock"):
+            sample_half_normal_age_steps(rng, ClockSpec.monthly(), size=10,
+                                         max_age_years=max_age_years)
+        assert rng.bit_generator.state == state
+
+    def test_cap_of_one_step_gives_newborns(self):
+        steps = sample_half_normal_age_steps(make_rng(26), ClockSpec.custom(1), size=20,
+                                             max_age_years=1.0)
+        assert steps.tolist() == [0] * 20
+
 
 class TestDeterminism:
     def test_identical_streams(self):
