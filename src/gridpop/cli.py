@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    STATISTICS_HEADER,
+    StepStatistics,
     build_space,
     export_population,
     load_fertility_table,
@@ -131,7 +131,7 @@ def _cmd_run(args) -> int:
 
 def _write_replicate_summary(all_stats, path: Path) -> None:
     """Per-step mean and variance of every statistics column across replicates."""
-    columns = STATISTICS_HEADER.split(",")[1:]  # all but time
+    columns = StepStatistics._fields[1:]  # all but time
     header = "time," + ",".join(f"{c}_mean,{c}_var" for c in columns)
     n_rows = min(len(s) for s in all_stats)
     ddof = 1 if len(all_stats) > 1 else 0

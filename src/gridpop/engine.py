@@ -2,11 +2,14 @@
 
 A run is fully determined by (config, params, tables): one PCG64 stream
 drives every draw, statistics rows are pure functions of counters, and the
-CSV/export writers format numbers identically everywhere.
+CSV/export writers format numbers identically everywhere. The fields of
+``StepStatistics`` are the statistics.csv columns: the header and the row
+format are derived from them.
 
-Audit mode re-derives every cached counter by brute-force sweep at every
-step boundary and verifies the structural invariants, population
-conservation, and house-count monotonicity.
+Audit mode re-derives the store's cached alive counters by brute-force
+sweep at every step boundary and verifies the structural invariants
+(among them the vacancy index, which the occupied-house count is read
+from), population conservation, and house-count monotonicity.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Annotated, Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -41,10 +44,6 @@ from .stochastics import make_rng
 
 logger = logging.getLogger(__name__)
 
-STATISTICS_HEADER = ("time,alive,males,females,married,single,divorced,widowed,"
-                     "mean_age,births,deaths,marriages,divorces,orphan_moves,"
-                     "divorce_moves,houses,occupied_houses")
-
 EXPORT_HEADER = "# gridpop population export v1"
 EXPORT_FIELDS = ("id gender age_steps alive status partner father mother "
                  "children house town_x town_y")
@@ -56,9 +55,12 @@ class AuditError(AssertionError):
     """A step boundary violated a structural invariant or counter check."""
 
 
-@dataclass(frozen=True)
-class StepStatistics:
-    time: float
+class StepStatistics(NamedTuple):
+    """One row of statistics.csv: the fields are its columns, in order. A
+    field annotated with a format spec is printed with it, the rest with
+    str."""
+
+    time: Annotated[float, ".6f"]  # fixed-point: consecutive hourly steps differ
     alive: int
     males: int
     females: int
@@ -66,7 +68,7 @@ class StepStatistics:
     single: int
     divorced: int
     widowed: int
-    mean_age: float
+    mean_age: Annotated[float, ".6g"]
     births: int
     deaths: int
     marriages: int
@@ -77,15 +79,12 @@ class StepStatistics:
     occupied_houses: int
 
     def to_csv_row(self) -> str:
-        return ",".join([
-            f"{self.time:.6f}",
-            str(self.alive), str(self.males), str(self.females),
-            str(self.married), str(self.single), str(self.divorced), str(self.widowed),
-            f"{self.mean_age:.6g}",
-            str(self.births), str(self.deaths), str(self.marriages), str(self.divorces),
-            str(self.orphan_moves), str(self.divorce_moves),
-            str(self.houses), str(self.occupied_houses),
-        ])
+        return _CSV_ROW.format(*self)
+
+
+STATISTICS_HEADER = ",".join(StepStatistics._fields)
+_CSV_ROW = ",".join("{:%s}" % getattr(hint, "__metadata__", ("",))[0]
+                    for hint in get_type_hints(StepStatistics, include_extras=True).values())
 
 
 def collect_step_statistics(store: PopulationStore, space: Space,
@@ -93,36 +92,17 @@ def collect_step_statistics(store: PopulationStore, space: Space,
     """Aggregate counts for one boundary from the store's cached counters
     and the interval's event counts, given in StepEventLog.counts order."""
     single, married, divorced, widowed = store.alive_status_counts
-    births, deaths, marriages, divorces, orphan_moves, divorce_moves = events
-    mean_age = (store.alive_age_steps_sum / store.alive_count / store.steps_per_year
-                if store.alive_count else 0.0)
-    return StepStatistics(
-        time=t,
-        alive=store.alive_count,
-        males=store.alive_male,
-        females=store.alive_female,
-        married=married,
-        single=single,
-        divorced=divorced,
-        widowed=widowed,
-        mean_age=mean_age,
-        births=births,
-        deaths=deaths,
-        marriages=marriages,
-        divorces=divorces,
-        orphan_moves=orphan_moves,
-        divorce_moves=divorce_moves,
-        houses=space.house_count,
-        occupied_houses=space.occupied_house_count,
-    )
+    alive = store.alive_count
+    mean_age = store.alive_age_steps_sum / alive / store.steps_per_year if alive else 0.0
+    return StepStatistics(t, alive, store.alive_male, alive - store.alive_male,
+                          married, single, divorced, widowed, mean_age, *events,
+                          space.house_count, space.occupied_house_count)
 
 
-def _counter_divergences(store: PopulationStore, space: Space) -> list[str]:
+def _counter_divergences(store: PopulationStore) -> list[str]:
     """Cached counters that differ from a brute-force sweep."""
     swept = store.alive_tallies()
     cached = {name: getattr(store, name) for name in swept}
-    swept["occupied houses"] = sum(1 for r in space.residents if r)
-    cached["occupied houses"] = space.occupied_house_count
     return [f"{name}: cached {cached[name]} != sweep {swept[name]}"
             for name in swept if cached[name] != swept[name]]
 
@@ -136,7 +116,7 @@ class RunResult:
 
 def build_space(config: SimulationConfig) -> Space:
     density = None if config.density_map == "default" else load_density_map(config.density_map)
-    return Space(density=density, town_grid_cells=config.town_grid_cells)
+    return Space(density=density, town_grid_cells=config.town_grid_size)
 
 
 def load_fertility_table(source: str) -> FertilityTable:
@@ -180,7 +160,7 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     prev_houses = space.house_count
     interval = no_events
     for k in range(total):
-        snapshot = StepSnapshot.capture(store, space)
+        snapshot = StepSnapshot.capture(store)
         current_year = config.t0 + k // n
         log = run_step(store, space, params, hazards, snapshot, current_year,
                        rng, config.event_order)
@@ -208,7 +188,7 @@ def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
     if problems:
         raise AuditError(f"{where}: {len(problems)} invariant violations, "
                          f"first: {problems[0]}")
-    bad = _counter_divergences(store, space)
+    bad = _counter_divergences(store)
     if bad:
         raise AuditError(f"{where}: cached statistics diverge: " + "; ".join(bad))
 

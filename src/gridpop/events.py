@@ -269,15 +269,14 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
                   snapshot: StepSnapshot | None, rng: Rng, log: StepEventLog) -> None:
     """Divorce married men (skipping those married since the last boundary)
     at the decade-modified rate; the man moves out alone within his town."""
-    n = store.size
+    # Ids only grow, so whoever was married at the boundary has an id below
+    # the snapshot's size.
+    n = store.size if snapshot is None else snapshot.size
     mask = (store.alive_arr[:n] & store.male_arr[:n]
             & (store.status_arr[:n] == MARRIED_CODE))
     if snapshot is not None:
         # Exclude the just-married: anyone not married at the boundary.
-        was_married = np.zeros(n, dtype=bool)
-        k = min(snapshot.size, n)
-        was_married[:k] = snapshot.status[:k] == MARRIED_CODE
-        mask &= was_married
+        mask &= snapshot.status == MARRIED_CODE
     ids = np.flatnonzero(mask)
     if len(ids) == 0:
         return
@@ -306,19 +305,16 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
     n = store.steps_per_year
     adult_steps = store.adult_age_steps
     size = store.size
-    mask = (store.alive_arr[:size] & store.male_arr[:size]
-            & (store.status_arr[:size] != MARRIED_CODE)
-            & (store.age_steps_arr[:size] >= adult_steps))
+    # Grooms existed at the boundary: ids only grow, so theirs lie below
+    # the snapshot's size.
+    k = size if snapshot is None else snapshot.size
+    mask = (store.alive_arr[:k] & store.male_arr[:k]
+            & (store.status_arr[:k] != MARRIED_CODE)
+            & (store.age_steps_arr[:k] >= adult_steps))
     if snapshot is not None:
-        k = min(snapshot.size, size)
-        existed = np.zeros(size, dtype=bool)
-        existed[:k] = True
-        just_divorced = np.zeros(size, dtype=bool)
-        just_divorced[:k] = ((store.status_arr[:k] == DIVORCED_CODE)
-                             & (snapshot.status[:k] != DIVORCED_CODE))
-        just_adult = np.zeros(size, dtype=bool)
-        just_adult[:k] = snapshot.age_steps[:k] < adult_steps
-        mask &= existed & ~just_divorced & ~just_adult
+        just_divorced = ((store.status_arr[:k] == DIVORCED_CODE)
+                         & (snapshot.status != DIVORCED_CODE))
+        mask &= ~just_divorced & (snapshot.age_steps >= adult_steps)
     ids = np.flatnonzero(mask)
     if len(ids) == 0:
         return

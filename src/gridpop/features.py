@@ -49,12 +49,10 @@ class StepSnapshot:
     beyond `size`, which encodes absence.
     """
 
-    __slots__ = ("size", "steps_per_year", "age_steps", "alive", "status",
-                 "house", "male", "father", "mother")
+    __slots__ = ("size", "age_steps", "alive", "status", "house", "male", "father", "mother")
 
     def __init__(self, store: PopulationStore, copy: bool):
         n = self.size = store.size
-        self.steps_per_year = store.steps_per_year
         for name in ("age_steps", "alive", "status", "house"):
             column = getattr(store, f"{name}_arr")[:n]
             setattr(self, name, column.copy() if copy else column)
@@ -63,7 +61,7 @@ class StepSnapshot:
         self.mother = store.mother_arr[:n]
 
     @classmethod
-    def capture(cls, store: PopulationStore, space: "Space") -> "StepSnapshot":
+    def capture(cls, store: PopulationStore) -> "StepSnapshot":
         return cls(store, copy=True)
 
 

@@ -1,13 +1,17 @@
 """Model parameters, input data tables, and run configuration.
 
 Config files are plain ``key = value`` lines (``#`` comments allowed).
-Keys are the camelCase field names listed in KEY_TO_FIELD; a few legacy
-spellings of the death-rate parameters are accepted as aliases. Unknown
-keys are rejected.
+A key is the camelCase name of a ``ModelParameters`` or
+``SimulationConfig`` field, and its value is parsed and written by the
+field's annotated type. A few legacy spellings of the death-rate
+parameters are accepted as aliases. Unknown and repeated keys are
+rejected.
 """
 
 from __future__ import annotations
 
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +61,7 @@ class ModelParameters:
     start_married_rate: float = 0.8
 
     def validate(self) -> None:
+        _require_finite(self)
         for name in ("basic_divorce_rate", "base_die_rate", "basic_male_marriage_rate",
                      "female_age_die_prob", "male_age_die_prob", "start_married_rate"):
             v = getattr(self, name)
@@ -83,7 +88,7 @@ class FertilityTable:
         rates = np.asarray(rates, dtype=float)
         if rates.shape != expected:
             raise ConfigError(f"fertility table must be {expected[0]}x{expected[1]}, got {rates.shape}")
-        if np.any(rates < 0.0) or np.any(rates > 1.0):
+        if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise ConfigError("fertility rates must lie in [0, 1]")
         self.rates = rates
 
@@ -160,12 +165,13 @@ class SimulationConfig:
     output_dir: str = "out"
     fertility: str = SYNTHETIC_FERTILITY  # path or "synthetic"
     density_map: str = "default"  # path or "default"
-    town_grid_cells: int = 25
+    town_grid_size: int = 25
     max_initial_age: float = DEFAULT_MAX_INITIAL_AGE_YEARS
     audit: bool = False
     stats_every: int = 1
 
     def validate(self) -> None:
+        _require_finite(self)
         if self.t_final < self.t0:
             raise ConfigError("tFinal must be >= t0")
         order = tuple(self.event_order)
@@ -173,7 +179,7 @@ class SimulationConfig:
             raise ConfigError(f"eventOrder must be a permutation of {EVENT_NAMES}")
         if order[0] != "ageing":
             raise ConfigError("ageing must come first in eventOrder")
-        if self.town_grid_cells < 1:
+        if self.town_grid_size < 1:
             raise ConfigError("townGridSize must be >= 1")
         if self.stats_every < 1:
             raise ConfigError("statsEvery must be >= 1")
@@ -185,32 +191,15 @@ class SimulationConfig:
         return (self.t_final - self.t0) * self.clock.steps_per_year
 
 
-# camelCase config key -> (owner, attribute). Owner "m" = ModelParameters,
-# "s" = SimulationConfig.
-KEY_TO_FIELD = {
-    "basicDivorceRate": ("m", "basic_divorce_rate"),
-    "baseDieRate": ("m", "base_die_rate"),
-    "basicMaleMarriageRate": ("m", "basic_male_marriage_rate"),
-    "femaleAgeDieProb": ("m", "female_age_die_prob"),
-    "femaleAgeScaling": ("m", "female_age_scaling"),
-    "initialPop": ("m", "initial_pop"),
-    "maleAgeDieProb": ("m", "male_age_die_prob"),
-    "maleAgeScaling": ("m", "male_age_scaling"),
-    "maxNumMarrCand": ("m", "max_num_marr_cand"),
-    "startMarriedRate": ("m", "start_married_rate"),
-    "t0": ("s", "t0"),
-    "tFinal": ("s", "t_final"),
-    "clock": ("s", "clock"),
-    "seed": ("s", "seed"),
-    "eventOrder": ("s", "event_order"),
-    "outputDir": ("s", "output_dir"),
-    "fertility": ("s", "fertility"),
-    "densityMap": ("s", "density_map"),
-    "townGridSize": ("s", "town_grid_cells"),
-    "maxInitialAge": ("s", "max_initial_age"),
-    "audit": ("s", "audit"),
-    "statsEvery": ("s", "stats_every"),
-}
+def _config_key(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+# Config key -> (record, field name, field type), in declaration order.
+_FIELDS = {_config_key(name): (record, name, kind)
+           for record in (ModelParameters, SimulationConfig)
+           for name, kind in typing.get_type_hints(record).items()}
 
 # Alternative spellings seen for the same quantities.
 KEY_ALIASES = {
@@ -219,54 +208,68 @@ KEY_ALIASES = {
     "maleAgeDieRate": "maleAgeDieProb",
 }
 
-_INT_FIELDS = {"initial_pop", "max_num_marr_cand", "t0", "t_final", "seed",
-               "town_grid_cells", "stats_every"}
-_FLOAT_FIELDS = {"basic_divorce_rate", "base_die_rate", "basic_male_marriage_rate",
-                 "female_age_die_prob", "female_age_scaling", "male_age_die_prob",
-                 "male_age_scaling", "start_married_rate", "max_initial_age"}
+
+def _require_finite(record) -> None:
+    """Reject a float field of the record that is nan or infinite, naming its key."""
+    for key, (owner, name, kind) in _FIELDS.items():
+        if owner is type(record) and kind is float:
+            value = getattr(record, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
 
 
-def _parse_value(attr: str, raw: str):
-    raw = raw.strip()
-    if attr == "clock":
-        return ClockSpec.parse(raw)
-    if attr == "event_order":
-        return tuple(tok.strip() for tok in raw.split(","))
-    if attr == "audit":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"audit must be true/false, got {raw!r}")
-    try:
-        if attr in _INT_FIELDS:
-            return int(raw)
-        if attr in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad numeric value for {attr}: {raw!r}") from None
-    return raw
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {raw!r}")
+
+
+# Field type -> reader of a raw value and writer of a value.
+_PARSE = {
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    tuple: lambda raw: tuple(tok.strip() for tok in raw.split(",")),
+    ClockSpec: ClockSpec.parse,
+}
+_WRITE = {
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: repr,
+    str: str,
+    tuple: ",".join,
+    ClockSpec: str,
+}
 
 
 def parse_config_text(text: str) -> tuple[ModelParameters, SimulationConfig]:
     """Parse key = value lines into parameter/config records."""
-    model_kwargs: dict = {}
-    sim_kwargs: dict = {}
+    kwargs: dict = {ModelParameters: {}, SimulationConfig: {}}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        key = KEY_ALIASES.get(key, key)
-        if key not in KEY_TO_FIELD:
+        written, raw = (part.strip() for part in stripped.split("=", 1))
+        key = KEY_ALIASES.get(written, written)
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        owner, attr = KEY_TO_FIELD[key]
-        value = _parse_value(attr, raw)
-        (model_kwargs if owner == "m" else sim_kwargs)[attr] = value
-    params = ModelParameters(**model_kwargs)
-    config = SimulationConfig(**sim_kwargs)
+        if key in line_of:
+            raise ConfigError(f"lines {line_of[key]} and {lineno} both set {key!r}"
+                              + (f" ({written!r} is an alias)" if written != key else ""))
+        line_of[key] = lineno
+        owner, name, kind = _FIELDS[key]
+        try:
+            kwargs[owner][name] = _PARSE[kind](raw)
+        except ValueError as err:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {err}") from None
+    params = ModelParameters(**kwargs[ModelParameters])
+    config = SimulationConfig(**kwargs[SimulationConfig])
     params.validate()
     config.validate()
     return params, config
@@ -278,17 +281,6 @@ def load_config(path: str | Path) -> tuple[ModelParameters, SimulationConfig]:
 
 def config_to_text(params: ModelParameters, config: SimulationConfig) -> str:
     """Render a complete config file (the inverse of parse_config_text)."""
-    values = {"m": params, "s": config}
-    lines = []
-    for key, (owner, attr) in KEY_TO_FIELD.items():
-        v = getattr(values[owner], attr)
-        if attr == "clock":
-            v = str(v)
-        elif attr == "event_order":
-            v = ",".join(v)
-        elif attr == "audit":
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{key} = {v}")
-    return "\n".join(lines) + "\n"
+    records = {ModelParameters: params, SimulationConfig: config}
+    return "".join(f"{key} = {_WRITE[kind](getattr(records[owner], name))}\n"
+                   for key, (owner, name, kind) in _FIELDS.items())

@@ -171,7 +171,6 @@ class PopulationStore:
         # them against the sweep of the arrays every step.
         self.alive_count = 0
         self.alive_male = 0
-        self.alive_female = 0
         self.alive_status_counts = [0] * len(STATUSES)  # by status code
         self.alive_age_steps_sum = 0
         self._children: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -213,7 +212,6 @@ class PopulationStore:
         return {
             "alive_count": total,
             "alive_male": males,
-            "alive_female": total - males,
             "alive_status_counts": np.bincount(self.status_arr[:n][alive],
                                                minlength=len(STATUSES)).tolist(),
             "alive_age_steps_sum": int(self.age_steps_arr[:n][alive].sum()),
@@ -261,8 +259,6 @@ class PopulationStore:
         self.alive_count += 1
         if male:
             self.alive_male += 1
-        else:
-            self.alive_female += 1
         self.alive_status_counts[STATUS_CODE[MaritalStatus.SINGLE]] += 1
         self.alive_age_steps_sum += age_steps
         return pid
@@ -312,8 +308,6 @@ class PopulationStore:
         self.alive_count -= 1
         if self.male_arr[pid]:
             self.alive_male -= 1
-        else:
-            self.alive_female -= 1
         self.alive_status_counts[self.status_arr[pid]] -= 1
         self.alive_age_steps_sum -= int(self.age_steps_arr[pid])
         self.alive_arr[pid] = False

@@ -16,7 +16,8 @@ persons living in house h, is the inverse of the store's ``house_arr``.
 ``vacant_by_cell`` maps a cell code to its empty houses in ascending id
 order, so ``find_or_create_empty_house`` draws among them without a scan.
 It is current from the constructor on; the bulk ``add_residents``
-rebuilds it, and the occupied count, in one pass over the houses.
+rebuilds it in one pass over the houses. The occupied-house count is
+read from it: every house not listed as vacant.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class Space:
         for name in _HOUSE_ARRAYS:
             setattr(self, name, np.zeros(_INITIAL_HOUSES, dtype=np.int64))
         self.residents: list[set[int]] = []
-        self._occupied_houses = 0
         # Cell code -> vacant house ids, ascending.
         self.vacant_by_cell: dict[int, list[HouseId]] = {}
 
@@ -202,22 +202,21 @@ class Space:
 
     @property
     def occupied_house_count(self) -> int:
-        return self._occupied_houses
+        return self.house_count - sum(map(len, self.vacant_by_cell.values()))
 
     # -- occupancy -----------------------------------------------------
 
     def add_occupant(self, house_id: HouseId, person_id: int) -> None:
         residents = self.residents[house_id]
         if not residents:
-            self._occupied_houses += 1
             empties = self.vacant_by_cell[int(self.town_cell[house_id])]
             del empties[bisect_left(empties, house_id)]
         residents.add(person_id)
 
     def add_residents(self, house_ids: np.ndarray, person_ids: np.ndarray) -> None:
         """Register each person as an occupant of the house at the same
-        position, then rebuild the vacancy index and the occupied count;
-        callers write the store's house_arr themselves."""
+        position, then rebuild the vacancy index; callers write the
+        store's house_arr themselves."""
         bad = (house_ids < 0) | (house_ids >= self.house_count)
         if bad.any():
             raise ValueError(f"house {int(house_ids[np.argmax(bad)])} does not exist")
@@ -225,7 +224,6 @@ class Space:
             self.residents[house_id].add(person_id)
         sizes = np.fromiter(map(len, self.residents), dtype=np.int64, count=self.house_count)
         vacant = np.flatnonzero(sizes == 0)
-        self._occupied_houses = self.house_count - len(vacant)
         self.vacant_by_cell = {}
         for house_id, cell in zip(vacant.tolist(), self.town_cell[vacant].tolist()):
             self.vacant_by_cell.setdefault(cell, []).append(house_id)
@@ -238,7 +236,6 @@ class Space:
             raise ValueError(f"person {person_id} does not live in house {house_id}")
         residents.remove(person_id)
         if not residents:
-            self._occupied_houses -= 1
             insort(self.vacant_by_cell.setdefault(int(self.town_cell[house_id]), []), house_id)
 
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:

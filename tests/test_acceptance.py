@@ -289,7 +289,7 @@ class TestCriterion5TemporalOracle:
                    script_step_4, script_step_5]
         for idx, script in enumerate(scripts, start=1):
             prev_state = full_copy()
-            snapshot = StepSnapshot.capture(store, space)
+            snapshot = StepSnapshot.capture(store)
             script()
             now_state = full_copy()
             ctx = EvalContext(store, space, snapshot)
@@ -366,7 +366,7 @@ class TestCriterion8EventEquations:
         for k in range(365):
             prev = {p.id: (p.alive, p.married, p.partner)
                     for p in store.persons.values()}
-            snapshot = StepSnapshot.capture(store, space)
+            snapshot = StepSnapshot.capture(store)
             log = run_step(store, space, params, hazards, snapshot, 2020, rng, order)
             ctx = EvalContext(store, space, snapshot)
 

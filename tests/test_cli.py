@@ -30,6 +30,11 @@ class TestExportDefaults:
         assert "basicDivorceRate = 0.06" in out
         assert "clock = daily" in out
 
+    def test_matches_golden_file(self, capsys):
+        assert run_cli(["export-defaults"]) == 0
+        golden = Path(__file__).parent / "golden" / "defaults.cfg"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_default_config_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.cfg"
         assert run_cli(["export-defaults", "--out", str(cfg)]) == 0
@@ -128,6 +133,20 @@ class TestReplicates:
         assert summary[0].startswith("time,alive_mean,alive_var,")
         assert len(summary) == 14  # header + initial + 12 steps
 
+    def test_summary_header(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--seed", "10", "--dt", "monthly", "--t0", "2020",
+                        "--tfinal", "2020", "--initial-pop", "150",
+                        "--replicates", "2", "--out", str(out)]) == 0
+        header = (out / "summary.csv").read_text().split("\n")[0]
+        assert header == (
+            "time,alive_mean,alive_var,males_mean,males_var,females_mean,females_var,"
+            "married_mean,married_var,single_mean,single_var,divorced_mean,divorced_var,"
+            "widowed_mean,widowed_var,mean_age_mean,mean_age_var,births_mean,births_var,"
+            "deaths_mean,deaths_var,marriages_mean,marriages_var,divorces_mean,divorces_var,"
+            "orphan_moves_mean,orphan_moves_var,divorce_moves_mean,divorce_moves_var,"
+            "houses_mean,houses_var,occupied_houses_mean,occupied_houses_var")
+
     def test_replicates_differ_but_deterministically(self, tmp_path):
         out = tmp_path / "out"
         run_cli(["run", "--seed", "10", "--dt", "monthly", "--t0", "2020",
@@ -154,6 +173,17 @@ class TestValidate:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("startMarriedRate = 7\n")
         assert run_cli(["validate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("setting", ["femaleAgeScaling = nan", "maxInitialAge = inf",
+                                         "maxInitialAge = nan"])
+    def test_non_finite_value_names_the_key(self, tmp_path, setting):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"initialPop = 300\nclock = monthly\ntFinal = 2021\n{setting}\n")
+        for command in (["run", "--out", str(tmp_path / "out")], ["validate"]):
+            done = run_process([command[0], "--config", str(cfg), *command[1:]], timeout=20)
+            key, value = setting.split(" = ")
+            assert done.returncode == 1
+            assert done.stderr.strip() == f"config error: {key} must be finite, got {value}"
 
     def test_max_initial_age_below_one_step_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -1,6 +1,6 @@
 """Engine surface: tables, config files, the run loop, statistics, export."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -129,6 +129,22 @@ class TestDataTables:
         with pytest.raises(ConfigError, match="line 6: .*'n/a'"):
             FertilityTable.load(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_rate_rejected(self, tmp_path, token):
+        rates = FertilityTable.synthetic().rates.copy()
+        rates[12, 40] = float(token)
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+            FertilityTable(rates)
+        path = tmp_path / "f.txt"
+        FertilityTable.synthetic().write(path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split()
+        cells[7] = token
+        lines[5] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+            FertilityTable.load(path)
+
     def test_load_fertility_table_dispatch(self, tmp_path):
         peak = np.array([29])
         assert load_fertility_table("synthetic").rates_at(peak, 2025)[0] == pytest.approx(0.25)
@@ -145,12 +161,64 @@ class TestConfigFiles:
         assert p2 == params
         assert c2 == config
 
+    def test_round_trip_every_key(self):
+        # Every key at a value other than its default, in declaration order.
+        text = ("basicDivorceRate = 0.05\nbaseDieRate = 0.0002\nbasicMaleMarriageRate = 0.6\n"
+                "femaleAgeDieProb = 0.0002\nfemaleAgeScaling = 16.5\ninitialPop = 777\n"
+                "maleAgeDieProb = 0.0003\nmaleAgeScaling = 13.0\nmaxNumMarrCand = 50\n"
+                "startMarriedRate = 0.5\nt0 = 2000\ntFinal = 2040\nclock = custom:90\n"
+                "seed = 9\neventOrder = ageing,births,deaths,marriages,divorces\n"
+                "outputDir = results/run1\nfertility = rates.txt\ndensityMap = density.txt\n"
+                "townGridSize = 10\nmaxInitialAge = 90.5\naudit = true\nstatsEvery = 7\n")
+        params, config = parse_config_text(text)
+        assert config_to_text(params, config) == text
+        for record, default in ((params, ModelParameters()), (config, SimulationConfig())):
+            for f in fields(record):
+                value, default_value = getattr(record, f.name), getattr(default, f.name)
+                assert value != default_value, f.name
+                assert type(value) is type(default_value), f.name
+        assert parse_config_text(config_to_text(params, config)) == (params, config)
+
     def test_aliases_accepted(self):
         p, _ = parse_config_text("basicDeathRate = 0.5\nmaleAgeDieRate = 0.1\n"
                                  "femaleAgeDieRate = 0.2\n")
         assert p.base_die_rate == 0.5
         assert p.male_age_die_prob == 0.1
         assert p.female_age_die_prob == 0.2
+
+    @pytest.mark.parametrize("text, lines", [
+        ("seed = 3\nseed = 4\n", "lines 1 and 2 both set 'seed'"),
+        ("baseDieRate = 0.5\n# note\nbasicDeathRate = 0.01\n",
+         "lines 1 and 3 both set 'baseDieRate' ('basicDeathRate' is an alias)"),
+        ("maleAgeDieRate = 0.1\nmaleAgeDieProb = 0.2\n",
+         "lines 1 and 2 both set 'maleAgeDieProb'"),
+    ])
+    def test_repeated_key_rejected(self, text, lines):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == lines
+
+    @pytest.mark.parametrize("text, message", [
+        ("\nseed = 3.5\n", "line 2: bad value for seed: invalid literal for int() "
+                            "with base 10: '3.5'"),
+        ("maleAgeScaling = fast\n", "line 1: bad value for maleAgeScaling: could not "
+                                    "convert string to float: 'fast'"),
+        ("audit = maybe\n", "line 1: bad value for audit: expected true or false, got 'maybe'"),
+        ("clock = fortnightly\n", "line 1: bad value for clock: unknown clock spec: "
+                                  "'fortnightly'"),
+        ("clock = custom:0\n", "line 1: bad value for clock: steps_per_year must be >= 1"),
+    ])
+    def test_bad_value_names_line_and_key(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key", ["femaleAgeScaling", "baseDieRate", "maxInitialAge"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{key} = {value}\n")
+        assert str(err.value) == f"{key} must be finite, got {float(value)}"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -420,6 +488,11 @@ class TestStatisticsCsv:
         assert len(lines) == len(result.statistics) + 1
         assert all(len(ln.split(",")) == len(STATISTICS_HEADER.split(","))
                    for ln in lines[1:])
+
+    def test_header_literal(self):
+        assert STATISTICS_HEADER == (
+            "time,alive,males,females,married,single,divorced,widowed,mean_age,"
+            "births,deaths,marriages,divorces,orphan_moves,divorce_moves,houses,occupied_houses")
 
     def test_time_column_distinguishes_steps(self):
         result = run_simulation(small_config(clock=ClockSpec.daily(), t_final=2021),

@@ -412,7 +412,7 @@ class TestDivorces:
         m, f, kid = self.couple(store, space, rng)
         home = store.persons[m].house
         params = ModelParameters(basic_divorce_rate=1.0)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         while not log.divorces:
             divorces_step(store, space, hazards(params), snap, rng, log)
         assert store.persons[m].marital_status is MaritalStatus.DIVORCED
@@ -427,7 +427,7 @@ class TestDivorces:
 
     def test_just_married_excluded(self):
         store, space, rng, log = fresh()
-        snap = StepSnapshot.capture(store, space)  # before the wedding
+        snap = StepSnapshot.capture(store)  # before the wedding
         m, f, _ = self.couple(store, space, rng)
         params = ModelParameters(basic_divorce_rate=1.0)
         for _ in range(100):
@@ -439,7 +439,7 @@ class TestDivorces:
         store, space, rng, log = fresh()
         m, f, _ = self.couple(store, space, rng, age=125.0)
         params = ModelParameters(basic_divorce_rate=1.0)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         for _ in range(200):
             divorces_step(store, space, hazards(params), snap, rng, log)
         assert log.divorces == []
@@ -455,7 +455,7 @@ class TestMarriages:
         store, space, rng, log = fresh()
         m, f = self.eligible_pair(store, space, rng)
         params = ModelParameters(basic_male_marriage_rate=1.0)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         while not log.marriages:
             marriages_step(store, space, params, hazards(params), snap, rng, log)
         assert store.persons[m].partner == f
@@ -497,7 +497,7 @@ class TestMarriages:
         m = housed(store, space, Gender.MALE, 25, rng=rng)
         f = housed(store, space, Gender.FEMALE, 24, house=store.persons[m].house, rng=rng)
         store.wed(m, f)
-        snap = StepSnapshot.capture(store, space)  # married here
+        snap = StepSnapshot.capture(store)  # married here
         store.unwed(m, UnwedReason.DIVORCE)        # divorced this step
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
@@ -508,14 +508,14 @@ class TestMarriages:
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 18 - 1 / 12, rng=rng)
         housed(store, space, Gender.FEMALE, 24, rng=rng)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         ageing_step(store, space, rng, log)  # m turns exactly 18
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
             marriages_step(store, space, params, hazards(params), snap, rng, log)
         assert log.marriages == []
         # One boundary later he becomes eligible.
-        snap2 = StepSnapshot.capture(store, space)
+        snap2 = StepSnapshot.capture(store)
         while not log.marriages:
             marriages_step(store, space, params, hazards(params), snap2, rng, log)
         assert log.marriages[0][0] == m
@@ -567,7 +567,7 @@ class TestStepConservation:
         run_hazards = hazards()
         for k in range(24):
             before = store.alive_count
-            snap = StepSnapshot.capture(store, space)
+            snap = StepSnapshot.capture(store)
             log = run_step(store, space, PARAMS, run_hazards, snap, 2020 + k // 12, rng, order)
             assert store.alive_count == before + len(log.births) - len(log.deaths)
             assert collect_invariant_violations(store, space) == []

@@ -212,12 +212,12 @@ class TestTemporalOperators:
 
     def test_just_married_transition(self):
         store, space, m, f = self.build_couple()
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         store.wed(m, f)
         ctx = EvalContext(store, space, snap)
         assert just(MARRIED).mask(ctx)[m]
         # A step later (state unchanged) the marriage is no longer "just".
-        snap2 = StepSnapshot.capture(store, space)
+        snap2 = StepSnapshot.capture(store)
         ctx2 = EvalContext(store, space, snap2)
         assert not just(MARRIED).mask(ctx2)[m]
         assert pre(MARRIED).mask(ctx2)[m]
@@ -225,7 +225,7 @@ class TestTemporalOperators:
     def test_neonate_just_alive(self):
         store, space, m, f = self.build_couple()
         store.wed(m, f)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         baby = store.spawn_person(Gender.MALE, 0, father=m, mother=f,
                                   house=store.persons[f].house, space=space)
         ctx = EvalContext(store, space, snap)
@@ -245,7 +245,7 @@ class TestTemporalOperators:
     @given(expr=exprs, seed=st.integers(0, 10))
     def test_just_is_now_and_not_pre(self, expr, seed):
         store, space = random_population(seed, n=25)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         # Mutate a little so now != pre for some persons.
         rng = make_rng(seed + 1000)
         alive = store.alive_ids()
@@ -258,7 +258,7 @@ class TestTemporalOperators:
 
     def test_nested_temporal_rejected(self):
         store, space, m, f = self.build_couple()
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         ctx = EvalContext(store, space, snap)
         with pytest.raises(FeatureError):
             pre(pre(MARRIED)).mask(ctx)[m]
@@ -274,7 +274,7 @@ class TestTemporalOperators:
         store, space, m, f = self.build_couple()
         store.wed(m, f)
         store.kill(m, space)
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         ctx = EvalContext(store, space, snap)
         from gridpop.features import WIDOWED
         # The tombstone keeps its terminal status at the boundary.
@@ -284,7 +284,7 @@ class TestTemporalOperators:
     def test_previous_house_accessor(self):
         store, space, m, f = self.build_couple()
         old = store.persons[m].house
-        snap = StepSnapshot.capture(store, space)
+        snap = StepSnapshot.capture(store)
         new = space.find_or_create_empty_house(cell_of((4, 3)), make_rng(9))
         space.move_person(store, m, new)
         assert snap.house[m] == old
