@@ -11,10 +11,9 @@ Four runs:
 - ``reference_run``: 2,000 agents, monthly clock, 2 years;
 - ``annual_run``: 2,000 agents, one step a year, 10 years, whose few
   distinct ages make init_partnerships take its cached-weight-row path;
-- ``daily_run``: 2,000 agents, daily clock, 2 years, whose deaths look up
-  the death table and grow it;
-- ``hourly_run``: 100 agents, hourly clock, 1 year, whose death table would
-  exceed DEATH_TABLE_CAP, so deaths evaluate the hazard directly.
+- ``daily_run``: 2,000 agents, daily clock, 2 years;
+- ``hourly_run``: 100 agents, hourly clock, 1 year, where almost every
+  event draw misses and thinning skips the probabilities.
 """
 
 import contextlib

@@ -6,9 +6,9 @@ posthumous parenthood). All events within one step share the snapshot
 committed at the step's start, so every "just happened" exclusion refers
 to the previous boundary.
 
-Each hazard and matching weight is one array function. A run converts
-the hazards to per-step probabilities once, in HazardTables, and the
-events look them up by age each step instead of recomputing them. The
+Each hazard and matching weight is one array function. An event draws
+a uniform per candidate first and finds probabilities only for the few
+whose uniform lies below HazardTables' bound on them (thinning). The
 marriage geo factor is tabulated once per run by town pair, and the
 children factor once per step by child counts.
 """
@@ -42,11 +42,8 @@ _EXP_CAP = 700.0
 # Mothers are younger than this many whole years.
 FERTILE_YEARS = 45
 
-# The death table is looked up while it holds at most this many float64s
-# (2 MB); the daily clock needs ~81k to reach 110 years. The hourly clock
-# would need ~1.9M (15 MB, a third more than a 1,000-agent hourly run's
-# peak memory), so there deaths evaluate the hazard on the candidates' ages.
-DEATH_TABLE_CAP = 2**18
+# Relative margin of the death bound: covers last-bit differences of exp and log1p.
+_DEATH_BOUND_MARGIN = 1e-9
 
 
 @dataclass
@@ -101,21 +98,17 @@ def decade_yearly_probability_array(age_steps: np.ndarray, steps_per_year: int,
 
 
 class HazardTables:
-    """One run's per-step event probabilities, built from the array
-    functions above and looked up by index.
+    """One run's per-step event probabilities, each with an upper bound.
 
-    - ``death``: female then male per-step probabilities by age in steps,
-      ``death_width`` ages each, grown when the oldest candidate passes the
-      end; None once it would exceed DEATH_TABLE_CAP entries, after which
-      deaths evaluate death_step_probability_array directly.
     - ``divorce``, ``marriage``: by decade row min(ceil(age_years / 10), 16);
-      row 0 (age 0) repeats row 1.
+      row 0 (age 0) repeats row 1. Bounds: their maxima.
     - births: by whole-year age under FERTILE_YEARS for one calendar year,
-      rebuilt when the year changes.
+      rebuilt when the year changes. Bound: their maximum.
+    - deaths: no table; death_bound bounds them up to an age.
     - ``geo``: the marriage geo factor between every pair of grid cells,
       indexed by ``Space.town_cell``.
 
-    Every entry equals the array function evaluated on its input, so
+    Every table entry equals the array function evaluated on its input, so
     lookups and direct evaluation draw the same events.
     """
 
@@ -123,53 +116,59 @@ class HazardTables:
         self.params = params
         self.fertility = tables.fertility
         self.steps_per_year = n = steps_per_year
-        self.death: np.ndarray | None = np.empty(0)
-        self.death_width = 0
         decade_ages = np.arange(17) * (10 * n)
         self.divorce = instantaneous_probability_array(decade_yearly_probability_array(
             decade_ages, n, params.basic_divorce_rate, tables.divorce_modifier_by_decade), n)
         self.marriage = instantaneous_probability_array(decade_yearly_probability_array(
             decade_ages, n, params.basic_male_marriage_rate,
             tables.male_marriage_modifier_by_decade), n)
+        self.divorce_bound = float(self.divorce.max())
+        self.marriage_bound = float(self.marriage.max())
         self._birth_year: int | None = None
-        self._births = np.empty(0)
+        self._births = (np.empty(0), 0.0)
+        self._death_bound = (-1, 0.0)  # (whole years, bound)
         self.geo = geo_factor_array(cell_distances())
 
-    def deaths(self, age_steps: np.ndarray, is_male: np.ndarray) -> np.ndarray:
-        """Per-step death probabilities of the given (at least one) persons."""
-        if self.death is not None:
-            oldest = int(age_steps.max())
-            if oldest >= self.death_width:
-                # One spare year of ages, so the table grows about once a year.
-                self._grow_death(oldest + 1 + self.steps_per_year)
-        if self.death is None:
-            return death_step_probability_array(age_steps, is_male, self.params,
-                                                self.steps_per_year)
-        return self.death.take(age_steps + self.death_width * is_male)
+    def death_bound(self, oldest_age_steps: int) -> float:
+        """Bound on either gender's per-step death probability at every age
+        up to ``oldest_age_steps``, rounded up to whole years.
 
-    def _grow_death(self, width: int) -> None:
-        if 2 * width > DEATH_TABLE_CAP:
-            self.death = None
-            return
-        old = self.death_width
-        ages = np.arange(old, width)
-        female, male = (death_step_probability_array(ages, is_male, self.params,
-                                                     self.steps_per_year)
-                        for is_male in (False, True))
-        self.death = np.concatenate([self.death[:old], female, self.death[old:], male])
-        self.death_width = width
+        exp() of a linear function of age makes the hazard monotone in age
+        for any parameter signs, so its maximum lies at an end of the range.
+        """
+        n = self.steps_per_year
+        years = -(-oldest_age_steps // n)
+        if years != self._death_bound[0]:
+            p_step = death_step_probability_array(np.array([0, 0, years * n, years * n]),
+                                                  np.array([False, True] * 2), self.params, n)
+            self._death_bound = years, float(p_step.max()) * (1.0 + _DEATH_BOUND_MARGIN)
+        return self._death_bound[1]
 
     def decade_rows(self, age_steps: np.ndarray) -> np.ndarray:
         """Row of each age in the divorce and marriage tables."""
         return np.minimum(-(-age_steps // (10 * self.steps_per_year)), 16)
 
-    def births(self, year: int) -> np.ndarray:
-        """Per-step birth probabilities by whole-year age in a calendar year."""
+    def births(self, year: int) -> tuple[np.ndarray, float]:
+        """Per-step birth probabilities by whole-year age in a calendar
+        year, and their maximum."""
         if year != self._birth_year:
             rates = self.fertility.rates_at(np.arange(FERTILE_YEARS), year)
-            self._births = instantaneous_probability_array(rates, self.steps_per_year)
+            p_step = instantaneous_probability_array(rates, self.steps_per_year)
+            self._births = p_step, float(p_step.max())
             self._birth_year = year
         return self._births
+
+
+def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.ndarray:
+    """``ids[u < probability(ids)]`` for ``u = rng.random(len(ids))``, in
+    order, calling ``probability`` only where ``u < bound``: ``bound`` is at
+    least every candidate's probability, so no other uniform can hit."""
+    u = rng.random(len(ids))
+    maybe = np.flatnonzero(u < bound)
+    if len(maybe) == 0:
+        return maybe
+    ids = ids.take(maybe)
+    return ids[u.take(maybe) < probability(ids)]
 
 
 def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
@@ -207,7 +206,7 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     n = store.size
     alive = store.alive_arr[:n]
     ages = store.age_steps_arr[:n]
-    ages[alive] += 1
+    ages += alive
     store.alive_age_steps_sum += int(np.count_nonzero(alive))
     new_adults = np.flatnonzero(alive & (ages == store.adult_age_steps))
     if len(new_adults) == 0:
@@ -227,14 +226,15 @@ def deaths_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 rng: Rng, log: StepEventLog) -> None:
     """Kill each living person with the per-step death probability for
     their age and gender, visiting them in shuffled order."""
-    n = store.size
-    ids = np.flatnonzero(store.alive_arr[:n])
+    ids = np.flatnonzero(store.alive_arr[:store.size])
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    p_step = hazards.deaths(store.age_steps_arr[ids], store.male_arr[ids])
-    dead = ids[rng.random(len(ids)) < p_step].tolist()
-    for pid in dead:
+    ages, male = store.age_steps_arr, store.male_arr
+    bound = hazards.death_bound(int(ages.take(ids).max()))
+    dead = _thinned_hits(rng, ids, bound, lambda hit: death_step_probability_array(
+        ages.take(hit), male.take(hit), hazards.params, hazards.steps_per_year))
+    for pid in dead.tolist():
         store.kill(pid, space)
         log.deaths.append(pid)
 
@@ -256,9 +256,9 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
                              & (ages < FERTILE_YEARS * n))
     if len(mothers) == 0:
         return
-    p_step = hazards.births(current_year).take(ages[mothers] // n)
-    hits = mothers[rng.random(len(mothers)) < p_step].tolist()
-    for mother in hits:
+    rates, bound = hazards.births(current_year)
+    hits = _thinned_hits(rng, mothers, bound, lambda hit: rates.take(ages.take(hit) // n))
+    for mother in hits.tolist():
         gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
         baby = store.spawn_person(gender, 0, father=int(store.partner_arr[mother]), mother=mother,
                                   house=int(store.house_arr[mother]), space=space)
@@ -281,9 +281,9 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    p_step = hazards.divorce.take(hazards.decade_rows(store.age_steps_arr[ids]))
-    hits = ids[rng.random(len(ids)) < p_step].tolist()
-    for pid in hits:
+    hits = _thinned_hits(rng, ids, hazards.divorce_bound, lambda hit: hazards.divorce.take(
+        hazards.decade_rows(store.age_steps_arr.take(hit))))
+    for pid in hits.tolist():
         wife = int(store.partner_arr[pid])
         store.unwed(pid, UnwedReason.DIVORCE)
         cell = int(space.town_cell[store.house_arr[pid]])
@@ -319,8 +319,8 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
     if len(ids) == 0:
         return
     rng.shuffle(ids)
-    p_step = hazards.marriage.take(hazards.decade_rows(store.age_steps_arr[ids]))
-    grooms = ids[rng.random(len(ids)) < p_step].tolist()
+    grooms = _thinned_hits(rng, ids, hazards.marriage_bound, lambda hit: hazards.marriage.take(
+        hazards.decade_rows(store.age_steps_arr.take(hit)))).tolist()
     if not grooms:
         return
 

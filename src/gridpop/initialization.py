@@ -87,6 +87,7 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     Every selected male draws a uniform candidate subset of the eligible
     female pool, weights it by age compatibility and picks a wife; she
     leaves the pool. An exhausted pool leaves the remaining males single.
+    The couples are written in one step after the last pick.
 
     A weight depends only on the two ages, so pool slots carry the code of
     their age. When the pool has no more distinct ages than a candidate
@@ -118,6 +119,7 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
         for code, years in enumerate(groom_years.tolist()):
             rows[code] = age_compatibility_array(years, bride_years)
 
+    brides = []
     for rank in range(len(selected)):
         if live == 0:
             logger.warning("eligible female pool exhausted; %d selected males stay single",
@@ -130,10 +132,11 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
         else:
             weights = rows[groom_code[rank]][codes]
         j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
-        store.wed(int(selected[rank]), int(pool_ids[j]))
+        brides.append(pool_ids[j])
         live -= 1
         pool_ids[j] = pool_ids[live]
         pool_code[j] = pool_code[live]
+    store.wed_couples(selected[:len(brides)], np.array(brides, dtype=np.int64))
 
 
 def init_children(store: PopulationStore, rng: Rng) -> None:

@@ -185,6 +185,11 @@ class SimulationConfig:
             raise ConfigError("statsEvery must be >= 1")
         if self.max_initial_age <= 0:
             raise ConfigError("maxInitialAge must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key, path in (("fertility", self.fertility), ("densityMap", self.density_map)):
+            if not path.strip():
+                raise ConfigError(f"{key} must not be empty")
 
     @property
     def total_steps(self) -> int:

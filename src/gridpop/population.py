@@ -286,6 +286,15 @@ class PopulationStore:
         self.partner_arr[a] = b
         self.partner_arr[b] = a
 
+    def wed_couples(self, grooms: np.ndarray, brides: np.ndarray) -> None:
+        """Marry each groom to the bride at his index in one write. The
+        couples must be valid by construction, each person in at most one:
+        the checks of wed are left to the invariant sweep."""
+        for ids, partners in ((grooms, brides), (brides, grooms)):
+            self.status_arr[ids] = MARRIED_CODE
+            self.partner_arr[ids] = partners
+        self.recount()
+
     def unwed(self, a: PersonId, reason: UnwedReason) -> None:
         """Dissolve a marriage; divorce leaves both divorced, a partner's
         death leaves both widowed."""

@@ -185,6 +185,19 @@ class TestValidate:
             assert done.returncode == 1
             assert done.stderr.strip() == f"config error: {key} must be finite, got {value}"
 
+    @pytest.mark.parametrize("setting, message", [
+        ("seed = -1", "seed must be non-negative, got -1"),
+        ("fertility =", "fertility must not be empty"),
+        ("densityMap =", "densityMap must not be empty"),
+    ])
+    def test_bad_seed_or_empty_path_names_the_key(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"initialPop = 300\nclock = monthly\ntFinal = 2021\n{setting}\n")
+        for command in (["run", "--out", str(tmp_path / "out")], ["validate"]):
+            assert run_cli([command[0], "--config", str(cfg), *command[1:]]) == 1
+            assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_max_initial_age_below_one_step_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("initialPop = 300\nclock = monthly\nmaxInitialAge = 0.05\n")

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import housed
 from gridpop.events import (
-    DEATH_TABLE_CAP,
     FERTILE_YEARS,
     HazardTables,
     StepEventLog,
@@ -22,9 +21,11 @@ from gridpop.events import (
     divorces_step,
     geo_factor_array,
     marriages_step,
+    run_step,
 )
 from gridpop.features import StepSnapshot
-from gridpop.params import DataTables, ModelParameters
+from gridpop.initialization import build_initial_state
+from gridpop.params import DataTables, FertilityTable, ModelParameters
 from gridpop.population import (
     Gender,
     MaritalStatus,
@@ -148,27 +149,6 @@ def same_bits(a, b):
 class TestHazardTables:
     """Every table entry equals the array function on that input, bit for bit."""
 
-    @pytest.mark.parametrize("clock", ["monthly", "daily", "custom:1"])
-    def test_death_table_equals_array_function(self, clock):
-        n = ClockSpec.parse(clock).steps_per_year
-        table = hazards(steps_per_year=n)
-        rng = make_rng(3)
-        for oldest_years in (60, 130, 250):  # the later calls grow the table
-            ages = rng.permutation(oldest_years * n + 1)
-            male = rng.random(len(ages)) < 0.5
-            got = table.deaths(ages, male)
-            assert table.death_width > oldest_years * n
-            assert same_bits(got, death_step_probability_array(ages, male, PARAMS, n))
-            width = table.death_width
-            for row, is_male in enumerate((False, True)):
-                every_age = np.arange(width)
-                assert same_bits(table.death[row * width:(row + 1) * width],
-                                 death_step_probability_array(
-                                     every_age, np.full(width, is_male), PARAMS, n))
-        # The oldest ages cover a yearly hazard past 1, which is clamped.
-        oldest = np.array([table.death_width - 1]) / n
-        assert death_yearly_probability_array(oldest, np.array([True]), PARAMS)[0] > 1.0
-
     @pytest.mark.parametrize("n", [1, 12, 365])
     def test_decade_tables_equal_array_function(self, n):
         table = hazards(steps_per_year=n)
@@ -188,50 +168,88 @@ class TestHazardTables:
         assert table.divorce[0] == table.divorce[1]
 
     def test_birth_table_equals_array_function(self):
-        from gridpop.params import FertilityTable
         fertility = FertilityTable(make_rng(4).random((35, 100)))
         table = hazards(tables=DataTables(fertility=fertility), steps_per_year=365)
         ages = np.arange(FERTILE_YEARS)
         for year in (2020, 1990, 2100, 2020):
             direct = instantaneous_probability_array(fertility.rates_at(ages, year), 365)
-            assert same_bits(table.births(year), direct)
-        assert not table.births(2100).any()
+            assert same_bits(table.births(year)[0], direct)
+        assert not table.births(2100)[0].any()
 
-    def test_over_the_cap_deaths_evaluate_directly_with_the_same_draws(self, monkeypatch):
-        # The hourly clock needs 2 x ~8,760 entries per year of age: a
-        # population over 15 years old exceeds DEATH_TABLE_CAP at once.
-        n = ClockSpec.hourly().steps_per_year
-        params = ModelParameters(base_die_rate=1.0)
-        assert 2 * 15 * n > DEATH_TABLE_CAP
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        ModelParameters(base_die_rate=1.0, female_age_die_prob=1.0, male_age_die_prob=1.0),
+        ModelParameters(female_age_scaling=5.0, male_age_scaling=3.0),  # steep: clamps at 25
+    ], ids=["default", "certain", "steep"])
+    @pytest.mark.parametrize("clock", ["hourly", "daily", "monthly", "custom:1"])
+    def test_bounds_cover_every_probability(self, clock, params):
+        # Thinning draws the events of the direct comparison only if no
+        # probability exceeds its bound.
+        n = ClockSpec.parse(clock).steps_per_year
+        fertility = FertilityTable(make_rng(5).random((35, 100)))
+        table = hazards(params, DataTables(fertility=fertility), n)
+        ages = np.arange(250 * n + 1)
+        for is_male in (False, True):
+            p_step = death_step_probability_array(ages, np.full(len(ages), is_male), params, n)
+            highest = np.maximum.accumulate(p_step)  # over all ages up to each
+            bounds = np.array([table.death_bound(age) for age in ages.tolist()])
+            assert np.all(highest <= bounds)
+        for rate, modifiers, bound in (
+                (params.basic_divorce_rate, TABLES.divorce_modifier_by_decade,
+                 table.divorce_bound),
+                (params.basic_male_marriage_rate, TABLES.male_marriage_modifier_by_decade,
+                 table.marriage_bound)):
+            direct = instantaneous_probability_array(
+                decade_yearly_probability_array(ages, n, rate, modifiers), n)
+            assert direct.max() <= bound
+        for year in (1951, 2020, 2050, 2100):
+            direct = instantaneous_probability_array(
+                fertility.rates_at(np.arange(FERTILE_YEARS), year), n)
+            assert direct.max() <= table.births(year)[1]
 
-        def run(cap):
-            monkeypatch.setattr("gridpop.events.DEATH_TABLE_CAP", cap)
-            store, space, rng = PopulationStore(n), Space(), make_rng(9)
-            house = space.new_houses(cell_of((4, 3)), rng)
-            for i in range(400):
-                store.spawn_person(Gender.MALE if i % 3 else Gender.FEMALE,
-                                   int(rng.integers(15 * n, 90 * n)), house=house, space=space)
-            table, log = hazards(params, steps_per_year=n), StepEventLog()
-            draws = []
-            for _ in range(10):
-                ageing_step(store, space, rng, log)
-                ids = np.flatnonzero(store.alive_arr[:store.size])
-                probe = np.random.Generator(np.random.PCG64())
-                probe.bit_generator.state = rng.bit_generator.state
-                probe.shuffle(ids)
-                expected = death_step_probability_array(
-                    store.age_steps_arr[ids], store.male_arr[ids], params, n)
-                draws.append(ids[probe.random(len(ids)) < expected].tolist())
-                deaths_step(store, space, table, rng, log)
-            return table, log.deaths, draws, rng.bit_generator.state
 
-        table, deaths, draws, state = run(DEATH_TABLE_CAP)
-        assert table.death is None
-        assert deaths == [pid for step in draws for pid in step] and deaths
-        # A cap large enough to tabulate draws the same events.
-        table, *rest = run(2**22)
-        assert table.death is not None
-        assert rest == [deaths, draws, state]
+def direct_hits(rng, ids, bound, probability):
+    """The unthinned comparison: every candidate's probability evaluated."""
+    return ids[rng.random(len(ids)) < probability(ids)]
+
+
+class TestThinning:
+    """Each event hits the persons the direct comparison ids[u < p] hits, in
+    the same order, and leaves the generator in the same state."""
+
+    # High hazards: deaths clamp from age 40 (men) and 47; every birth,
+    # divorce and marriage probability lies between 0 and the clamp.
+    PARAMS = ModelParameters(initial_pop=1000, base_die_rate=0.0, male_age_die_prob=0.01,
+                             female_age_die_prob=0.01, male_age_scaling=10.0,
+                             female_age_scaling=12.0, basic_divorce_rate=1.0,
+                             basic_male_marriage_rate=1.0)
+    STEEP = tuple(1.0 - 10.0 ** -np.linspace(9.0, 0.5, 16))
+
+    def run(self, event, clock, direct, monkeypatch):
+        if direct:
+            monkeypatch.setattr("gridpop.events._thinned_hits", direct_hits)
+        n = ClockSpec.parse(clock).steps_per_year
+        rates = 1.0 - 10.0 ** -(9.0 * make_rng(6).random((35, 100)))
+        tables = DataTables(fertility=FertilityTable(rates), divorce_modifier_by_decade=self.STEEP,
+                            male_marriage_modifier_by_decade=self.STEEP)
+        store, space, rng = PopulationStore(n), Space(), make_rng(31)
+        build_initial_state(store, space, self.PARAMS, ClockSpec.parse(clock), rng)
+        table = hazards(self.PARAMS, tables, n)
+        hits = []
+        for _ in range(40 if clock == "hourly" else 12):
+            log = run_step(store, space, self.PARAMS, table, StepSnapshot.capture(store),
+                           2020, rng, ("ageing", event))
+            hits.append(getattr(log, event))
+        state = [getattr(store, name)[:store.size].tolist()
+                 for name in ("alive_arr", "status_arr", "partner_arr", "house_arr")]
+        return hits, state, rng.bit_generator.state
+
+    @pytest.mark.parametrize("clock", ["hourly", "monthly"])
+    @pytest.mark.parametrize("event", ["deaths", "births", "divorces", "marriages"])
+    def test_thinned_draws_equal_direct_comparison(self, event, clock, monkeypatch):
+        thinned = self.run(event, clock, False, monkeypatch)
+        assert sum(map(len, thinned[0])) >= 3  # the events do happen
+        assert self.run(event, clock, True, monkeypatch) == thinned
 
 
 class TestAgeing:
@@ -557,10 +575,8 @@ class TestMarriages:
 
 class TestStepConservation:
     def test_population_conservation_across_full_steps(self):
-        from gridpop.events import run_step
         store, space = PopulationStore(12), Space()
         rng = make_rng(123)
-        from gridpop.initialization import build_initial_state
         build_initial_state(store, space, ModelParameters(initial_pop=800),
                             ClockSpec.monthly(), rng)
         order = ("ageing", "deaths", "births", "divorces", "marriages")
