@@ -17,13 +17,12 @@ import numpy as np
 
 from .engine import (
     StepStatistics,
-    build_space,
+    build_initial_population,
     export_population,
     load_fertility_table,
     run_simulation,
     write_statistics,
 )
-from .initialization import build_initial_state
 from .params import (
     ConfigError,
     DataTables,
@@ -32,8 +31,8 @@ from .params import (
     config_to_text,
     load_config,
 )
-from .population import PopulationStore, collect_invariant_violations
-from .stochastics import ClockSpec, make_rng
+from .population import collect_invariant_violations
+from .stochastics import ClockSpec
 
 logger = logging.getLogger(__name__)
 
@@ -151,11 +150,7 @@ def _cmd_validate(args) -> int:
     params, config = _load(args)
     tables = DataTables(fertility=load_fertility_table(config.fertility))
     tables.validate()
-    rng = make_rng(config.seed)
-    space = build_space(config)
-    store = PopulationStore(config.clock.steps_per_year)
-    build_initial_state(store, space, params, config.clock, rng,
-                        max_initial_age=config.max_initial_age)
+    store, space, _ = build_initial_population(config, params)
     problems = collect_invariant_violations(store, space)
     if problems:
         print(f"INVALID: {len(problems)} invariant violations", file=sys.stderr)

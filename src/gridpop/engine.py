@@ -114,9 +114,16 @@ class RunResult:
     space: Space
 
 
-def build_space(config: SimulationConfig) -> Space:
+def build_initial_population(config: SimulationConfig, params: ModelParameters
+                             ) -> tuple[PopulationStore, Space, np.random.Generator]:
+    """The run's initial store and space, and its generator after drawing them."""
+    rng = make_rng(config.seed)
     density = None if config.density_map == "default" else load_density_map(config.density_map)
-    return Space(density=density, town_grid_cells=config.town_grid_size)
+    space = Space(density=density, town_grid_cells=config.town_grid_size)
+    store = PopulationStore(config.clock.steps_per_year)
+    build_initial_state(store, space, params, config.clock, rng,
+                        max_initial_age=config.max_initial_age)
+    return store, space, rng
 
 
 def load_fertility_table(source: str) -> FertilityTable:
@@ -142,12 +149,8 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     config.validate()
     params.validate()
     tables.validate()
-    rng = make_rng(config.seed)
+    store, space, rng = build_initial_population(config, params)
     n = config.clock.steps_per_year
-    space = build_space(config)
-    store = PopulationStore(n)
-    build_initial_state(store, space, params, config.clock, rng,
-                        max_initial_age=config.max_initial_age)
     hazards = HazardTables(params, tables, n)
 
     if config.audit:
@@ -162,8 +165,7 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     for k in range(total):
         snapshot = StepSnapshot.capture(store)
         current_year = config.t0 + k // n
-        log = run_step(store, space, params, hazards, snapshot, current_year,
-                       rng, config.event_order)
+        log = run_step(store, space, hazards, snapshot, current_year, rng, config.event_order)
         interval = [a + b for a, b in zip(interval, log.counts())]
         if config.audit:
             _audit_boundary(store, space, f"step {k}")

@@ -207,7 +207,7 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     alive = store.alive_arr[:n]
     ages = store.age_steps_arr[:n]
     ages += alive
-    store.alive_age_steps_sum += int(np.count_nonzero(alive))
+    store.alive_age_steps_sum += store.alive_count
     new_adults = np.flatnonzero(alive & (ages == store.adult_age_steps))
     if len(new_adults) == 0:
         return
@@ -292,9 +292,8 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
         log.divorce_moves.append(pid)
 
 
-def marriages_step(store: PopulationStore, space: Space, params: ModelParameters,
-                   hazards: HazardTables, snapshot: StepSnapshot | None,
-                   rng: Rng, log: StepEventLog) -> None:
+def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
+                   snapshot: StepSnapshot | None, rng: Rng, log: StepEventLog) -> None:
     """Marry eligible men at the decade-modified rate.
 
     Eligible men are unmarried adults, excluding those divorced or turned
@@ -345,7 +344,7 @@ def marriages_step(store: PopulationStore, space: Space, params: ModelParameters
     for groom_id in grooms:
         if live == 0:
             break
-        n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
+        n_cand = max(hazards.params.max_num_marr_cand, math.ceil(live / 10))
         k = min(n_cand, live)
         cand = rng.choice(live, size=k, replace=False)
         n_m = int(children[groom_id])
@@ -392,12 +391,12 @@ def _merge_households(store: PopulationStore, space: Space,
 # -- one whole step ----------------------------------------------------------
 
 
-def run_step(store: PopulationStore, space: Space, params: ModelParameters,
-             hazards: HazardTables, snapshot: StepSnapshot | None, current_year: int,
+def run_step(store: PopulationStore, space: Space, hazards: HazardTables,
+             snapshot: StepSnapshot | None, current_year: int,
              rng: Rng, order) -> StepEventLog:
     """Apply all five events in the configured order (ageing first).
 
-    ``hazards`` must be built for ``params`` and the store's clock."""
+    ``hazards`` must be built for the store's clock."""
     log = StepEventLog()
     for name in order:
         if name == "ageing":
@@ -409,7 +408,7 @@ def run_step(store: PopulationStore, space: Space, params: ModelParameters,
         elif name == "divorces":
             divorces_step(store, space, hazards, snapshot, rng, log)
         elif name == "marriages":
-            marriages_step(store, space, params, hazards, snapshot, rng, log)
+            marriages_step(store, space, hazards, snapshot, rng, log)
         else:
             raise ValueError(f"unknown event {name!r}")
     return log

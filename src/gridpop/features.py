@@ -6,6 +6,13 @@ plus ``compose``, ``just`` and ``pre``. Every node evaluates to a boolean
 mask over all stored ids, computed from the store's arrays; evaluation is
 pure, so the same (store, snapshot) always yields the same mask.
 
+Seven node kinds make every expression: ``Combine`` (a binary NumPy
+operator over two masks: ``|``, ``&``, ``-`` and ``compose``),
+``Negation``, ``Pre``, and the leaves ``Equals`` (a column equals a value:
+gender, alive, marital status, house), ``AgeCompare``, ``HasKin`` and
+``InTown``. ``just(f)`` is ``f - pre(f)``; ``TRUE`` and ``FALSE`` are
+built from ``ALIVE``.
+
 Temporal semantics: ``pre(f)`` evaluates f against the previous step
 boundary's snapshot and is False for persons created since; ``just(f)``
 is ``f now and not pre(f)``. When no snapshot exists yet (the very first
@@ -22,17 +29,11 @@ links never disappear and only ever gain newly created persons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .population import (
-    Gender,
-    MaritalStatus,
-    PersonId,
-    PopulationStore,
-    STATUS_CODE,
-)
+from .population import MaritalStatus, PersonId, PopulationStore, STATUS_CODE
 from .space import GRID_COLS, GRID_ROWS, Space, cell_of
 
 
@@ -92,13 +93,13 @@ class FeatureExpr:
         raise NotImplementedError
 
     def __or__(self, other: "FeatureExpr") -> "FeatureExpr":
-        return Union(self, other)
+        return Combine(np.bitwise_or, self, other)
 
     def __and__(self, other: "FeatureExpr") -> "FeatureExpr":
-        return Intersection(self, other)
+        return Combine(np.bitwise_and, self, other)
 
     def __sub__(self, other: "FeatureExpr") -> "FeatureExpr":
-        return Difference(self, other)
+        return Combine(_and_not, self, other)
 
     def __invert__(self) -> "FeatureExpr":
         return Negation(self)
@@ -106,34 +107,23 @@ class FeatureExpr:
     def compose(self, inner: "FeatureExpr") -> "FeatureExpr":
         """Restrict `inner` to persons already satisfying `self`;
         extensionally equal to intersection."""
-        return Intersection(self, inner)
+        return self & inner
+
+
+def _and_not(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a & ~b
 
 
 @dataclass(frozen=True)
-class Union(FeatureExpr):
+class Combine(FeatureExpr):
+    """Two masks joined by `op`: np.bitwise_or, np.bitwise_and or _and_not."""
+
+    op: Callable[[np.ndarray, np.ndarray], np.ndarray]
     left: FeatureExpr
     right: FeatureExpr
 
     def mask(self, ctx, past=False):
-        return self.left.mask(ctx, past) | self.right.mask(ctx, past)
-
-
-@dataclass(frozen=True)
-class Intersection(FeatureExpr):
-    left: FeatureExpr
-    right: FeatureExpr
-
-    def mask(self, ctx, past=False):
-        return self.left.mask(ctx, past) & self.right.mask(ctx, past)
-
-
-@dataclass(frozen=True)
-class Difference(FeatureExpr):
-    left: FeatureExpr
-    right: FeatureExpr
-
-    def mask(self, ctx, past=False):
-        return self.left.mask(ctx, past) & ~self.right.mask(ctx, past)
+        return self.op(self.left.mask(ctx, past), self.right.mask(ctx, past))
 
 
 @dataclass(frozen=True)
@@ -142,16 +132,6 @@ class Negation(FeatureExpr):
 
     def mask(self, ctx, past=False):
         return ~self.inner.mask(ctx, past)
-
-
-@dataclass(frozen=True)
-class Just(FeatureExpr):
-    inner: FeatureExpr
-
-    def mask(self, ctx, past=False):
-        if past:
-            raise FeatureError("temporal operators cannot be nested (one snapshot is retained)")
-        return self.inner.mask(ctx) & ~_past_mask(self.inner, ctx)
 
 
 @dataclass(frozen=True)
@@ -175,7 +155,8 @@ def _past_mask(expr: FeatureExpr, ctx: EvalContext) -> np.ndarray:
 
 
 def just(expr: FeatureExpr) -> FeatureExpr:
-    return Just(expr)
+    """f now and not pre(f); nesting raises FeatureError through the Pre."""
+    return expr - Pre(expr)
 
 
 def pre(expr: FeatureExpr) -> FeatureExpr:
@@ -190,26 +171,14 @@ def compose(outer: FeatureExpr, inner: FeatureExpr) -> FeatureExpr:
 
 
 @dataclass(frozen=True)
-class GenderIs(FeatureExpr):
-    gender: Gender
+class Equals(FeatureExpr):
+    """A column of the state (male, alive, status, house) equals `value`."""
+
+    column: str
+    value: object
 
     def mask(self, ctx, past=False):
-        male = ctx.state(past).male
-        return male.copy() if self.gender is Gender.MALE else ~male
-
-
-@dataclass(frozen=True)
-class IsAlive(FeatureExpr):
-    def mask(self, ctx, past=False):
-        return ctx.state(past).alive.copy()
-
-
-@dataclass(frozen=True)
-class StatusIs(FeatureExpr):
-    status: MaritalStatus
-
-    def mask(self, ctx, past=False):
-        return ctx.state(past).status == STATUS_CODE[self.status]
+        return getattr(ctx.state(past), self.column) == self.value
 
 
 @dataclass(frozen=True)
@@ -253,14 +222,6 @@ class HasKin(FeatureExpr):
 
 
 @dataclass(frozen=True)
-class InHouse(FeatureExpr):
-    house_id: int
-
-    def mask(self, ctx, past=False):
-        return ctx.state(past).house == self.house_id
-
-
-@dataclass(frozen=True)
 class InTown(FeatureExpr):
     town: tuple[int, int]
 
@@ -272,40 +233,24 @@ class InTown(FeatureExpr):
         return (house >= 0) & on_grid & (ctx.space.town_cell[house] == cell_of(self.town))
 
 
-@dataclass(frozen=True)
-class Always(FeatureExpr):
-    value: bool
-
-    def mask(self, ctx, past=False):
-        return np.full(ctx.state(past).size, self.value)
-
-
 # Ready-made leaves.
-MALE = GenderIs(Gender.MALE)
-FEMALE = GenderIs(Gender.FEMALE)
-ALIVE = IsAlive()
-MARRIED = StatusIs(MaritalStatus.MARRIED)
-DIVORCED = StatusIs(MaritalStatus.DIVORCED)
-WIDOWED = StatusIs(MaritalStatus.WIDOWED)
+MALE = Equals("male", True)
+FEMALE = Equals("male", False)
+ALIVE = Equals("alive", True)
+MARRIED = Equals("status", STATUS_CODE[MaritalStatus.MARRIED])
+DIVORCED = Equals("status", STATUS_CODE[MaritalStatus.DIVORCED])
+WIDOWED = Equals("status", STATUS_CODE[MaritalStatus.WIDOWED])
 HAS_CHILDREN = HasKin(siblings=False, alive_only=False)
 HAS_ALIVE_CHILDREN = HasKin(siblings=False, alive_only=True)
 HAS_SIBLINGS = HasKin(siblings=True, alive_only=False)
 HAS_ALIVE_SIBLINGS = HasKin(siblings=True, alive_only=True)
 ADULT = AgeCompare(np.greater_equal, 18)
-TRUE = Always(True)
-FALSE = Always(False)
-
-
-def age_at_least(years: float) -> FeatureExpr:
-    return AgeCompare(np.greater_equal, years)
+TRUE = ALIVE | ~ALIVE
+FALSE = ALIVE - ALIVE
 
 
 def age_over(years: float) -> FeatureExpr:
     return AgeCompare(np.greater, years)
-
-
-def age_below(years: float) -> FeatureExpr:
-    return AgeCompare(np.less, years)
 
 
 def in_town(town: tuple[int, int]) -> FeatureExpr:
@@ -313,7 +258,7 @@ def in_town(town: tuple[int, int]) -> FeatureExpr:
 
 
 def in_house(house_id: int) -> FeatureExpr:
-    return InHouse(house_id)
+    return Equals("house", house_id)
 
 
 # -- evaluation entry points ----------------------------------------------

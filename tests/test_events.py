@@ -237,7 +237,7 @@ class TestThinning:
         table = hazards(self.PARAMS, tables, n)
         hits = []
         for _ in range(40 if clock == "hourly" else 12):
-            log = run_step(store, space, self.PARAMS, table, StepSnapshot.capture(store),
+            log = run_step(store, space, table, StepSnapshot.capture(store),
                            2020, rng, ("ageing", event))
             hits.append(getattr(log, event))
         state = [getattr(store, name)[:store.size].tolist()
@@ -475,7 +475,7 @@ class TestMarriages:
         params = ModelParameters(basic_male_marriage_rate=1.0)
         snap = StepSnapshot.capture(store)
         while not log.marriages:
-            marriages_step(store, space, params, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), snap, rng, log)
         assert store.persons[m].partner == f
         # Equal occupancy (1 vs 1): tie goes to the groom's house.
         assert store.persons[f].house == store.persons[m].house
@@ -519,7 +519,7 @@ class TestMarriages:
         store.unwed(m, UnwedReason.DIVORCE)        # divorced this step
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
-            marriages_step(store, space, params, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), snap, rng, log)
         assert all(groom != m for groom, _ in log.marriages)
 
     def test_just_turned_adult_excluded(self):
@@ -530,12 +530,12 @@ class TestMarriages:
         ageing_step(store, space, rng, log)  # m turns exactly 18
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(50):
-            marriages_step(store, space, params, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), snap, rng, log)
         assert log.marriages == []
         # One boundary later he becomes eligible.
         snap2 = StepSnapshot.capture(store)
         while not log.marriages:
-            marriages_step(store, space, params, hazards(params), snap2, rng, log)
+            marriages_step(store, space, hazards(params), snap2, rng, log)
         assert log.marriages[0][0] == m
 
     def test_all_zero_weights_leaves_man_single(self):
@@ -551,7 +551,7 @@ class TestMarriages:
                                house=store.persons[bride].house, space=space)
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(200):
-            marriages_step(store, space, params, hazards(params), None, rng, log)
+            marriages_step(store, space, hazards(params), None, rng, log)
         assert log.marriages == []
         assert store.persons[groom].unmarried
 
@@ -566,7 +566,7 @@ class TestMarriages:
             local = housed(s, sp, Gender.FEMALE, 25, town=(8, 4), rng=trial_rng)
             housed(s, sp, Gender.FEMALE, 25, town=(9, 5), rng=trial_rng)  # distance 2
             lg = StepEventLog()
-            marriages_step(s, sp, params, hazards(params), None, trial_rng, lg)
+            marriages_step(s, sp, hazards(params), None, trial_rng, lg)
             if lg.marriages:
                 picks["local" if lg.marriages[0][1] == local else "distant"] += 1
         assert picks["local"] > 0
@@ -584,7 +584,7 @@ class TestStepConservation:
         for k in range(24):
             before = store.alive_count
             snap = StepSnapshot.capture(store)
-            log = run_step(store, space, PARAMS, run_hazards, snap, 2020 + k // 12, rng, order)
+            log = run_step(store, space, run_hazards, snap, 2020 + k // 12, rng, order)
             assert store.alive_count == before + len(log.births) - len(log.deaths)
             assert collect_invariant_violations(store, space) == []
             assert all(not store.persons[pid].alive for pid in log.deaths)

@@ -256,12 +256,15 @@ class TestTemporalOperators:
             assert just(expr).mask(ctx)[pid] == (
                 expr.mask(ctx)[pid] and not pre(expr).mask(ctx)[pid])
 
-    def test_nested_temporal_rejected(self):
+    @pytest.mark.parametrize("nested", [
+        pre(pre(MARRIED)), pre(just(MARRIED)), just(pre(MARRIED)), just(just(MARRIED)),
+    ], ids=["pre_pre", "pre_just", "just_pre", "just_just"])
+    def test_nested_temporal_rejected(self, nested):
         store, space, m, f = self.build_couple()
         snap = StepSnapshot.capture(store)
         ctx = EvalContext(store, space, snap)
         with pytest.raises(FeatureError):
-            pre(pre(MARRIED)).mask(ctx)[m]
+            nested.mask(ctx)[m]
 
     def test_compose_function_form(self):
         store, space = random_population(7, n=40)
