@@ -103,12 +103,8 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.replicates == 1:
-        result = run_simulation(config, params, tables)
-        stats_path = out_dir / "statistics.csv"
-        pop_path = out_dir / "population.txt"
-        write_statistics(result.statistics, stats_path)
-        export_population(result.store, result.space, pop_path)
-        final = result.statistics[-1]
+        stats_path, pop_path = out_dir / "statistics.csv", out_dir / "population.txt"
+        final = _run_and_write(config, params, tables, stats_path, pop_path)[-1]
         print(f"run complete: seed={config.seed} steps={config.total_steps} "
               f"alive={final.alive}")
         print(f"wrote {stats_path} and {pop_path}")
@@ -117,15 +113,25 @@ def _cmd_run(args) -> int:
     all_stats = []
     for i in range(args.replicates):
         rep_config = replace(config, seed=config.seed + i)
-        result = run_simulation(rep_config, params, tables)
-        write_statistics(result.statistics, out_dir / f"statistics_r{i:03d}.csv")
-        export_population(result.store, result.space, out_dir / f"population_r{i:03d}.txt")
-        all_stats.append(result.statistics)
+        all_stats.append(_run_and_write(rep_config, params, tables,
+                                        out_dir / f"statistics_r{i:03d}.csv",
+                                        out_dir / f"population_r{i:03d}.txt"))
         print(f"replicate {i} (seed {rep_config.seed}): "
-              f"alive={result.statistics[-1].alive}")
+              f"alive={all_stats[-1][-1].alive}")
     _write_replicate_summary(all_stats, out_dir / "summary.csv")
     print(f"wrote {args.replicates} replicate files and {out_dir / 'summary.csv'}")
     return 0
+
+
+def _run_and_write(config: SimulationConfig, params: ModelParameters, tables: DataTables,
+                   stats_path: Path, pop_path: Path) -> list[StepStatistics]:
+    """Run once, write its statistics and population export, and return the
+    statistics: the population is freed on return, so replicates hold one
+    at a time."""
+    result = run_simulation(config, params, tables)
+    write_statistics(result.statistics, stats_path)
+    export_population(result.store, result.space, pop_path)
+    return result.statistics
 
 
 def _write_replicate_summary(all_stats, path: Path) -> None:

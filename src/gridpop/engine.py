@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Annotated, Callable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import (Annotated, Callable, Iterator, NamedTuple, Optional, Sequence, TextIO,
+                    get_type_hints)
 
 import numpy as np
 
@@ -49,6 +51,9 @@ EXPORT_FIELDS = ("id gender age_steps alive status partner father mother "
                  "children house town_x town_y")
 # The export's "town_x town_y" fields of each cell code.
 _TOWN_FIELDS = [f"{x} {y}" for x in range(1, GRID_ROWS + 1) for y in range(1, GRID_COLS + 1)]
+# Persons per block of export_population and import_population: every Python
+# list and string they build spans at most one block.
+_EXPORT_BLOCK = 1 << 14
 
 
 class AuditError(AssertionError):
@@ -210,37 +215,83 @@ def _opt(v: int) -> str:
     return "-" if v < 0 else str(v)
 
 
-def _children_cells(store: PopulationStore) -> list[str]:
-    """Each person's children column: ids ascending, comma-joined, or '-'."""
+def _children_cells(store: PopulationStore, lo: int, hi: int) -> list[str]:
+    """The children column of persons lo..hi-1: ids ascending, comma-joined,
+    or '-'."""
     offsets, kids = store.children_index()
-    offsets, kids = offsets.tolist(), [str(c) for c in kids.tolist()]
-    return [",".join(kids[a:b]) or "-" for a, b in zip(offsets, offsets[1:])]
+    offsets = offsets[lo:hi + 1].tolist()
+    base = offsets[0]
+    kids = [str(c) for c in kids[base:offsets[-1]].tolist()]
+    return [",".join(kids[a - base:b - base]) or "-" for a, b in zip(offsets, offsets[1:])]
 
 
 def export_population(store: PopulationStore, space: Space, path: str | Path) -> None:
     """One line per person, documented field order; dead persons carry
-    'grave' in the house column. Re-importable for auditing."""
-    lines = [EXPORT_HEADER,
-             f"# steps_per_year={store.steps_per_year}",
-             f"# fields: {EXPORT_FIELDS}"]
+    'grave' in the house column. Re-importable for auditing. Written in
+    blocks of _EXPORT_BLOCK persons, so the memory it takes beyond the
+    store is bounded."""
     n = store.size
-    columns = [getattr(store, name)[:n].tolist() for name in (
-        "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
-        "father_arr", "mother_arr", "house_arr")]
-    # The unhoused (-1) read the last array row; their town is not written.
-    columns += [space.town_cell[store.house_arr[:n]].tolist(), _children_cells(store)]
-    for pid, (male, age, alive, status, partner, father, mother, house,
-              cell, children) in enumerate(zip(*columns)):
-        if house >= 0:
-            where = [str(house), _TOWN_FIELDS[cell]]
-        else:
-            where = ["-" if alive else "grave", "-", "-"]
-        lines.append(" ".join([
-            str(pid), "male" if male else "female", str(age), "1" if alive else "0",
-            STATUSES[status].value, _opt(partner), _opt(father), _opt(mother),
-            children, *where,
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(f"{EXPORT_HEADER}\n# steps_per_year={store.steps_per_year}\n"
+                  f"# fields: {EXPORT_FIELDS}\n")
+        for lo in range(0, n, _EXPORT_BLOCK):
+            hi = min(lo + _EXPORT_BLOCK, n)
+            columns = [getattr(store, name)[lo:hi].tolist() for name in (
+                "male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
+                "father_arr", "mother_arr", "house_arr")]
+            # The unhoused (-1) read the last array row; their town is not written.
+            columns += [space.town_cell[store.house_arr[lo:hi]].tolist(),
+                        _children_cells(store, lo, hi)]
+            lines = []
+            for pid, (male, age, alive, status, partner, father, mother, house,
+                      cell, children) in enumerate(zip(*columns), start=lo):
+                if house >= 0:
+                    where = [str(house), _TOWN_FIELDS[cell]]
+                else:
+                    where = ["-" if alive else "grave", "-", "-"]
+                lines.append(" ".join([
+                    str(pid), "male" if male else "female", str(age), "1" if alive else "0",
+                    STATUSES[status].value, _opt(partner), _opt(father), _opt(mother),
+                    children, *where,
+                ]))
+            out.write("\n".join(lines) + "\n")
+
+
+def _line_blocks(file: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """The file's lines in blocks of up to _EXPORT_BLOCK, each with the
+    number of its first line; lines split as str.splitlines splits the
+    whole text."""
+    lines = chain.from_iterable(map(str.splitlines, file))
+    first = 1
+    while block := list(islice(lines, _EXPORT_BLOCK)):
+        yield first, block
+        first += len(block)
+
+
+def _fill_rows(store: PopulationStore, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Append one block of checked rows to the store; returns the ids of
+    the housed persons among them and their (town x, town y)."""
+    lo = store.add_rows(len(rows))
+    hi = store.size
+    (_, genders, ages, alive, statuses, partners, fathers, mothers, _,
+     houses, towns_x, towns_y) = zip(*rows)
+    # Enum lookups reject unknown genders and statuses, once per distinct value.
+    male = {g: Gender(g) is Gender.MALE for g in set(genders)}
+    code = {s: STATUS_CODE[MaritalStatus(s)] for s in set(statuses)}
+    store.male_arr[lo:hi] = [male[g] for g in genders]
+    store.age_steps_arr[lo:hi] = [int(a) for a in ages]
+    store.alive_arr[lo:hi] = [a == "1" for a in alive]
+    store.status_arr[lo:hi] = [code[s] for s in statuses]
+    for array, refs in ((store.partner_arr, partners), (store.father_arr, fathers),
+                        (store.mother_arr, mothers)):
+        array[lo:hi] = [-1 if r == "-" else int(r) for r in refs]
+    house = np.array([-1 if h in ("-", "grave") else int(h) for h in houses], dtype=np.int64)
+    store.house_arr[lo:hi] = house
+    housed = np.flatnonzero(house >= 0)
+    ids = housed.tolist()
+    towns = np.array([[int(towns_x[i]) for i in ids], [int(towns_y[i]) for i in ids]],
+                     dtype=np.int64).T
+    return housed + lo, towns
 
 
 def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
@@ -255,51 +306,51 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     ids out of sequence, an alive cell other than 0 or 1, a children
     column that disagrees with the father and mother columns, or two
     residents of one house in different towns.
-    """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != EXPORT_HEADER:
-        raise ValueError("not a population export file")
-    steps_per_year = None
-    for ln in lines[:3]:
-        if ln.startswith("# steps_per_year="):
-            steps_per_year = int(ln.split("=", 1)[1])
-    if steps_per_year is None:
-        raise ValueError("export file missing steps_per_year header")
-    n_fields = len(EXPORT_FIELDS.split())
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
-        if ln.startswith("#") or not ln.strip():
-            continue
-        cells = ln.split(" ")
-        if len(cells) != n_fields:
-            raise ValueError(f"line {lineno}: {len(cells)} fields, expected {n_fields}")
-        if cells[0] != str(len(rows)):
-            raise ValueError(f"line {lineno}: person id {cells[0]}, expected {len(rows)}")
-        if cells[3] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: alive {cells[3]!r}, expected 0 or 1")
-        rows.append(cells)
 
-    n = len(rows)
-    store = PopulationStore(steps_per_year)
-    space = Space()
-    store.add_rows(n)
-    (_, genders, ages, alive, statuses, partners, fathers, mothers, _,
-     houses, towns_x, towns_y) = zip(*rows) if rows else [()] * n_fields
-    # Enum lookups reject unknown genders and statuses, once per distinct value.
-    male = {g: Gender(g) is Gender.MALE for g in set(genders)}
-    code = {s: STATUS_CODE[MaritalStatus(s)] for s in set(statuses)}
-    store.male_arr[:n] = [male[g] for g in genders]
-    store.age_steps_arr[:n] = [int(a) for a in ages]
-    store.alive_arr[:n] = [a == "1" for a in alive]
-    store.status_arr[:n] = [code[s] for s in statuses]
-    for array, refs in ((store.partner_arr, partners), (store.father_arr, fathers),
-                        (store.mother_arr, mothers)):
-        array[:n] = [-1 if r == "-" else int(r) for r in refs]
-    house = np.array([-1 if h in ("-", "grave") else int(h) for h in houses], dtype=np.int64)
-    store.house_arr[:n] = house
-    housed = np.flatnonzero(house >= 0)
-    towns = np.array([(int(towns_x[pid]), int(towns_y[pid])) for pid in housed.tolist()],
-                     dtype=np.int64).reshape(-1, 2)
+    The file is read in blocks of _EXPORT_BLOCK lines, each checked and
+    converted into the store before the next is read; the children column
+    is checked in a second pass. In a file with several faults, a fault in
+    an earlier block may be reported before one that a whole-file check of
+    the same kind would have found first.
+    """
+    n_fields = len(EXPORT_FIELDS.split())
+    with open(path) as file:
+        blocks = _line_blocks(file)
+        start, block = next(blocks, (1, []))
+        if not block or block[0] != EXPORT_HEADER:
+            raise ValueError("not a population export file")
+        steps_per_year = None
+        for ln in block[:3]:
+            if ln.startswith("# steps_per_year="):
+                steps_per_year = int(ln.split("=", 1)[1])
+        if steps_per_year is None:
+            raise ValueError("export file missing steps_per_year header")
+        store = PopulationStore(steps_per_year)
+        # The ids and towns of housed persons: all that outlives a block.
+        housed_blocks = [np.zeros(0, dtype=np.int64)]
+        town_blocks = [np.zeros((0, 2), dtype=np.int64)]
+        for start, block in chain([(start, block)], blocks):
+            lo, rows = store.size, []
+            for lineno, ln in enumerate(block, start=start):
+                if ln.startswith("#") or not ln.strip():
+                    continue
+                cells = ln.split(" ")
+                if len(cells) != n_fields:
+                    raise ValueError(f"line {lineno}: {len(cells)} fields, expected {n_fields}")
+                if cells[0] != str(lo + len(rows)):
+                    raise ValueError(f"line {lineno}: person id {cells[0]}, "
+                                     f"expected {lo + len(rows)}")
+                if cells[3] not in ("0", "1"):
+                    raise ValueError(f"line {lineno}: alive {cells[3]!r}, expected 0 or 1")
+                rows.append(cells)
+            if rows:
+                housed, towns = _fill_rows(store, rows)
+                housed_blocks.append(housed)
+                town_blocks.append(towns)
+
+    n = store.size
+    house = store.house_arr[:n]
+    housed, towns = np.concatenate(housed_blocks), np.concatenate(town_blocks)
     # A house's town is that of its first resident; a later one must agree.
     house_towns = np.zeros((int(house.max(initial=-1)) + 1, 2), dtype=np.int64)
     homes, first = np.unique(house[housed], return_index=True)
@@ -316,14 +367,23 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
                          f"{tuple(towns[off_grid[0]].tolist())} lies off the "
                          f"{GRID_ROWS}x{GRID_COLS} grid")
     house_cells = np.where(house_towns[:, 0] > 0, cell_of(house_towns.T), UNPLACED_CELL)
+    space = Space()
     # Exported coordinates are town-level only.
     space.add_houses(house_cells, np.ones((len(house_cells), 2), dtype=np.int64))
     space.add_residents(house[housed], housed)
     store.recount()
 
     # Exports list children in ascending order; sort only a cell that differs.
-    for pid, (cells, derived) in enumerate(zip(rows, _children_cells(store))):
-        if cells[8] != derived and sorted(cells[8].split(",")) != sorted(derived.split(",")):
-            raise ValueError(f"person {pid}: children column {cells[8]} disagrees with "
-                             f"the father/mother columns ({derived})")
+    with open(path) as file:
+        lo = 0
+        for _, block in _line_blocks(file):
+            given = [ln.split(" ", 9)[8] for ln in block
+                     if not ln.startswith("#") and ln.strip()]
+            hi = lo + len(given)
+            for pid, (cell, derived) in enumerate(zip(given, _children_cells(store, lo, hi)),
+                                                  start=lo):
+                if cell != derived and sorted(cell.split(",")) != sorted(derived.split(",")):
+                    raise ValueError(f"person {pid}: children column {cell} disagrees with "
+                                     f"the father/mother columns ({derived})")
+            lo = hi
     return store, space

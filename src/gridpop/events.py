@@ -164,7 +164,7 @@ def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.nd
     order, calling ``probability`` only where ``u < bound``: ``bound`` is at
     least every candidate's probability, so no other uniform can hit."""
     u = rng.random(len(ids))
-    maybe = np.flatnonzero(u < bound)
+    maybe = (u < bound).nonzero()[0]
     if len(maybe) == 0:
         return maybe
     ids = ids.take(maybe)
@@ -208,7 +208,7 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     ages = store.age_steps_arr[:n]
     ages += alive
     store.alive_age_steps_sum += store.alive_count
-    new_adults = np.flatnonzero(alive & (ages == store.adult_age_steps))
+    new_adults = (alive & (ages == store.adult_age_steps)).nonzero()[0]
     if len(new_adults) == 0:
         return
     orphaned = np.ones(len(new_adults), dtype=bool)
@@ -226,7 +226,7 @@ def deaths_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 rng: Rng, log: StepEventLog) -> None:
     """Kill each living person with the per-step death probability for
     their age and gender, visiting them in shuffled order."""
-    ids = np.flatnonzero(store.alive_arr[:store.size])
+    ids = store.alive_arr[:store.size].nonzero()[0]
     if len(ids) == 0:
         return
     rng.shuffle(ids)
@@ -251,9 +251,9 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
     mothers_of_infants = store.mother_arr[:size][alive & (ages <= n)]
     blocked = np.zeros(size, dtype=bool)
     blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
-    mothers = np.flatnonzero(alive & ~store.male_arr[:size] & ~blocked
-                             & (store.status_arr[:size] == MARRIED_CODE)
-                             & (ages < FERTILE_YEARS * n))
+    mothers = (alive & ~store.male_arr[:size] & ~blocked
+               & (store.status_arr[:size] == MARRIED_CODE)
+               & (ages < FERTILE_YEARS * n)).nonzero()[0]
     if len(mothers) == 0:
         return
     rates, bound = hazards.births(current_year)
@@ -277,7 +277,7 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
     if snapshot is not None:
         # Exclude the just-married: anyone not married at the boundary.
         mask &= snapshot.status == MARRIED_CODE
-    ids = np.flatnonzero(mask)
+    ids = mask.nonzero()[0]
     if len(ids) == 0:
         return
     rng.shuffle(ids)
@@ -314,7 +314,7 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
         just_divorced = ((store.status_arr[:k] == DIVORCED_CODE)
                          & (snapshot.status != DIVORCED_CODE))
         mask &= ~just_divorced & (snapshot.age_steps >= adult_steps)
-    ids = np.flatnonzero(mask)
+    ids = mask.nonzero()[0]
     if len(ids) == 0:
         return
     rng.shuffle(ids)
@@ -323,9 +323,9 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     if not grooms:
         return
 
-    pool = np.flatnonzero(store.alive_arr[:size] & ~store.male_arr[:size]
-                          & (store.status_arr[:size] != MARRIED_CODE)
-                          & (store.age_steps_arr[:size] >= adult_steps))
+    pool = (store.alive_arr[:size] & ~store.male_arr[:size]
+            & (store.status_arr[:size] != MARRIED_CODE)
+            & (store.age_steps_arr[:size] >= adult_steps)).nonzero()[0]
     pool_ages = store.age_steps_arr[pool] / n
     # Child counts cannot change during this event; houses can (household
     # merges move co-residents), so towns are read through the live house

@@ -174,10 +174,16 @@ class PopulationStore:
         self.alive_status_counts = [0] * len(STATUSES)  # by status code
         self.alive_age_steps_sum = 0
         self._children: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self.persons = PersonTable(self)
 
     def __len__(self) -> int:
         return self._next_id
+
+    @property
+    def persons(self) -> PersonTable:
+        """A view made per access: a stored one would form a reference
+        cycle, and a store in a cycle outlives its last name until the
+        garbage collector runs."""
+        return PersonTable(self)
 
     @property
     def size(self) -> int:

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import gridpop
+from gridpop import cli
 from gridpop.cli import main
 
 
@@ -160,6 +162,22 @@ class TestReplicates:
         run_cli(["run", "--seed", "10", "--dt", "monthly", "--t0", "2020",
                  "--tfinal", "2021", "--initial-pop", "150", "--out", str(solo)])
         assert (solo / "statistics.csv").read_text() == a
+
+    def test_replicates_hold_one_population_at_a_time(self, tmp_path, monkeypatch):
+        real, stores = cli.run_simulation, []
+
+        def run_simulation(*args, **kwargs):
+            if stores:
+                assert stores[-1]() is None, f"replicate {len(stores) - 1}'s store is alive"
+            result = real(*args, **kwargs)
+            stores.append(weakref.ref(result.store))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        assert run_cli(["run", "--seed", "10", "--dt", "monthly", "--t0", "2020",
+                        "--tfinal", "2020", "--initial-pop", "150",
+                        "--replicates", "3", "--out", str(tmp_path / "out")]) == 0
+        assert len(stores) == 3
 
 
 class TestValidate:

@@ -1,12 +1,15 @@
 """Engine surface: tables, config files, the run loop, statistics, export."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from gridpop import engine
 from gridpop.engine import (
     STATISTICS_HEADER,
+    build_initial_population,
     collect_step_statistics,
     export_population,
     import_population,
@@ -476,6 +479,52 @@ class TestExport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line 6: alive '{cell}', expected 0 or 1"):
             import_population(path)
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, block):
+        result = run_simulation(small_config(seed=25),
+                                ModelParameters(initial_pop=2500), DataTables())
+        assert result.store.size > 2 * block and result.store.size % block
+        default = tmp_path / "default.txt"
+        export_population(result.store, result.space, default)
+        monkeypatch.setattr(engine, "_EXPORT_BLOCK", block)
+        blocked, again = tmp_path / "blocked.txt", tmp_path / "again.txt"
+        export_population(result.store, result.space, blocked)
+        export_population(*import_population(blocked), again)
+        assert blocked.read_bytes() == default.read_bytes()
+        assert again.read_bytes() == default.read_bytes()
+
+    def test_wrong_field_count_past_the_first_block(self, export_lines, monkeypatch):
+        monkeypatch.setattr(engine, "_EXPORT_BLOCK", 7)
+        path, lines = export_lines
+        lines[20] = lines[20].rsplit(" ", 1)[0]  # person 17, in the third block
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^line 21: 11 fields, expected 12$"):
+            import_population(path)
+
+    def test_children_mismatch_past_the_first_block(self, export_lines, monkeypatch):
+        monkeypatch.setattr(engine, "_EXPORT_BLOCK", 7)
+        path, lines = export_lines
+        i = next(i for i, ln in enumerate(lines) if i > 20
+                 and not ln.startswith("#") and ln.split(" ")[8] != "-")
+        cells = lines[i].split(" ")
+        cells[8] = ",".join(cells[8].split(",")[1:]) or "-"  # drop one child
+        lines[i] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^person {cells[0]}: children column"):
+            import_population(path)
+
+    def test_export_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
+        store, space, _ = build_initial_population(small_config(seed=26),
+                                                   ModelParameters(initial_pop=20_000))
+        monkeypatch.setattr(engine, "_EXPORT_BLOCK", 1000)
+        tracemalloc.start()
+        try:
+            export_population(store, space, tmp_path / "pop.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / store.size < 100
 
 
 class TestStatisticsCsv:
