@@ -7,8 +7,10 @@ committed at the step's start, so every "just happened" exclusion refers
 to the previous boundary.
 
 Each hazard and matching weight is one array function. An event draws
-a uniform per candidate first and finds probabilities only for the few
-whose uniform lies below HazardTables' bound on them (thinning). The
+how many of its candidates fall below HazardTables' bound on their
+probabilities, picks that many in a uniformly random order, and finds
+probabilities only for those (thinning): its random draws and hazard
+evaluations grow with its expected events, not with its candidates. The
 marriage geo factor is tabulated once per run by town pair, and the
 children factor once per step by child counts.
 """
@@ -160,15 +162,21 @@ class HazardTables:
 
 
 def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.ndarray:
-    """``ids[u < probability(ids)]`` for ``u = rng.random(len(ids))``, in
-    order, calling ``probability`` only where ``u < bound``: ``bound`` is at
-    least every candidate's probability, so no other uniform can hit."""
-    u = rng.random(len(ids))
-    maybe = (u < bound).nonzero()[0]
-    if len(maybe) == 0:
-        return maybe
-    ids = ids.take(maybe)
-    return ids[u.take(maybe) < probability(ids)]
+    """Each of ``ids`` hit independently with its ``probability``, the hits
+    in a uniformly random order; ``bound`` is at least every probability.
+
+    A binomial count m of candidates falls below the bound, a uniformly
+    ordered uniform subset of m candidates is those, and each of them is
+    kept with probability(id) / bound. This is the law of one uniform per
+    candidate in a shuffled order, but draws O(m) numbers and calls
+    ``probability`` on the m candidates only.
+    """
+    bound = min(bound, 1.0)
+    m = int(rng.binomial(len(ids), bound))
+    if m == 0:  # the draws below would take nothing from the stream
+        return ids[:0]
+    maybe = ids.take(rng.choice(len(ids), m, replace=False))
+    return maybe[rng.random(m) * bound < probability(maybe)]
 
 
 def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
@@ -225,11 +233,10 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
 def deaths_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 rng: Rng, log: StepEventLog) -> None:
     """Kill each living person with the per-step death probability for
-    their age and gender, visiting them in shuffled order."""
+    their age and gender, the dead in a uniformly random order."""
     ids = store.alive_arr[:store.size].nonzero()[0]
     if len(ids) == 0:
         return
-    rng.shuffle(ids)
     ages, male = store.age_steps_arr, store.male_arr
     bound = hazards.death_bound(int(ages.take(ids).max()))
     dead = _thinned_hits(rng, ids, bound, lambda hit: death_step_probability_array(
@@ -258,7 +265,8 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
         return
     rates, bound = hazards.births(current_year)
     hits = _thinned_hits(rng, mothers, bound, lambda hit: rates.take(ages.take(hit) // n))
-    for mother in hits.tolist():
+    # Babies take their ids in their mothers' id order.
+    for mother in np.sort(hits).tolist():
         gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
         baby = store.spawn_person(gender, 0, father=int(store.partner_arr[mother]), mother=mother,
                                   house=int(store.house_arr[mother]), space=space)
@@ -280,7 +288,6 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
     ids = mask.nonzero()[0]
     if len(ids) == 0:
         return
-    rng.shuffle(ids)
     hits = _thinned_hits(rng, ids, hazards.divorce_bound, lambda hit: hazards.divorce.take(
         hazards.decade_rows(store.age_steps_arr.take(hit))))
     for pid in hits.tolist():
@@ -317,7 +324,6 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     ids = mask.nonzero()[0]
     if len(ids) == 0:
         return
-    rng.shuffle(ids)
     grooms = _thinned_hits(rng, ids, hazards.marriage_bound, lambda hit: hazards.marriage.take(
         hazards.decade_rows(store.age_steps_arr.take(hit)))).tolist()
     if not grooms:

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest, chisquare
 
 from conftest import housed
 from gridpop.events import (
     FERTILE_YEARS,
     HazardTables,
     StepEventLog,
+    _thinned_hits,
     ageing_step,
     age_compatibility_array,
     births_step,
@@ -209,13 +211,21 @@ class TestHazardTables:
 
 
 def direct_hits(rng, ids, bound, probability):
-    """The unthinned comparison: every candidate's probability evaluated."""
-    return ids[rng.random(len(ids)) < probability(ids)]
+    """The draw spelled out, with every candidate's probability evaluated: a
+    binomial count of candidates below the bound, a uniformly ordered subset
+    of that many, and for each a uniform scaled to the bound."""
+    p = probability(ids)
+    assert np.all(p <= bound)
+    bound = min(bound, 1.0)
+    m = rng.binomial(len(ids), bound)
+    order = rng.choice(len(ids), m, replace=False)
+    return ids[order][rng.random(m) * bound < p[order]]
 
 
 class TestThinning:
-    """Each event hits the persons the direct comparison ids[u < p] hits, in
-    the same order, and leaves the generator in the same state."""
+    """Each event hits the persons the direct draw hits, in the same order,
+    and leaves the generator in the same state; the draw has the law of one
+    uniform per candidate visited in a shuffled order."""
 
     # High hazards: deaths clamp from age 40 (men) and 47; every birth,
     # divorce and marriage probability lies between 0 and the clamp.
@@ -236,7 +246,7 @@ class TestThinning:
         build_initial_state(store, space, self.PARAMS, ClockSpec.parse(clock), rng)
         table = hazards(self.PARAMS, tables, n)
         hits = []
-        for _ in range(40 if clock == "hourly" else 12):
+        for _ in range(120 if clock == "hourly" else 12):
             log = run_step(store, space, table, StepSnapshot.capture(store),
                            2020, rng, ("ageing", event))
             hits.append(getattr(log, event))
@@ -250,6 +260,60 @@ class TestThinning:
         thinned = self.run(event, clock, False, monkeypatch)
         assert sum(map(len, thinned[0])) >= 3  # the events do happen
         assert self.run(event, clock, True, monkeypatch) == thinned
+
+    def test_hits_have_the_law_of_independent_draws_in_random_order(self):
+        # Eight candidates with distinct probabilities under one bound.
+        p = np.array([0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.35, 0.4])
+        ids = np.arange(100, 108)
+        rng, calls = make_rng(2024), 20_000
+        hit_counts = np.zeros(len(ids), dtype=int)
+        sizes = np.zeros(len(ids) + 1, dtype=int)
+        first_rank = {k: np.zeros(k, dtype=int) for k in range(2, 5)}
+        for _ in range(calls):
+            hits = _thinned_hits(rng, ids, 0.4, lambda maybe: p[maybe - 100])
+            hit_counts[hits - 100] += 1
+            sizes[len(hits)] += 1
+            if len(hits) in first_rank:  # rank of the first hit in the sorted hit set
+                first_rank[len(hits)][np.count_nonzero(hits < hits[0])] += 1
+        assert hit_counts[0] == 0
+        pvalues = [binomtest(int(c), calls, q).pvalue for c, q in zip(hit_counts[1:], p[1:])]
+        # Independence: the number of hits is Poisson-binomial.
+        size_law = np.array([1.0])
+        for q in p:
+            size_law = np.convolve(size_law, [1.0 - q, q])
+        expected = calls * size_law
+        pooled = expected >= 5
+        pvalues.append(chisquare(np.append(sizes[pooled], sizes[~pooled].sum()),
+                                 np.append(expected[pooled], expected[~pooled].sum())).pvalue)
+        # Order: the first hit is uniform over the hit set.
+        for counts in first_rank.values():
+            assert counts.sum() >= 50 * len(counts)
+            pvalues.append(chisquare(counts).pvalue)
+        assert min(pvalues) * len(pvalues) > 0.01
+
+    @pytest.mark.parametrize("bound", [1e-6, 0.001, 0.3])
+    def test_probability_sees_only_the_maybe_candidates(self, bound):
+        # 20,000 candidates: choice takes its set-based path for few picks
+        # and its partial shuffle for many.
+        ids = np.arange(7, 20_007)
+        for seed in range(5):
+            rng, replay, seen = make_rng(seed), make_rng(seed), []
+
+            def probability(maybe):
+                seen.append(maybe.copy())
+                return np.full(len(maybe), bound / 2)
+
+            hits = _thinned_hits(rng, ids, bound, probability)
+            m = replay.binomial(len(ids), bound)
+            maybe = ids[replay.choice(len(ids), m, replace=False)]
+            assert len(seen) == (m > 0)
+            assert np.array_equal(np.concatenate([ids[:0], *seen]), maybe)
+            assert np.isin(hits, maybe).all()
+
+    def test_a_bound_above_one_draws_every_candidate(self):
+        ids = np.arange(50)
+        hits = _thinned_hits(make_rng(3), ids, 1.0 + 1e-9, lambda maybe: np.ones(len(maybe)))
+        assert sorted(hits.tolist()) == ids.tolist()
 
 
 class TestAgeing:
@@ -328,6 +392,21 @@ class TestDeaths:
         assert store.persons[m].house is None
         assert collect_invariant_violations(store, space) == []
 
+    def test_certain_death_on_a_yearly_clock(self):
+        # One step a year and a yearly hazard clamped to certainty: the step
+        # probability is 1, and the death bound's margin lifts it above 1.
+        params = ModelParameters(base_die_rate=1.0)
+        store, space, rng, log = PopulationStore(1), Space(), make_rng(5), StepEventLog()
+        house = space.new_houses(cell_of((4, 3)), rng)
+        for i in range(50):
+            store.spawn_person(Gender.MALE if i % 2 else Gender.FEMALE, 30, house=house,
+                               space=space)
+        table = hazards(params, steps_per_year=1)
+        assert table.death_bound(30) > 1.0
+        deaths_step(store, space, table, rng, log)
+        assert sorted(log.deaths) == list(range(50))
+        assert store.alive_count == 0
+
 
 class TestBirths:
     def married_woman(self, store, space, rng, age=30.0):
@@ -386,6 +465,15 @@ class TestBirths:
         assert baby.father == m and baby.mother == f
         assert baby.house == store.persons[f].house
         assert collect_invariant_violations(store, space) == []
+
+    def test_babies_take_ids_in_their_mothers_order(self):
+        store, space, rng, log = fresh()
+        for age in (30.0, 25.0, 38.0, 22.0, 41.0, 33.0, 28.0, 35.0):
+            self.married_woman(store, space, rng, age=age)
+        births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
+        assert len(log.births) == 8
+        mothers = store.mother_arr[log.births]
+        assert np.all(np.diff(log.births) > 0) and np.all(np.diff(mothers) > 0)
 
     def test_out_of_table_rate_is_zero(self):
         store, space, rng, log = fresh()
