@@ -12,8 +12,8 @@ Four runs:
 - ``annual_run``: 2,000 agents, one step a year, 10 years, whose few
   distinct ages make init_partnerships take its cached-weight-row path;
 - ``daily_run``: 2,000 agents, daily clock, 2 years;
-- ``hourly_run``: 100 agents, hourly clock, 1 year, where almost every
-  event draw misses and thinning skips the probabilities.
+- ``hourly_run``: 100 agents, hourly clock, 1 year, where an event
+  rarely draws any candidate at all.
 """
 
 import contextlib

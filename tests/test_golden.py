@@ -32,14 +32,14 @@ def test_annual_run_matches_golden_digests():
 
 
 def test_daily_run_matches_golden_digests():
-    # Daily clock: deaths look up the death table, which grows during the run.
+    # Daily clock: each event draws a few candidates a step out of thousands.
     digest = _digest_module()
     assert (digest.compute("daily_run")
             == (ROOT / "tests" / "golden" / "daily_run.sha256").read_text())
 
 
 def test_hourly_run_matches_golden_digests():
-    # Hourly clock: the death table would pass its cap, so deaths are evaluated directly.
+    # Hourly clock: in most steps an event's binomial count is 0 and it draws no candidate.
     digest = _digest_module()
     assert (digest.compute("hourly_run")
             == (ROOT / "tests" / "golden" / "hourly_run.sha256").read_text())
