@@ -20,7 +20,7 @@ at or below ``--alpha``.
 
 Scenarios (default settings otherwise): ``daily-10k`` and
 ``monthly-200k`` for 2 years, ``hourly-1k`` for 1 year. The three with
-40 seeds per side take about 15 minutes on two cores.
+40 seeds per side take about 10 minutes on two cores.
 
     python scripts/stream_equivalence.py --rev <revision> [--seeds 40] [--jobs 2]
 """
@@ -137,7 +137,8 @@ def collect(sides: dict[str, tuple[Path, int]], scenarios, seeds: int, scratch: 
     side is (its ``src``, its first seed). The two sides' runs alternate,
     so a change in the host's speed or load falls on both alike."""
     with ThreadPoolExecutor(jobs) as pool:
-        runs = [(side, scenario, first + i, pool.submit(run_one, src, scenario, first + i, scratch))
+        runs = [(side, scenario, first + i,
+                 pool.submit(run_one, src, scenario, first + i, scratch))
                 for scenario in scenarios for i in range(seeds)
                 for side, (src, first) in sides.items()]
         out: dict[str, dict[tuple, list[float]]] = {side: {} for side in sides}

@@ -165,11 +165,11 @@ def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.nd
     """Each of ``ids`` hit independently with its ``probability``, the hits
     in a uniformly random order; ``bound`` is at least every probability.
 
-    A binomial count m of candidates falls below the bound, a uniformly
-    ordered uniform subset of m candidates is those, and each of them is
-    kept with probability(id) / bound. This is the law of one uniform per
-    candidate in a shuffled order, but draws O(m) numbers and calls
-    ``probability`` on the m candidates only.
+    Draws the number m of candidates whose uniform would lie below the
+    bound, takes m candidates as a uniformly ordered uniform subset, and
+    keeps each with probability(id) / bound: the law of one uniform per
+    candidate in a shuffled order, from O(m) draws, with ``probability``
+    called on those m candidates only.
     """
     bound = min(bound, 1.0)
     m = int(rng.binomial(len(ids), bound))
