@@ -71,9 +71,8 @@ class Comparison(NamedTuple):
 def year_samples(csv_text: str, t0: int = T0) -> dict[tuple[int, str], float]:
     """{(year, column): value} of one statistics.csv: year 1 covers the rows
     with t0 < time <= t0 + 1, and so on; the initial row belongs to none."""
-    rows = list(csv.DictReader(io.StringIO(csv_text)))
     out: dict[tuple[int, str], float] = {}
-    for row in rows:
+    for row in csv.DictReader(io.StringIO(csv_text)):
         year = math.ceil(float(row["time"]) - t0 - 1e-9)
         if year < 1:
             continue
