@@ -39,7 +39,7 @@ def measured(call):
 
 
 def main() -> int:
-    config = SimulationConfig(clock=ClockSpec.monthly(), seed=3)
+    config = SimulationConfig(clock=ClockSpec.parse("monthly"), seed=3)
     store, space, _ = engine.build_initial_population(config, ModelParameters(initial_pop=AGENTS))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "population.txt", Path(tmp) / "reexport.txt"

@@ -126,8 +126,7 @@ def build_initial_population(config: SimulationConfig, params: ModelParameters
     density = None if config.density_map == "default" else load_density_map(config.density_map)
     space = Space(density=density, town_grid_cells=config.town_grid_size)
     store = PopulationStore(config.clock.steps_per_year)
-    build_initial_state(store, space, params, config.clock, rng,
-                        max_initial_age=config.max_initial_age)
+    build_initial_state(store, space, params, rng, max_initial_age=config.max_initial_age)
     return store, space, rng
 
 
@@ -138,7 +137,7 @@ def load_fertility_table(source: str) -> FertilityTable:
     return FertilityTable.load(source)
 
 
-StepHook = Callable[[int, Optional[StepSnapshot], StepEventLog, PopulationStore, Space], None]
+StepHook = Callable[[int, StepSnapshot, StepEventLog, PopulationStore, Space], None]
 
 
 def run_simulation(config: SimulationConfig, params: ModelParameters,
@@ -215,10 +214,10 @@ def _opt(v: int) -> str:
     return "-" if v < 0 else str(v)
 
 
-def _children_cells(store: PopulationStore, lo: int, hi: int) -> list[str]:
-    """The children column of persons lo..hi-1: ids ascending, comma-joined,
-    or '-'."""
-    offsets, kids = store.children_index()
+def _children_cells(index: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> list[str]:
+    """The children column of persons lo..hi-1 from the store's
+    children_index(): ids ascending, comma-joined, or '-'."""
+    offsets, kids = index
     offsets = offsets[lo:hi + 1].tolist()
     base = offsets[0]
     kids = [str(c) for c in kids[base:offsets[-1]].tolist()]
@@ -231,6 +230,7 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
     blocks of _EXPORT_BLOCK persons, so the memory it takes beyond the
     store is bounded."""
     n = store.size
+    index = store.children_index()
     with open(path, "w") as out:
         out.write(f"{EXPORT_HEADER}\n# steps_per_year={store.steps_per_year}\n"
                   f"# fields: {EXPORT_FIELDS}\n")
@@ -241,7 +241,7 @@ def export_population(store: PopulationStore, space: Space, path: str | Path) ->
                 "father_arr", "mother_arr", "house_arr")]
             # The unhoused (-1) read the last array row; their town is not written.
             columns += [space.town_cell[store.house_arr[lo:hi]].tolist(),
-                        _children_cells(store, lo, hi)]
+                        _children_cells(index, lo, hi)]
             lines = []
             for pid, (male, age, alive, status, partner, father, mother, house,
                       cell, children) in enumerate(zip(*columns), start=lo):
@@ -374,13 +374,14 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     store.recount()
 
     # Exports list children in ascending order; sort only a cell that differs.
+    index = store.children_index()
     with open(path) as file:
         lo = 0
         for _, block in _line_blocks(file):
             given = [ln.split(" ", 9)[8] for ln in block
                      if not ln.startswith("#") and ln.strip()]
             hi = lo + len(given)
-            for pid, (cell, derived) in enumerate(zip(given, _children_cells(store, lo, hi)),
+            for pid, (cell, derived) in enumerate(zip(given, _children_cells(index, lo, hi)),
                                                   start=lo):
                 if cell != derived and sorted(cell.split(",")) != sorted(derived.split(",")):
                     raise ValueError(f"person {pid}: children column {cell} disagrees with "

@@ -274,18 +274,16 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
 
 
 def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
-                  snapshot: StepSnapshot | None, rng: Rng, log: StepEventLog) -> None:
+                  snapshot: StepSnapshot, rng: Rng, log: StepEventLog) -> None:
     """Divorce married men (skipping those married since the last boundary)
     at the decade-modified rate; the man moves out alone within his town."""
     # Ids only grow, so whoever was married at the boundary has an id below
-    # the snapshot's size.
-    n = store.size if snapshot is None else snapshot.size
-    mask = (store.alive_arr[:n] & store.male_arr[:n]
-            & (store.status_arr[:n] == MARRIED_CODE))
-    if snapshot is not None:
-        # Exclude the just-married: anyone not married at the boundary.
-        mask &= snapshot.status == MARRIED_CODE
-    ids = mask.nonzero()[0]
+    # the snapshot's size. Excluded: the just-married, anyone not married
+    # at the boundary.
+    n = snapshot.size
+    ids = (store.alive_arr[:n] & store.male_arr[:n]
+           & (store.status_arr[:n] == MARRIED_CODE)
+           & (snapshot.status == MARRIED_CODE)).nonzero()[0]
     if len(ids) == 0:
         return
     hits = _thinned_hits(rng, ids, hazards.divorce_bound, lambda hit: hazards.divorce.take(
@@ -300,7 +298,7 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
 
 
 def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
-                   snapshot: StepSnapshot | None, rng: Rng, log: StepEventLog) -> None:
+                   snapshot: StepSnapshot, rng: Rng, log: StepEventLog) -> None:
     """Marry eligible men at the decade-modified rate.
 
     Eligible men are unmarried adults, excluding those divorced or turned
@@ -313,15 +311,13 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     size = store.size
     # Grooms existed at the boundary: ids only grow, so theirs lie below
     # the snapshot's size.
-    k = size if snapshot is None else snapshot.size
-    mask = (store.alive_arr[:k] & store.male_arr[:k]
-            & (store.status_arr[:k] != MARRIED_CODE)
-            & (store.age_steps_arr[:k] >= adult_steps))
-    if snapshot is not None:
-        just_divorced = ((store.status_arr[:k] == DIVORCED_CODE)
-                         & (snapshot.status != DIVORCED_CODE))
-        mask &= ~just_divorced & (snapshot.age_steps >= adult_steps)
-    ids = mask.nonzero()[0]
+    k = snapshot.size
+    just_divorced = ((store.status_arr[:k] == DIVORCED_CODE)
+                     & (snapshot.status != DIVORCED_CODE))
+    ids = (store.alive_arr[:k] & store.male_arr[:k]
+           & (store.status_arr[:k] != MARRIED_CODE)
+           & (store.age_steps_arr[:k] >= adult_steps)
+           & ~just_divorced & (snapshot.age_steps >= adult_steps)).nonzero()[0]
     if len(ids) == 0:
         return
     grooms = _thinned_hits(rng, ids, hazards.marriage_bound, lambda hit: hazards.marriage.take(
@@ -398,7 +394,7 @@ def _merge_households(store: PopulationStore, space: Space,
 
 
 def run_step(store: PopulationStore, space: Space, hazards: HazardTables,
-             snapshot: StepSnapshot | None, current_year: int,
+             snapshot: StepSnapshot, current_year: int,
              rng: Rng, order) -> StepEventLog:
     """Apply all five events in the configured order (ageing first).
 

@@ -19,7 +19,6 @@ from .population import MARRIED_CODE, PopulationStore
 from .space import Space, TownKey, cell_of
 from .stochastics import (
     DEFAULT_MAX_INITIAL_AGE_YEARS,
-    ClockSpec,
     Rng,
     sample_half_normal_age_steps,
     weighted_sample,
@@ -52,13 +51,13 @@ def init_town_populations(initial_pop: int, space: Space) -> dict[TownKey, int]:
     return {k: int(c) for k, c in zip(towns, counts)}
 
 
-def init_ages_and_genders(store: PopulationStore, pids: np.ndarray,
-                          clock: ClockSpec, rng: Rng,
+def init_ages_and_genders(store: PopulationStore, pids: np.ndarray, rng: Rng,
                           max_age_years: float = DEFAULT_MAX_INITIAL_AGE_YEARS) -> None:
     """Assign half-normal ages and fair-coin genders to freshly spawned persons."""
     n = len(pids)
     genders = rng.random(n) < 0.5  # True = male
-    ages = sample_half_normal_age_steps(rng, clock, size=n, max_age_years=max_age_years)
+    ages = sample_half_normal_age_steps(rng, store.steps_per_year, size=n,
+                                        max_age_years=max_age_years)
     store.male_arr[pids] = genders
     store.age_steps_arr[pids] = ages
     store.recount()
@@ -235,7 +234,7 @@ def init_housing(store: PopulationStore, space: Space, cells: np.ndarray, rng: R
 
 
 def build_initial_state(store: PopulationStore, space: Space,
-                        params: ModelParameters, clock: ClockSpec, rng: Rng,
+                        params: ModelParameters, rng: Rng,
                         max_initial_age: float = DEFAULT_MAX_INITIAL_AGE_YEARS,
                         ) -> np.ndarray:
     """Run the full initialization pipeline on a fresh store.
@@ -250,8 +249,7 @@ def build_initial_state(store: PopulationStore, space: Space,
     store.add_rows(params.initial_pop)
     store.alive_arr[:store.size] = True
     cells = np.repeat([cell_of(town) for town in targets], list(targets.values()))
-    init_ages_and_genders(store, np.arange(store.size), clock, rng,
-                          max_age_years=max_initial_age)
+    init_ages_and_genders(store, np.arange(store.size), rng, max_age_years=max_initial_age)
     init_partnerships(store, params, rng)
     init_children(store, rng)
     init_housing(store, space, cells, rng)

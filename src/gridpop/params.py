@@ -159,7 +159,7 @@ class SimulationConfig:
 
     t0: int = 2020
     t_final: int = 2030
-    clock: ClockSpec = field(default_factory=ClockSpec.daily)
+    clock: ClockSpec = ClockSpec.parse("daily")
     seed: int = 1
     event_order: tuple = DEFAULT_EVENT_ORDER
     output_dir: str = "out"

@@ -10,9 +10,10 @@ The state of all persons is one NumPy array per attribute, indexed by id
 ``house_arr``, ``partner_arr``, ``father_arr``, ``mother_arr``; -1 means
 none). The events gather whole subpopulations from them. Children and
 towns are not stored: they are derived from the parent arrays and from
-``Space.town_cell`` of the house. ``store.persons`` is a read-only mapping
-of ``Person`` views over the rows, for code that works one person at a
-time.
+``Space.town_cell`` of the house; ``children_index()`` builds the
+children of every person from the parent arrays on each call, uncached.
+``store.persons`` is a read-only mapping of ``Person`` views over the
+rows, for code that works one person at a time.
 
 Mutators preserve the structural invariants checked by
 ``collect_invariant_violations``; callers are expected to satisfy the
@@ -95,7 +96,6 @@ class _Column:
 
     def __set__(self, person: "Person", value) -> None:
         getattr(person.store, self.array)[person.id] = self.to_array(value)
-        person.store._children = None
 
 
 class Person:
@@ -131,8 +131,10 @@ class Person:
 
     @property
     def children(self) -> frozenset[PersonId]:
-        offsets, kids = self.store.children_index()
-        return frozenset(kids[offsets[self.id]:offsets[self.id + 1]].tolist())
+        n = self.store.size
+        kids = ((self.store.father_arr[:n] == self.id)
+                | (self.store.mother_arr[:n] == self.id)).nonzero()[0]
+        return frozenset(kids.tolist())
 
 
 class PersonTable(Mapping):
@@ -173,7 +175,6 @@ class PopulationStore:
         self.alive_male = 0
         self.alive_status_counts = [0] * len(STATUSES)  # by status code
         self.alive_age_steps_sum = 0
-        self._children: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self._next_id
@@ -206,7 +207,6 @@ class PopulationStore:
                 grown = np.full(new_cap, unused, dtype=dtype)
                 grown[:cap] = getattr(self, name)
                 setattr(self, name, grown)
-        self._children = None
         return first
 
     def alive_tallies(self) -> dict:
@@ -344,7 +344,6 @@ class PopulationStore:
             self._check_parent(parent, "mother", False)
         self.father_arr[children] = fathers
         self.mother_arr[children] = mothers
-        self._children = None
 
     def _set_status(self, pid: PersonId, code: int) -> None:
         if self.alive_arr[pid]:
@@ -356,21 +355,19 @@ class PopulationStore:
 
     def children_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Children of every person in CSR form: the children of p are
-        kids[offsets[p]:offsets[p + 1]], in ascending id order. Rebuilt
-        after kinship changes."""
-        if self._children is None:
-            n = self._next_id
-            parents = np.concatenate([self.father_arr[:n], self.mother_arr[:n]])
-            kids = np.tile(np.arange(n), 2)
-            known = (parents >= 0) & (parents < n)
-            parents, kids = parents[known], kids[known]
-            # Stable, and a parent is father or mother, never both: each
-            # parent's children stay in id order.
-            order = np.argsort(parents, kind="stable")
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(parents, minlength=n), out=offsets[1:])
-            self._children = (offsets, kids[order])
-        return self._children
+        kids[offsets[p]:offsets[p + 1]], in ascending id order. Built anew
+        on each call."""
+        n = self._next_id
+        parents = np.concatenate([self.father_arr[:n], self.mother_arr[:n]])
+        kids = np.tile(np.arange(n), 2)
+        known = (parents >= 0) & (parents < n)
+        parents, kids = parents[known], kids[known]
+        # Stable, and a parent is father or mother, never both: each
+        # parent's children stay in id order.
+        order = np.argsort(parents, kind="stable")
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(parents, minlength=n), out=offsets[1:])
+        return offsets, kids[order]
 
     def sibling_mask(self, pid: PersonId) -> np.ndarray:
         """Persons sharing at least one parent with pid, as a mask over ids."""

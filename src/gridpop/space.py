@@ -15,9 +15,10 @@ persons living in house h, is the inverse of the store's ``house_arr``.
 
 ``vacant_by_cell`` maps a cell code to its empty houses in ascending id
 order, so ``find_or_create_empty_house`` draws among them without a scan.
-It is current from the constructor on; the bulk ``add_residents``
-rebuilds it in one pass over the houses. The occupied-house count is
-read from it: every house not listed as vacant.
+It is current from the constructor on: ``add_houses`` appends each new
+house to its cell's list, and the bulk ``add_residents`` rebuilds it in
+one pass over the houses. The occupied-house count is read from it:
+every house not listed as vacant.
 """
 
 from __future__ import annotations
@@ -158,18 +159,8 @@ class Space:
         self.local_x[first:end], self.local_y[first:end] = local.T
         self.residents.extend(set() for _ in range(len(cells)))
         # New ids exceed every listed one, so appending keeps the order.
-        new = self.town_cell[first:end]
-        if len(new) == 1:  # the house of one move: no grouping needed
-            self.vacant_by_cell.setdefault(int(new[0]), []).append(first)
-        elif len(new):
-            # One extend per distinct cell, the ids grouped by a stable sort
-            # (a radix sort: cell codes fit int16).
-            order = new.astype(np.int16).argsort(kind="stable")
-            grouped = new[order]
-            bounds = [0, *((grouped[1:] != grouped[:-1]).nonzero()[0] + 1).tolist(), len(new)]
-            ids = (order + first).tolist()
-            for cell, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:]):
-                self.vacant_by_cell.setdefault(cell, []).extend(ids[a:b])
+        for house_id, cell in enumerate(self.town_cell[first:end].tolist(), start=first):
+            self.vacant_by_cell.setdefault(cell, []).append(house_id)
         return first
 
     def new_houses(self, cells, rng: Rng) -> HouseId:

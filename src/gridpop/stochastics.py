@@ -1,4 +1,7 @@
-"""Probabilistic substrate: seeded RNG, clock arithmetic, hazard conversion, sampling.
+"""Probabilistic substrate: seeded RNG, the clock, hazard conversion, sampling.
+
+A clock is its step rate: ClockSpec holds only steps_per_year, and the
+named clocks are spellings of their step counts.
 
 All randomness in a run flows through a single numpy Generator (PCG64),
 created by make_rng(seed). Identical seeds reproduce identical draw
@@ -36,53 +39,32 @@ DEFAULT_MAX_INITIAL_AGE_YEARS = 110.0
 class ClockSpec:
     """Fixed simulation step size expressed as steps per year."""
 
-    kind: str
     steps_per_year: int
 
     def __post_init__(self) -> None:
         if self.steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
-        if self.kind in CLOCK_STEPS_PER_YEAR and self.steps_per_year != CLOCK_STEPS_PER_YEAR[self.kind]:
-            raise ValueError(f"clock {self.kind!r} must have {CLOCK_STEPS_PER_YEAR[self.kind]} steps/year")
-
-    @classmethod
-    def hourly(cls) -> "ClockSpec":
-        return cls("hourly", 8760)
-
-    @classmethod
-    def daily(cls) -> "ClockSpec":
-        return cls("daily", 365)
-
-    @classmethod
-    def weekly(cls) -> "ClockSpec":
-        return cls("weekly", 52)
-
-    @classmethod
-    def monthly(cls) -> "ClockSpec":
-        return cls("monthly", 12)
-
-    @classmethod
-    def custom(cls, steps_per_year: int) -> "ClockSpec":
-        return cls("custom", int(steps_per_year))
 
     @classmethod
     def parse(cls, text: str) -> "ClockSpec":
         """Parse 'hourly'|'daily'|'weekly'|'monthly'|'custom:N'."""
         text = text.strip()
         if text in CLOCK_STEPS_PER_YEAR:
-            return cls(text, CLOCK_STEPS_PER_YEAR[text])
+            return cls(CLOCK_STEPS_PER_YEAR[text])
         if text.startswith("custom:"):
             try:
                 n = int(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad custom clock spec: {text!r}") from None
-            return cls.custom(n)
+            return cls(n)
         raise ValueError(f"unknown clock spec: {text!r}")
 
     def __str__(self) -> str:
-        if self.kind == "custom":
-            return f"custom:{self.steps_per_year}"
-        return self.kind
+        """The name of a named clock with this step count, else custom:N."""
+        for name, n in CLOCK_STEPS_PER_YEAR.items():
+            if n == self.steps_per_year:
+                return name
+        return f"custom:{self.steps_per_year}"
 
 
 def make_rng(seed: int) -> Rng:
@@ -102,25 +84,14 @@ def instantaneous_probability_array(p_yearly: np.ndarray, steps_per_year: int) -
     return np.clip(-np.log1p(-p) / steps_per_year, 0.0, 1.0)
 
 
-def weighted_sample(rng: Rng, items, weights, total: float | None = None):
-    """Pick one item with probability weight_i / sum(weights).
+def weighted_sample(rng: Rng, items, weights, total: float):
+    """Pick one item with probability weight_i / total.
 
-    weights must be non-negative with a positive total; zero-weight items
-    are never returned. A caller that has already summed a float64 weight
-    array passes ``total`` (its ``float(weights.sum())``), and the weights
-    are then taken as valid without being checked or summed again.
+    ``weights`` is a float64 array of non-negative weights and ``total``
+    its positive sum, ``float(weights.sum())``, which the caller has
+    already computed; neither is checked. Zero-weight items are never
+    returned.
     """
-    if total is None:
-        if len(items) == 0:
-            raise ValueError("weighted_sample from empty sequence")
-        if len(items) != len(weights):
-            raise ValueError("items and weights differ in length")
-        weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0.0):
-            raise ValueError("negative weight")
-        total = float(weights.sum())
-        if total <= 0.0:
-            raise ValueError("all weights are zero")
     cum = np.cumsum(weights)
     idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
     # Guard against the draw landing exactly on the total due to rounding.
@@ -132,7 +103,7 @@ def weighted_sample(rng: Rng, items, weights, total: float | None = None):
 
 def sample_half_normal_age_steps(
     rng: Rng,
-    clock: ClockSpec,
+    steps_per_year: int,
     size: int,
     max_age_years: float = DEFAULT_MAX_INITIAL_AGE_YEARS,
 ) -> np.ndarray:
@@ -142,11 +113,11 @@ def sample_half_normal_age_steps(
     max_age_years are redrawn (the unbounded tail admits unrealistic ages
     with tiny probability). A cap below one step fails before any draw.
     """
-    n = clock.steps_per_year
+    n = steps_per_year
     cap_steps = int(max_age_years * n)
     if cap_steps < 1:
         raise ValueError(f"maxInitialAge {max_age_years} years is shorter than "
-                         f"one step of the {clock.kind} clock ({n} steps per year)")
+                         f"one step of the {ClockSpec(n)} clock ({n} steps per year)")
     out = np.abs(np.floor(rng.normal(0.0, 25.0 * n, size=size))).astype(np.int64)
     while True:
         over = out >= cap_steps

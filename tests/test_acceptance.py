@@ -155,7 +155,7 @@ class TestCriterion2ScalarFormulas:
         for name in names:
             monkeypatch.setattr(f"gridpop.events.{name}",
                                 spy(name, getattr(events_module, name)))
-        config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.monthly(), seed=3)
+        config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.parse("monthly"), seed=3)
         result = run_simulation(config, ModelParameters(initial_pop=500), DataTables())
         assert sum(row.marriages for row in result.statistics) > 0
         assert all(calls.values()), f"uncalled: {[n for n, c in calls.items() if not c]}"
@@ -164,11 +164,11 @@ class TestCriterion2ScalarFormulas:
 class TestCriterion3InitialDistributions:
     def test_initial_state_at_1e5(self):
         start = time.perf_counter()
-        clock = ClockSpec.monthly()
+        clock = ClockSpec.parse("monthly")
         params = ModelParameters(initial_pop=100_000)
         store = PopulationStore(clock.steps_per_year)
         space = Space()
-        placement = build_initial_state(store, space, params, clock, make_rng(7))
+        placement = build_initial_state(store, space, params, make_rng(7))
 
         n = store.alive_count
         assert n == 100_000
@@ -209,7 +209,7 @@ class TestCriterion3InitialDistributions:
 class TestCriterion4StructuralInvariants:
     def test_ten_year_audit_run(self):
         start = time.perf_counter()
-        config = SimulationConfig(t0=2020, t_final=2030, clock=ClockSpec.daily(),
+        config = SimulationConfig(t0=2020, t_final=2030, clock=ClockSpec.parse("daily"),
                                   seed=99, audit=True, stats_every=50)
         params = ModelParameters(initial_pop=1000)
         # Audit mode sweeps every structural invariant, verifies cached
@@ -306,7 +306,7 @@ class TestCriterion5TemporalOracle:
 class TestCriterion6Determinism:
     def test_byte_identical_outputs(self, tmp_path):
         start = time.perf_counter()
-        config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.monthly(),
+        config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.parse("monthly"),
                                   seed=4242)
         params = ModelParameters(initial_pop=1000)
         tables = DataTables()
@@ -323,7 +323,7 @@ class TestCriterion6Determinism:
         assert stats_a == stats_b
         assert pop_a == pop_b
 
-        other = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.monthly(),
+        other = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.parse("monthly"),
                                  seed=4243)
         stats_c, pop_c = produce("c", other)
         assert stats_a != stats_c
@@ -337,8 +337,8 @@ class TestCriterion7AgeHistogram:
     def test_million_agent_age_profile(self):
         start = time.perf_counter()
         rng = make_rng(1_000_000)
-        clock = ClockSpec.monthly()
-        steps = sample_half_normal_age_steps(rng, clock, size=1_000_000)
+        clock = ClockSpec.parse("monthly")
+        steps = sample_half_normal_age_steps(rng, clock.steps_per_year, size=1_000_000)
         years = steps / clock.steps_per_year
         counts, _ = np.histogram(years, bins=np.arange(0, 120, 10))
         # Half-normal decay: every 10-year bin below the previous one.
@@ -352,13 +352,13 @@ class TestCriterion7AgeHistogram:
 class TestCriterion8EventEquations:
     def test_logged_events_equal_algebra_subpopulations(self):
         start = time.perf_counter()
-        clock = ClockSpec.daily()
+        clock = ClockSpec.parse("daily")
         params = ModelParameters(initial_pop=1000)
         tables = DataTables()
         store = PopulationStore(clock.steps_per_year)
         space = Space()
         rng = make_rng(88)
-        build_initial_state(store, space, params, clock, rng)
+        build_initial_state(store, space, params, rng)
         order = ("ageing", "deaths", "births", "divorces", "marriages")
         hazards = HazardTables(params, tables, clock.steps_per_year)
 

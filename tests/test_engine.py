@@ -34,7 +34,7 @@ from gridpop.stochastics import ClockSpec
 
 
 def small_config(**kw):
-    defaults = dict(t0=2020, t_final=2021, clock=ClockSpec.monthly(), seed=5)
+    defaults = dict(t0=2020, t_final=2021, clock=ClockSpec.parse("monthly"), seed=5)
     defaults.update(kw)
     return SimulationConfig(**defaults)
 
@@ -159,10 +159,17 @@ class TestDataTables:
 class TestConfigFiles:
     def test_round_trip(self):
         params = ModelParameters(initial_pop=777, start_married_rate=0.5)
-        config = SimulationConfig(seed=9, clock=ClockSpec.weekly(), t_final=2040)
+        config = SimulationConfig(seed=9, clock=ClockSpec.parse("weekly"), t_final=2040)
         p2, c2 = parse_config_text(config_to_text(params, config))
         assert p2 == params
         assert c2 == config
+
+    @pytest.mark.parametrize("steps_per_year", [8760, 365, 52, 12, 1, 7, 26])
+    def test_round_trip_every_clock(self, steps_per_year):
+        # A step rate without a name (26) is written custom:26.
+        params = ModelParameters()
+        config = SimulationConfig(clock=ClockSpec(steps_per_year))
+        assert parse_config_text(config_to_text(params, config)) == (params, config)
 
     def test_round_trip_every_key(self):
         # Every key at a value other than its default, in declaration order.
@@ -309,7 +316,7 @@ class TestRunSimulation:
 
     def test_thinned_rows_count_every_step(self):
         events = ("births", "deaths", "marriages", "divorces", "orphan_moves", "divorce_moves")
-        config = small_config(clock=ClockSpec.daily(), seed=3)
+        config = small_config(clock=ClockSpec.parse("daily"), seed=3)
         params = ModelParameters(initial_pop=500)
         every = run_simulation(config, params, DataTables()).statistics
         thinned = run_simulation(replace(config, stats_every=5), params, DataTables()).statistics
@@ -341,7 +348,7 @@ class TestRunSimulation:
         assert len(result.statistics) == 13
 
     def test_weekly_clock(self):
-        result = run_simulation(small_config(clock=ClockSpec.weekly()),
+        result = run_simulation(small_config(clock=ClockSpec.parse("weekly")),
                                 ModelParameters(initial_pop=200), DataTables())
         assert len(result.statistics) == 53
 
@@ -405,6 +412,35 @@ class TestExport:
         store2, _ = import_population(path)
         assert store2.alive_count == result.statistics[-1].alive
 
+    def test_re_export_after_direct_parent_write(self, tmp_path):
+        # The children column is derived from the parent arrays at each
+        # export, so a parent written straight into the arrays after one
+        # export shows in the next.
+        result = run_simulation(small_config(seed=3),
+                                ModelParameters(initial_pop=300), DataTables())
+        store, space = result.store, result.space
+        export_population(store, space, tmp_path / "first.txt")
+        n = store.size
+        alive, age = store.alive_arr[:n], store.age_steps_arr[:n]
+        child = int(np.flatnonzero(alive & (age >= store.adult_age_steps)
+                                   & (store.father_arr[:n] < 0)
+                                   & (store.mother_arr[:n] < 0))[0])
+        father = int(np.flatnonzero(alive & store.male_arr[:n] & (age > age[child])
+                                    & (store.status_arr[:n] == MARRIED_CODE))[0])
+        store.father_arr[child] = father
+        assert collect_invariant_violations(store, space) == []
+        path = tmp_path / "second.txt"
+        export_population(store, space, path)
+        store2, _ = import_population(path)
+        assert child in store2.persons[father].children
+        kids = {pid: [] for pid in range(n)}  # from the parent columns, ascending
+        for pid in range(n):
+            for parent in (store.father_arr[pid], store.mother_arr[pid]):
+                if parent >= 0:
+                    kids[int(parent)].append(str(pid))
+        for line in path.read_text().splitlines()[3:]:
+            cells = line.split(" ")
+            assert cells[8] == (",".join(kids[int(cells[0])]) or "-"), cells[0]
 
     @pytest.fixture
     def export_lines(self, tmp_path):
@@ -544,7 +580,7 @@ class TestStatisticsCsv:
             "births,deaths,marriages,divorces,orphan_moves,divorce_moves,houses,occupied_houses")
 
     def test_time_column_distinguishes_steps(self):
-        result = run_simulation(small_config(clock=ClockSpec.daily(), t_final=2021),
+        result = run_simulation(small_config(clock=ClockSpec.parse("daily"), t_final=2021),
                                 ModelParameters(initial_pop=50), DataTables())
         text = statistics_to_csv(result.statistics)
         times = [ln.split(",")[0] for ln in text.strip().split("\n")[1:]]

@@ -242,7 +242,7 @@ class TestThinning:
         tables = DataTables(fertility=FertilityTable(rates), divorce_modifier_by_decade=self.STEEP,
                             male_marriage_modifier_by_decade=self.STEEP)
         store, space, rng = PopulationStore(n), Space(), make_rng(31)
-        build_initial_state(store, space, self.PARAMS, ClockSpec.parse(clock), rng)
+        build_initial_state(store, space, self.PARAMS, rng)
         table = hazards(self.PARAMS, tables, n)
         hits = []
         for _ in range(120 if clock == "hourly" else 12):
@@ -634,8 +634,9 @@ class TestMarriages:
             store.spawn_person(Gender.FEMALE, 12, father=father, mother=bride,
                                house=store.persons[bride].house, space=space)
         params = ModelParameters(basic_male_marriage_rate=1.0)
+        snap = StepSnapshot.capture(store)
         for _ in range(200):
-            marriages_step(store, space, hazards(params), None, rng, log)
+            marriages_step(store, space, hazards(params), snap, rng, log)
         assert log.marriages == []
         assert store.persons[groom].unmarried
 
@@ -650,7 +651,7 @@ class TestMarriages:
             local = housed(s, sp, Gender.FEMALE, 25, town=(8, 4), rng=trial_rng)
             housed(s, sp, Gender.FEMALE, 25, town=(9, 5), rng=trial_rng)  # distance 2
             lg = StepEventLog()
-            marriages_step(s, sp, hazards(params), None, trial_rng, lg)
+            marriages_step(s, sp, hazards(params), StepSnapshot.capture(s), trial_rng, lg)
             if lg.marriages:
                 picks["local" if lg.marriages[0][1] == local else "distant"] += 1
         assert picks["local"] > 0
@@ -661,8 +662,7 @@ class TestStepConservation:
     def test_population_conservation_across_full_steps(self):
         store, space = PopulationStore(12), Space()
         rng = make_rng(123)
-        build_initial_state(store, space, ModelParameters(initial_pop=800),
-                            ClockSpec.monthly(), rng)
+        build_initial_state(store, space, ModelParameters(initial_pop=800), rng)
         order = ("ageing", "deaths", "births", "divorces", "marriages")
         run_hazards = hazards()
         for k in range(24):

@@ -28,12 +28,11 @@ from gridpop.space import Space, cell_of
 from gridpop.stochastics import ClockSpec, make_rng, weighted_sample
 
 
-def build(initial_pop=2000, seed=11, clock=None, **param_overrides):
-    clock = clock or ClockSpec.monthly()
+def build(initial_pop=2000, seed=11, **param_overrides):
     params = ModelParameters(initial_pop=initial_pop, **param_overrides)
-    store = PopulationStore(clock.steps_per_year)
+    store = PopulationStore(12)
     space = Space()
-    build_initial_state(store, space, params, clock, make_rng(seed))
+    build_initial_state(store, space, params, make_rng(seed))
     return store, space, params
 
 
@@ -253,7 +252,7 @@ def reference_partnerships(store, params, rng):
             break
         cand = rng.choice(live, size=min(n_cand, live), replace=False)
         weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
-        j = int(weighted_sample(rng, cand, weights))
+        j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
         store.wed(m, int(pool_ids[j]))
         live -= 1
         pool_ids[j] = pool_ids[live]
@@ -304,7 +303,7 @@ def staged(initial_pop, clock, seed):
     store.alive_arr[pids] = True
     cells = np.array([cell_of(town) for town in space.inhabitable_towns
                       for _ in range(targets[town])])
-    init_ages_and_genders(store, pids, clock, rng)
+    init_ages_and_genders(store, pids, rng)
     return store, space, params, cells, rng
 
 
@@ -331,10 +330,10 @@ def distinct_bride_ages_and_subset_size(store, params):
 
 class TestBulkEqualsReference:
     @pytest.mark.parametrize("clock, initial_pop, seed, cached", [
-        (ClockSpec.custom(1), 2000, 1, True),
-        (ClockSpec.custom(1), 6000, 2, True),  # over 1024 houses: the arrays grow
-        (ClockSpec.monthly(), 2000, 3, False),
-        (ClockSpec.weekly(), 1500, 4, False),
+        (ClockSpec(1), 2000, 1, True),
+        (ClockSpec(1), 6000, 2, True),  # over 1024 houses: the arrays grow
+        (ClockSpec.parse("monthly"), 2000, 3, False),
+        (ClockSpec.parse("weekly"), 1500, 4, False),
     ])
     def test_same_state_and_draws(self, clock, initial_pop, seed, cached):
         store, space, params, cells, rng = staged(initial_pop, clock, seed)
@@ -425,7 +424,7 @@ class TestBulkChecks:
         assert space.house_count == 0 and rng.bit_generator.state == state
 
     def test_housing_rejects_uninhabitable_town(self):
-        store, space, params, cells, rng = staged(200, ClockSpec.monthly(), 5)
+        store, space, params, cells, rng = staged(200, ClockSpec.parse("monthly"), 5)
         init_partnerships(store, params, rng)
         init_children(store, rng)
         cells[:] = cell_of((1, 1))
@@ -433,7 +432,7 @@ class TestBulkChecks:
             init_housing(store, space, cells, rng)
 
     def test_housing_needs_no_vacancy_and_no_one_housed(self):
-        store, space, params, cells, rng = staged(200, ClockSpec.monthly(), 6)
+        store, space, params, cells, rng = staged(200, ClockSpec.parse("monthly"), 6)
         init_partnerships(store, params, rng)
         init_children(store, rng)
         space.new_houses(cell_of((4, 3)), rng)
