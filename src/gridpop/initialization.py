@@ -138,6 +138,12 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     store.wed_couples(selected[:len(brides)], np.array(brides, dtype=np.int64))
 
 
+# The blocked pick of init_children holds at most this many table entries
+# (2 MB of int64) at a time, and masks at most this many (child, couple)
+# pairs at a time.
+_MAX_PICK_ENTRIES = 1 << 18
+
+
 def init_children(store: PopulationStore, rng: Rng) -> None:
     """Give every minor a married father (and his wife as mother).
 
@@ -146,9 +152,18 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
     candidate set falls back to the couple with the largest age margin; if
     no couple exists at all, the oldest single adult pair is wed first.
 
-    Every child with qualifying couples draws one of them uniformly, all
-    in one draw in ascending id order; the couples of an age are then
-    found again, age by age, to resolve the draws.
+    In steps, with n steps a year, couple c qualifies for the child ages a
+    with lo_c < a <= hi_c, where lo_c = wife_age - 45n and
+    hi_c = (4 min_age - 75n) // 4, the exact integer form of
+    min_age >= a + 18.75n (18.75n is not a whole number of steps on,
+    say, the daily clock). Couples with lo_c >= hi_c qualify for no age
+    and are set aside. A child's count of qualifying couples is the number
+    of lo below its age minus the number of hi below it, two searchsorted
+    calls. Every child with qualifying couples draws one of them
+    uniformly, all in one draw in ascending id order, and gets the drawn
+    rank's couple in id order, found by a blocked order statistic
+    (_kth_qualifying). No Python loop runs per age or per couple, and only
+    the fallback's warnings are issued child by child.
     """
     n = store.steps_per_year
     minors = np.flatnonzero(store.age_steps_arr[:store.size] < store.adult_age_steps)
@@ -167,30 +182,96 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
         _wed_oldest_single_pair(store)
         men_ids, men_min_age, men_wife_age = couple_arrays()
 
-    def qualifying(a: int) -> np.ndarray:
-        return (men_min_age >= a + 18.75 * n) & (men_wife_age < 45 * n + a)
-
+    lo = men_wife_age - 45 * n
+    hi = (4 * men_min_age - 75 * n) // 4
+    able = np.flatnonzero(lo < hi)
+    lo, hi = lo[able], hi[able]
     ages, group = np.unique(store.age_steps_arr[minors], return_inverse=True)
-    counts = np.array([np.count_nonzero(qualifying(a)) for a in ages.tolist()],
-                      dtype=np.int64)[group]
+    counts = (np.searchsorted(np.sort(lo), ages) - np.searchsorted(np.sort(hi), ages))[group]
     parented = counts > 0
-    draws = np.zeros(len(minors), dtype=np.int64)
-    if parented.any():
-        draws[parented] = rng.integers(0, counts[parented])
-
     # Closest couple by age margin; the no-orphan guarantee wins.
     fathers = np.full(len(minors), men_ids[np.argmax(men_min_age)], dtype=np.int64)
-    by_age = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group, minlength=len(ages)))
-    for a, lo, hi in zip(ages.tolist(), [0, *bounds[:-1].tolist()], bounds.tolist()):
-        members = by_age[lo:hi]
-        if parented[members[0]]:
-            fathers[members] = men_ids[np.flatnonzero(qualifying(a))[draws[members]]]
+    if parented.any():
+        draws = rng.integers(0, counts[parented])
+        fathers[parented] = men_ids[able[_kth_qualifying(lo, hi, ages, group[parented], draws)]]
     for child, a in zip(minors[~parented].tolist(),
                         store.age_steps_arr[minors[~parented]].tolist()):
         logger.warning("no qualifying parents for child %d (age %.2f); "
                        "assigning closest couple", child, a / n)
     store.assign_parents(minors, fathers, store.partner_arr[fathers])
+
+
+def _kth_qualifying(lo: np.ndarray, hi: np.ndarray, ages: np.ndarray,
+                    group: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """For each child i, the index of the ranks[i]-th couple (from 0, in
+    index order) with lo < ages[group[i]] <= hi. Every rank must be below
+    its age's count of such couples; ages is sorted and distinct.
+
+    The couples are split, in index order, into blocks of s. A table holds,
+    for each distinct age and block, how many couples of that block or an
+    earlier one qualify: each couple adds +1 at the first age index it
+    qualifies for and -1 at the first one after, a cumsum over the ages
+    turns that into counts per block and a cumsum over the blocks into
+    prefix counts. One searchsorted over the table finds each child's
+    block and its rank inside the block; a (children x s) mask, its cumsum
+    and argmax find the couple inside the block. The table has
+    ages * couples / s entries and the masks children * s, so
+    s = sqrt(ages * couples / children) balances the two. Both are built
+    in chunks of at most _MAX_PICK_ENTRIES: the table a run of ages at a
+    time, carrying the last counts over, and the masks a run of children.
+    """
+    couples, n_ages = len(lo), len(ages)
+    s = max(1, math.isqrt(n_ages * couples // len(ranks)))
+    blocks = -(-couples // s)
+    width = blocks + 1  # a leading zero column: the count before block 0
+    # Each child's query, offset by its age so that the queries of all
+    # ages, and the table rows, run in one ascending order.
+    query = group * (couples + 1) + ranks
+    order = np.argsort(query)
+    query = query[order]
+
+    # +1 where a couple starts to qualify and -1 where it stops, by age.
+    event_age = np.concatenate([np.searchsorted(ages, lo, side="right"),
+                                np.searchsorted(ages, hi, side="right")])
+    by_age = np.argsort(event_age, kind="stable")
+    event_age = event_age[by_age]
+    event_column = np.tile(np.arange(couples) // s + 1, 2)[by_age]
+    event_sign = np.where(by_age < couples, 1, -1)
+    block, rank = np.empty(len(ranks), dtype=np.int64), np.empty(len(ranks), dtype=np.int64)
+    carried = np.zeros(width, dtype=np.int64)
+    rows = max(1, _MAX_PICK_ENTRIES // width)
+    for first in range(0, n_ages, rows):
+        last = min(n_ages, first + rows)
+        table = np.zeros((last - first, width), dtype=np.int64)
+        e0, e1 = np.searchsorted(event_age, [first, last])
+        np.add.at(table.reshape(-1), (event_age[e0:e1] - first) * width + event_column[e0:e1],
+                  event_sign[e0:e1])
+        table[0] += carried
+        np.cumsum(table, axis=0, out=table)  # qualifying couples per block
+        carried = table[-1].copy()
+        np.cumsum(table, axis=1, out=table)  # ... in the blocks before each
+        table += (np.arange(last - first) * (couples + 1))[:, None]
+        keys = table.reshape(-1)
+        q0, q1 = np.searchsorted(query, [first * (couples + 1), last * (couples + 1)])
+        local = query[q0:q1] - first * (couples + 1)
+        found = np.searchsorted(keys, local, side="right") - 1
+        block[q0:q1] = found % width
+        rank[q0:q1] = local - keys[found]
+
+    # Inside the block: the rank-th qualifying couple of its s.
+    pad = blocks * s - couples
+    block_lo = np.concatenate([lo, np.full(pad, np.iinfo(np.int64).max)]).reshape(blocks, s)
+    block_hi = np.concatenate([hi, np.full(pad, np.iinfo(np.int64).min)]).reshape(blocks, s)
+    child_age = ages[query // (couples + 1)]
+    picks = np.empty(len(ranks), dtype=np.int64)
+    step = max(1, _MAX_PICK_ENTRIES // s)
+    for i in range(0, len(ranks), step):
+        b, a = block[i:i + step], child_age[i:i + step, None]
+        seen = np.cumsum((block_lo[b] < a) & (a <= block_hi[b]), axis=1, dtype=np.int32)
+        picks[i:i + step] = b * s + np.argmax(seen > rank[i:i + step, None], axis=1)
+    result = np.empty_like(picks)
+    result[order] = picks
+    return result
 
 
 def _wed_oldest_single_pair(store: PopulationStore) -> None:

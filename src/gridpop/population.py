@@ -334,14 +334,18 @@ class PopulationStore:
     def assign_parents(self, children: np.ndarray, fathers: np.ndarray,
                        mothers: np.ndarray) -> None:
         """Late kinship registration for initialization staging: children[i]
-        gets fathers[i] and mothers[i]. Checks every row before writing any."""
+        gets fathers[i] and mothers[i]. Checks every row before writing any,
+        on whole arrays; an error names the lowest offending id, fathers
+        before mothers."""
         taken = (self.father_arr[children] >= 0) | (self.mother_arr[children] >= 0)
         if taken.any():
             raise ValueError(f"person {children[np.argmax(taken)]} already has parents")
-        for parent in sorted(set(fathers.tolist())):
-            self._check_parent(parent, "father", True)
-        for parent in sorted(set(mothers.tolist())):
-            self._check_parent(parent, "mother", False)
+        for parents, role, male in ((fathers, "father", True), (mothers, "mother", False)):
+            resolves = (parents >= 0) & (parents < self._next_id)
+            bad = ~resolves
+            bad[resolves] = self.male_arr[parents[resolves]] != male
+            if bad.any():
+                self._check_parent(int(parents[bad].min()), role, male)
         self.father_arr[children] = fathers
         self.mother_arr[children] = mothers
 

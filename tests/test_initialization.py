@@ -2,10 +2,14 @@
 
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridpop import initialization
 from gridpop.events import age_compatibility_array
 from gridpop.initialization import (
     InitializationError,
@@ -334,6 +338,14 @@ class TestBulkEqualsReference:
         (ClockSpec(1), 6000, 2, True),  # over 1024 houses: the arrays grow
         (ClockSpec.parse("monthly"), 2000, 3, False),
         (ClockSpec.parse("weekly"), 1500, 4, False),
+        # Fine and custom clocks: nearly every child age is distinct, and
+        # 18.75 years is a fractional number of steps on daily and custom:3.
+        (ClockSpec.parse("daily"), 1500, 5, False),
+        (ClockSpec.parse("daily"), 1500, 6, False),
+        (ClockSpec.parse("hourly"), 1000, 7, False),
+        (ClockSpec.parse("hourly"), 1000, 8, False),
+        (ClockSpec.parse("custom:3"), 2000, 9, False),
+        (ClockSpec.parse("custom:3"), 2000, 10, False),
     ])
     def test_same_state_and_draws(self, clock, initial_pop, seed, cached):
         store, space, params, cells, rng = staged(initial_pop, clock, seed)
@@ -377,6 +389,117 @@ class TestBulkEqualsReference:
         assert state_of(store, Space(), rng) == state_of(ref_store, Space(), ref_rng)
 
 
+class captured_warnings(logging.Handler):
+    """The messages the initialization logs inside a with block."""
+
+    def __enter__(self):
+        self.messages = []
+        self.logger = logging.getLogger("gridpop.initialization")
+        self.level = self.logger.level
+        self.logger.setLevel(logging.WARNING)
+        self.logger.addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def children_by_both(make_store, seed):
+    """init_children and reference_children on two copies of a store: the
+    fathers, mothers, generator states and warnings of each."""
+    results = []
+    for assign in (init_children, reference_children):
+        store, rng = make_store(), make_rng(seed)
+        with captured_warnings() as messages:
+            assign(store, rng)
+        n = store.size
+        results.append((store.father_arr[:n].tolist(), store.mother_arr[:n].tolist(),
+                        rng.bit_generator.state, messages))
+    return results
+
+
+class TestChildrenIntervals:
+    """Couple c qualifies for the child ages a with lo_c < a <= hi_c."""
+
+    @pytest.mark.parametrize("n", [12, 8760])
+    def test_boundary_couples(self, n):
+        a = 5 * n + 3
+        bound = int(a + 18.75 * n)  # an integer number of steps on these clocks
+        assert bound == a + 18.75 * n
+
+        def family():
+            store = PopulationStore(n)
+            couples = {}
+            for name, husband, wife in (
+                    ("min age on the bound", bound + 4 * n, bound),
+                    ("min age a step below", bound + 4 * n, bound - 1),
+                    ("wife a step under 45n + a", 45 * n + a + n, 45 * n + a - 1),
+                    ("wife at 45n + a", 45 * n + a + n, 45 * n + a)):
+                m = store.spawn_person(Gender.MALE, husband)
+                store.wed(m, store.spawn_person(Gender.FEMALE, wife))
+                couples[name] = m
+            for _ in range(30):
+                store.spawn_person(Gender.FEMALE, a)
+            return store, couples
+
+        bulk, ref = children_by_both(lambda: family()[0], seed=31)
+        assert bulk == ref
+        _, couples = family()
+        fathers = set(bulk[0][8:])
+        assert fathers == {couples["min age on the bound"], couples["wife a step under 45n + a"]}
+        assert bulk[3] == []
+
+    def test_empty_interval_counts_nothing(self):
+        # lo >= hi: the old wife bars every age the young husband allows.
+        # Were it counted, it would take one from every count at the ages in
+        # (hi, lo], here 12 to 17 years.
+        def family():
+            store = PopulationStore(12)
+            young = store.spawn_person(Gender.MALE, 30 * 12)
+            store.wed(young, store.spawn_person(Gender.FEMALE, 70 * 12))
+            husband = store.spawn_person(Gender.MALE, 33 * 12 + 9)  # lo == hi == 180
+            store.wed(husband, store.spawn_person(Gender.FEMALE, 60 * 12))
+            for years in range(18):
+                store.spawn_person(Gender.MALE, years * 12)
+                other = store.spawn_person(Gender.MALE, 45 * 12)
+                store.wed(other, store.spawn_person(Gender.FEMALE, 40 * 12 + years))
+            for years in (12, 15, 17, 13, 16, 14, 15):
+                store.spawn_person(Gender.FEMALE, years * 12 + 2)
+            return store
+
+        bulk, ref = children_by_both(family, seed=32)
+        assert bulk == ref
+        assert bulk[3] == []
+        assert not {0, 2} & set(bulk[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 3, 12, 52, 365, 8760]),
+           couples=st.lists(st.tuples(st.integers(18, 90), st.integers(18, 90),
+                                      st.integers(0, 1_000_000)), min_size=1, max_size=25),
+           children=st.lists(st.tuples(st.integers(0, 17), st.integers(0, 1_000_000)),
+                             min_size=1, max_size=40),
+           seed=st.integers(0, 2**32),
+           chunk=st.sampled_from([1, 5, initialization._MAX_PICK_ENTRIES]))
+    def test_random_stores_match_reference(self, n, couples, children, seed, chunk):
+        """Also with the pick's table and masks cut into chunks of a few entries."""
+        def store_of():
+            store = PopulationStore(n)
+            for husband, wife, fraction in couples:
+                m = store.spawn_person(Gender.MALE, husband * n + fraction % n)
+                store.wed(m, store.spawn_person(Gender.FEMALE, wife * n + fraction // n % n))
+            for years, fraction in children:
+                store.spawn_person(Gender.FEMALE, years * n + fraction % n)
+            return store
+
+        with mock.patch.object(initialization, "_MAX_PICK_ENTRIES", chunk):
+            bulk, ref = children_by_both(store_of, seed)
+        assert bulk == ref
+
+
 class TestBulkChecks:
     @staticmethod
     def couple_and_minors(store):
@@ -401,6 +524,36 @@ class TestBulkChecks:
         with pytest.raises(ValueError, match=f"mother {m} is not female"):
             store.assign_parents(child, np.array([m]), np.array([m]))
         assert store.father_arr[child[0]] == -1
+
+    def test_lowest_offending_parent_named(self, store):
+        men = [store.spawn_person(Gender.MALE, 40 * 12) for _ in range(3)]
+        women = [store.spawn_person(Gender.FEMALE, 38 * 12) for _ in range(3)]
+        children = np.array([store.spawn_person(Gender.MALE, 5 * 12) for _ in range(4)])
+        fathers = np.array([women[2], men[0], women[1], men[1]])
+        mothers = np.array(women[:3] + [women[0]])
+        with pytest.raises(ValueError, match=f"^father {women[1]} is not male$"):
+            store.assign_parents(children, fathers, mothers)
+        # An id that does not resolve is named when it is the lowest offender;
+        # the first id past the end does not resolve either.
+        with pytest.raises(ValueError, match="^father id -1 does not resolve$"):
+            store.assign_parents(children, np.array([women[1], -1, men[0], men[0]]), mothers)
+        high = store.size  # the first id past the end
+        with pytest.raises(ValueError, match=f"^mother id {high} does not resolve$"):
+            store.assign_parents(children, np.array(men + [men[0]]),
+                                 np.array([women[0], high, women[1], women[2]]))
+        assert (store.father_arr[children] == -1).all()
+        assert (store.mother_arr[children] == -1).all()
+
+    def test_bad_father_reported_before_bad_mother(self, store):
+        m = store.spawn_person(Gender.MALE, 40 * 12)
+        f = store.spawn_person(Gender.FEMALE, 38 * 12)
+        late = store.spawn_person(Gender.FEMALE, 36 * 12)
+        children = np.array([store.spawn_person(Gender.MALE, 5 * 12) for _ in range(2)])
+        # The mother's offence has the lower id, the father's is reported.
+        with pytest.raises(ValueError, match=f"^father {late} is not male$"):
+            store.assign_parents(children, np.array([m, late]), np.array([m, f]))
+        assert (store.father_arr[children] == -1).all()
+        assert (store.mother_arr[children] == -1).all()
 
     def test_same_gender_couple_gives_no_mother(self, store):
         # A corrupted store: two men recorded as married to each other.
