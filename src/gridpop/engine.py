@@ -4,7 +4,8 @@ A run is fully determined by (config, params, tables): one PCG64 stream
 drives every draw, statistics rows are pure functions of counters, and the
 CSV/export writers format numbers identically everywhere. The fields of
 ``StepStatistics`` are the statistics.csv columns: the header and the row
-format are derived from them.
+format are derived from them. A boundary's state is copied
+(``StepSnapshot``) only for a step hook: the events read the live store.
 
 Audit mode re-derives the store's cached alive counters by brute-force
 sweep at every step boundary and verifies the structural invariants
@@ -137,6 +138,7 @@ def load_fertility_table(source: str) -> FertilityTable:
     return FertilityTable.load(source)
 
 
+# Called after step k with the state at its start, its log, the store, the space.
 StepHook = Callable[[int, StepSnapshot, StepEventLog, PopulationStore, Space], None]
 
 
@@ -148,7 +150,7 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     step (thinned by stats_every, always including the final step); a
     row's event columns count every step since the previous row. Each
     step's event log goes to step_hook and is not kept. The same seed
-    reproduces every output byte.
+    reproduces every output byte, with or without a hook.
     """
     config.validate()
     params.validate()
@@ -167,9 +169,9 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     prev_houses = space.house_count
     interval = no_events
     for k in range(total):
-        snapshot = StepSnapshot.capture(store)
+        snapshot = StepSnapshot.capture(store) if step_hook is not None else None
         current_year = config.t0 + k // n
-        log = run_step(store, space, hazards, snapshot, current_year, rng, config.event_order)
+        log = run_step(store, space, hazards, current_year, rng, config.event_order)
         interval = [a + b for a, b in zip(interval, log.counts())]
         if config.audit:
             _audit_boundary(store, space, f"step {k}")

@@ -1,10 +1,11 @@
 """The per-step population transitions: ageing, deaths, births, divorces, marriages.
 
-Ageing always runs first; the canonical order of the rest is deaths,
-births, divorces, marriages (deaths before births prevents same-step
-posthumous parenthood). All events within one step share the snapshot
-committed at the step's start, so every "just happened" exclusion refers
-to the previous boundary.
+Ageing always runs first, once a step; the canonical order of the rest
+is deaths, births, divorces, marriages (deaths before births prevents
+same-step posthumous parenthood). Every "just happened" exclusion refers
+to the previous boundary and reads the step itself: its event log names
+whoever married or divorced since, and after ageing an adult at the
+boundary is older than the adult age.
 
 Each hazard and matching weight is one array function. An event draws
 how many of its candidates fall below HazardTables' bound on their
@@ -23,10 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import StepSnapshot
 from .params import DataTables, ModelParameters
 from .population import (
-    DIVORCED_CODE,
     Gender,
     MARRIED_CODE,
     PersonId,
@@ -274,16 +273,15 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
 
 
 def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
-                  snapshot: StepSnapshot, rng: Rng, log: StepEventLog) -> None:
+                  rng: Rng, log: StepEventLog) -> None:
     """Divorce married men (skipping those married since the last boundary)
     at the decade-modified rate; the man moves out alone within his town."""
-    # Ids only grow, so whoever was married at the boundary has an id below
-    # the snapshot's size. Excluded: the just-married, anyone not married
-    # at the boundary.
-    n = snapshot.size
-    ids = (store.alive_arr[:n] & store.male_arr[:n]
-           & (store.status_arr[:n] == MARRIED_CODE)
-           & (snapshot.status == MARRIED_CODE)).nonzero()[0]
+    n = store.size
+    married = (store.alive_arr[:n] & store.male_arr[:n]
+               & (store.status_arr[:n] == MARRIED_CODE))
+    if log.marriages:  # married this step
+        married[[groom for groom, _ in log.marriages]] = False
+    ids = married.nonzero()[0]
     if len(ids) == 0:
         return
     hits = _thinned_hits(rng, ids, hazards.divorce_bound, lambda hit: hazards.divorce.take(
@@ -298,7 +296,7 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
 
 
 def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
-                   snapshot: StepSnapshot, rng: Rng, log: StepEventLog) -> None:
+                   rng: Rng, log: StepEventLog) -> None:
     """Marry eligible men at the decade-modified rate.
 
     Eligible men are unmarried adults, excluding those divorced or turned
@@ -309,15 +307,13 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     n = store.steps_per_year
     adult_steps = store.adult_age_steps
     size = store.size
-    # Grooms existed at the boundary: ids only grow, so theirs lie below
-    # the snapshot's size.
-    k = snapshot.size
-    just_divorced = ((store.status_arr[:k] == DIVORCED_CODE)
-                     & (snapshot.status != DIVORCED_CODE))
-    ids = (store.alive_arr[:k] & store.male_arr[:k]
-           & (store.status_arr[:k] != MARRIED_CODE)
-           & (store.age_steps_arr[:k] >= adult_steps)
-           & ~just_divorced & (snapshot.age_steps >= adult_steps)).nonzero()[0]
+    # Adults at the boundary are older than adult_steps now: ageing has run.
+    eligible = (store.alive_arr[:size] & store.male_arr[:size]
+                & (store.status_arr[:size] != MARRIED_CODE)
+                & (store.age_steps_arr[:size] > adult_steps))
+    if log.divorces:  # divorced this step
+        eligible[[man for man, _ in log.divorces]] = False
+    ids = eligible.nonzero()[0]
     if len(ids) == 0:
         return
     grooms = _thinned_hits(rng, ids, hazards.marriage_bound, lambda hit: hazards.marriage.take(
@@ -394,9 +390,8 @@ def _merge_households(store: PopulationStore, space: Space,
 
 
 def run_step(store: PopulationStore, space: Space, hazards: HazardTables,
-             snapshot: StepSnapshot, current_year: int,
-             rng: Rng, order) -> StepEventLog:
-    """Apply all five events in the configured order (ageing first).
+             current_year: int, rng: Rng, order) -> StepEventLog:
+    """Apply all five events in the configured order (ageing first, once).
 
     ``hazards`` must be built for the store's clock."""
     log = StepEventLog()
@@ -408,9 +403,9 @@ def run_step(store: PopulationStore, space: Space, hazards: HazardTables,
         elif name == "births":
             births_step(store, space, hazards, current_year, rng, log)
         elif name == "divorces":
-            divorces_step(store, space, hazards, snapshot, rng, log)
+            divorces_step(store, space, hazards, rng, log)
         elif name == "marriages":
-            marriages_step(store, space, hazards, snapshot, rng, log)
+            marriages_step(store, space, hazards, rng, log)
         else:
             raise ValueError(f"unknown event {name!r}")
     return log

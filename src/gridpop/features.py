@@ -19,11 +19,12 @@ is ``f now and not pre(f)``. When no snapshot exists yet (the very first
 boundary), the current state doubles as its own past, so ``just`` is
 False everywhere and ``pre(f)`` equals ``f``.
 
-Only the snapshot-tracked attributes (age, alive, marital status, house;
-a town is read through the house, which never changes town) are copied
-per step; kinship predicates under ``pre``/``just`` read the parent
-arrays restricted to the ids of the snapshot, which works because kinship
-links never disappear and only ever gain newly created persons.
+The algebra is the one reader of the past: a run copies it only for a
+step hook, and only the snapshot-tracked attributes (age, alive, marital
+status, house; a town is read through the house, which never changes
+town). Kinship predicates under ``pre``/``just`` read the parent arrays
+restricted to the ids of the snapshot, which works because kinship links
+never disappear and only ever gain newly created persons.
 """
 
 from __future__ import annotations

@@ -367,7 +367,7 @@ class TestCriterion8EventEquations:
             prev = {p.id: (p.alive, p.married, p.partner)
                     for p in store.persons.values()}
             snapshot = StepSnapshot.capture(store)
-            log = run_step(store, space, hazards, snapshot, 2020, rng, order)
+            log = run_step(store, space, hazards, 2020, rng, order)
             ctx = EvalContext(store, space, snapshot)
 
             # Deaths: those dead now who were alive at the boundary.

@@ -1,7 +1,11 @@
 """Engine surface: tables, config files, the run loop, statistics, export."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +367,63 @@ class TestRunSimulation:
         towns = {result.space.house_town(p.house)
                  for p in result.store.persons.values() if p.alive}
         assert towns <= {(6, 4), (7, 7)}
+
+
+class TestStepHook:
+    """Only a step hook makes the run copy each boundary's state, and the
+    copy changes no output byte."""
+
+    @pytest.mark.parametrize("config, initial_pop", [
+        (small_config(audit=True, seed=11), 400),
+        (small_config(clock=ClockSpec.parse("hourly"), seed=12), 150),
+    ], ids=["monthly-audit", "hourly"])
+    def test_no_hook_no_capture_same_bytes(self, config, initial_pop, tmp_path, monkeypatch):
+        params = ModelParameters(initial_pop=initial_pop)
+
+        def outputs(tag, **hook):
+            result = run_simulation(config, params, DataTables(), **hook)
+            stats, pop = tmp_path / f"statistics_{tag}.csv", tmp_path / f"population_{tag}.txt"
+            engine.write_statistics(result.statistics, stats)
+            export_population(result.store, result.space, pop)
+            return stats.read_bytes(), pop.read_bytes()
+
+        logs = []
+        hooked = outputs("hooked", step_hook=lambda k, snap, log, *rest: logs.append(log))
+        assert sum(len(log.marriages) + len(log.divorces) for log in logs) > 0
+
+        def no_capture(store):
+            raise AssertionError("StepSnapshot.capture called without a step hook")
+
+        monkeypatch.setattr(engine.StepSnapshot, "capture", staticmethod(no_capture))
+        assert outputs("plain") == hooked
+
+
+def test_fresh_run_and_round_trip_do_not_import_numpy_ma(tmp_path):
+    """A plain np.unique imports numpy.ma on its first call (NumPy 2.4),
+    ~25 ms in a fresh process: more than a small run's whole set-up."""
+    script = f"""
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from gridpop.engine import export_population, import_population, run_simulation
+from gridpop.params import DataTables, ModelParameters, SimulationConfig
+from gridpop.stochastics import ClockSpec
+config = SimulationConfig(t0=2020, t_final=2021, clock=ClockSpec.parse("monthly"), seed=5)
+result = run_simulation(config, ModelParameters(initial_pop=300), DataTables())
+path = {str(tmp_path / "population.txt")!r}
+export_population(result.store, result.space, path)
+import_population(path)
+print("loaded" if "numpy.ma" in sys.modules else "clean")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()[-1]
+    if out == "preloaded":
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert out == "clean"
 
 
 class TestExport:

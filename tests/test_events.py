@@ -24,14 +24,12 @@ from gridpop.events import (
     marriages_step,
     run_step,
 )
-from gridpop.features import StepSnapshot
 from gridpop.initialization import build_initial_state
-from gridpop.params import DataTables, FertilityTable, ModelParameters
+from gridpop.params import DataTables, FertilityTable, ModelParameters, SimulationConfig
 from gridpop.population import (
     Gender,
     MaritalStatus,
     PopulationStore,
-    UnwedReason,
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
@@ -246,8 +244,7 @@ class TestThinning:
         table = hazards(self.PARAMS, tables, n)
         hits = []
         for _ in range(120 if clock == "hourly" else 12):
-            log = run_step(store, space, table, StepSnapshot.capture(store),
-                           2020, rng, ("ageing", event))
+            log = run_step(store, space, table, 2020, rng, ("ageing", event))
             hits.append(getattr(log, event))
         state = [getattr(store, name)[:store.size].tolist()
                  for name in ("alive_arr", "status_arr", "partner_arr", "house_arr")]
@@ -514,9 +511,8 @@ class TestDivorces:
         m, f, kid = self.couple(store, space, rng)
         home = store.persons[m].house
         params = ModelParameters(basic_divorce_rate=1.0)
-        snap = StepSnapshot.capture(store)
         while not log.divorces:
-            divorces_step(store, space, hazards(params), snap, rng, log)
+            divorces_step(store, space, hazards(params), rng, log)
         assert store.persons[m].marital_status is MaritalStatus.DIVORCED
         assert store.persons[f].marital_status is MaritalStatus.DIVORCED
         assert store.persons[m].house != home
@@ -529,11 +525,13 @@ class TestDivorces:
 
     def test_just_married_excluded(self):
         store, space, rng, log = fresh()
-        snap = StepSnapshot.capture(store)  # before the wedding
-        m, f, _ = self.couple(store, space, rng)
-        params = ModelParameters(basic_divorce_rate=1.0)
+        m = housed(store, space, Gender.MALE, 25, town=(8, 4), rng=rng)
+        housed(store, space, Gender.FEMALE, 25, town=(8, 4), rng=rng)
+        params = ModelParameters(basic_divorce_rate=1.0, basic_male_marriage_rate=1.0)
+        while not log.marriages:  # the wedding, in this step's log
+            marriages_step(store, space, hazards(params), rng, log)
         for _ in range(100):
-            divorces_step(store, space, hazards(params), snap, rng, log)
+            divorces_step(store, space, hazards(params), rng, log)
         assert log.divorces == []
         assert store.persons[m].married
 
@@ -541,9 +539,8 @@ class TestDivorces:
         store, space, rng, log = fresh()
         m, f, _ = self.couple(store, space, rng, age=125.0)
         params = ModelParameters(basic_divorce_rate=1.0)
-        snap = StepSnapshot.capture(store)
         for _ in range(200):
-            divorces_step(store, space, hazards(params), snap, rng, log)
+            divorces_step(store, space, hazards(params), rng, log)
         assert log.divorces == []
 
 
@@ -557,9 +554,8 @@ class TestMarriages:
         store, space, rng, log = fresh()
         m, f = self.eligible_pair(store, space, rng)
         params = ModelParameters(basic_male_marriage_rate=1.0)
-        snap = StepSnapshot.capture(store)
         while not log.marriages:
-            marriages_step(store, space, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), rng, log)
         assert store.persons[m].partner == f
         # Equal occupancy (1 vs 1): tie goes to the groom's house.
         assert store.persons[f].house == store.persons[m].house
@@ -598,28 +594,28 @@ class TestMarriages:
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 25, rng=rng)
         f = housed(store, space, Gender.FEMALE, 24, house=store.persons[m].house, rng=rng)
-        store.wed(m, f)
-        snap = StepSnapshot.capture(store)  # married here
-        store.unwed(m, UnwedReason.DIVORCE)        # divorced this step
-        params = ModelParameters(basic_male_marriage_rate=1.0)
+        store.wed(m, f)  # married at the boundary
+        params = ModelParameters(basic_divorce_rate=1.0, basic_male_marriage_rate=1.0)
+        while not log.divorces:  # divorced this step
+            divorces_step(store, space, hazards(params), rng, log)
         for _ in range(50):
-            marriages_step(store, space, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), rng, log)
         assert all(groom != m for groom, _ in log.marriages)
 
     def test_just_turned_adult_excluded(self):
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 18 - 1 / 12, rng=rng)
         housed(store, space, Gender.FEMALE, 24, rng=rng)
-        snap = StepSnapshot.capture(store)
         ageing_step(store, space, rng, log)  # m turns exactly 18
         params = ModelParameters(basic_male_marriage_rate=1.0)
-        for _ in range(50):
-            marriages_step(store, space, hazards(params), snap, rng, log)
+        # At 18 an eligible man marries at ~0.015 a step: 1,000 tries would wed him.
+        for _ in range(1000):
+            marriages_step(store, space, hazards(params), rng, log)
         assert log.marriages == []
-        # One boundary later he becomes eligible.
-        snap2 = StepSnapshot.capture(store)
+        # One boundary later, aged one more step, he becomes eligible.
+        ageing_step(store, space, rng, log)
         while not log.marriages:
-            marriages_step(store, space, hazards(params), snap2, rng, log)
+            marriages_step(store, space, hazards(params), rng, log)
         assert log.marriages[0][0] == m
 
     def test_all_zero_weights_leaves_man_single(self):
@@ -634,9 +630,8 @@ class TestMarriages:
             store.spawn_person(Gender.FEMALE, 12, father=father, mother=bride,
                                house=store.persons[bride].house, space=space)
         params = ModelParameters(basic_male_marriage_rate=1.0)
-        snap = StepSnapshot.capture(store)
         for _ in range(200):
-            marriages_step(store, space, hazards(params), snap, rng, log)
+            marriages_step(store, space, hazards(params), rng, log)
         assert log.marriages == []
         assert store.persons[groom].unmarried
 
@@ -651,11 +646,44 @@ class TestMarriages:
             local = housed(s, sp, Gender.FEMALE, 25, town=(8, 4), rng=trial_rng)
             housed(s, sp, Gender.FEMALE, 25, town=(9, 5), rng=trial_rng)  # distance 2
             lg = StepEventLog()
-            marriages_step(s, sp, hazards(params), StepSnapshot.capture(s), trial_rng, lg)
+            marriages_step(s, sp, hazards(params), trial_rng, lg)
             if lg.marriages:
                 picks["local" if lg.marriages[0][1] == local else "distant"] += 1
         assert picks["local"] > 0
         assert picks["distant"] <= 1
+
+
+class TestRemarriedThisStep:
+    """With marriages before divorces, a man widowed and remarried within
+    one step is married since the boundary, though married at it as well:
+    he is not divorced in that step."""
+
+    ORDER = ("ageing", "deaths", "births", "marriages", "divorces")
+    # Women die for certain at 80 and almost never at 25; men never die. At
+    # 35 a man remarries in every step he can, and divorces at ~0.06 a step.
+    PARAMS = ModelParameters(base_die_rate=0.0, male_age_die_prob=0.0,
+                             female_age_die_prob=1e-30, female_age_scaling=1.0,
+                             basic_divorce_rate=1.0, basic_male_marriage_rate=1.0)
+
+    def test_never_divorced_in_the_step_he_remarries(self):
+        SimulationConfig(event_order=self.ORDER).validate()
+        table = hazards(self.PARAMS)
+        widowed_remarried = remarried = 0
+        for seed in range(200):
+            store, space, rng = PopulationStore(12), Space(), make_rng(seed)
+            husband = housed(store, space, Gender.MALE, 35, town=(8, 4), rng=rng)
+            wife = housed(store, space, Gender.FEMALE, 80, house=store.persons[husband].house,
+                          rng=rng)
+            store.wed(husband, wife)
+            housed(store, space, Gender.FEMALE, 25, town=(8, 4), rng=rng)
+            for k in range(12):
+                log = run_step(store, space, table, 2020, rng, self.ORDER)
+                if any(groom == husband for groom, _ in log.marriages):
+                    remarried += 1
+                    widowed_remarried += wife in log.deaths
+                    assert all(man != husband for man, _ in log.divorces), (seed, k)
+        assert widowed_remarried == 200  # the corner arises in every seed's first step
+        assert remarried > 200
 
 
 class TestStepConservation:
@@ -667,8 +695,7 @@ class TestStepConservation:
         run_hazards = hazards()
         for k in range(24):
             before = store.alive_count
-            snap = StepSnapshot.capture(store)
-            log = run_step(store, space, run_hazards, snap, 2020 + k // 12, rng, order)
+            log = run_step(store, space, run_hazards, 2020 + k // 12, rng, order)
             assert store.alive_count == before + len(log.births) - len(log.deaths)
             assert collect_invariant_violations(store, space) == []
             assert all(not store.persons[pid].alive for pid in log.deaths)
