@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .population import MaritalStatus, PersonId, PopulationStore, STATUS_CODE
+from .population import ADULT_AGE_YEARS, MaritalStatus, PersonId, PopulationStore, STATUS_CODE
 from .space import GRID_COLS, GRID_ROWS, Space, cell_of
 
 
@@ -245,7 +245,7 @@ HAS_CHILDREN = HasKin(siblings=False, alive_only=False)
 HAS_ALIVE_CHILDREN = HasKin(siblings=False, alive_only=True)
 HAS_SIBLINGS = HasKin(siblings=True, alive_only=False)
 HAS_ALIVE_SIBLINGS = HasKin(siblings=True, alive_only=True)
-ADULT = AgeCompare(np.greater_equal, 18)
+ADULT = AgeCompare(np.greater_equal, ADULT_AGE_YEARS)
 TRUE = ALIVE | ~ALIVE
 FALSE = ALIVE - ALIVE
 

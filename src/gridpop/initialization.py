@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .events import age_compatibility_array
+from .events import FERTILE_YEARS, age_compatibility_array
 from .params import ModelParameters
 from .population import MARRIED_CODE, PopulationStore
 from .space import Space, TownKey, cell_of
@@ -182,7 +182,7 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
         _wed_oldest_single_pair(store)
         men_ids, men_min_age, men_wife_age = couple_arrays()
 
-    lo = men_wife_age - 45 * n
+    lo = men_wife_age - FERTILE_YEARS * n
     hi = (4 * men_min_age - 75 * n) // 4
     able = np.flatnonzero(lo < hi)
     lo, hi = lo[able], hi[able]
