@@ -241,8 +241,9 @@ class PopulationStore:
     ) -> PersonId:
         """Add a new alive, single person; registers kinship and occupancy.
 
-        house may be None only while initialization stages the population;
-        every alive person must be housed by the first step boundary.
+        With house None the person is unhoused, as in a store built up by
+        hand; every alive person must be housed by the first step boundary.
+        Initialization fills its rows through add_rows instead.
         """
         if age_steps < 0:
             raise ValueError("age must be non-negative")

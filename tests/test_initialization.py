@@ -2,14 +2,12 @@
 
 import logging
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpop import initialization
 from gridpop.events import age_compatibility_array
 from gridpop.initialization import (
     InitializationError,
@@ -188,6 +186,61 @@ class TestChildren:
         with pytest.raises(InitializationError):
             init_children(store, make_rng(10))
 
+    def test_fathers_uniform_over_qualifying_couples(self):
+        stats = pytest.importorskip("scipy.stats")
+        # Twelve couples (husband, wife) and four children at each of five ages.
+        couples = [(24, 22), (25, 26), (30, 28), (31, 32), (36, 34), (37, 38),
+                   (44, 42), (46, 47), (53, 52), (54, 55), (62, 58), (66, 64)]
+        child_years = (4, 8, 12, 14, 16)
+        qualifying, lo_used = {}, []
+        for a in child_years:
+            qualifying[a] = {i for i, (h, w) in enumerate(couples)
+                             if self.candidate_qualifies(h, w, a + 5 / 12)}
+            lo_range = sum(w < 45 + a + 5 / 12 for _, w in couples)
+            hi_range = sum(min(h, w) >= a + 5 / 12 + 18.75 for h, w in couples)
+            # Each age draws from a range holding couples that do not qualify.
+            assert len(qualifying[a]) >= 2
+            assert len(qualifying[a]) < min(lo_range, hi_range)
+            lo_used.append(lo_range <= hi_range)
+        assert any(lo_used) and not all(lo_used)  # both ranges are drawn from
+
+        counts = {a: np.zeros(len(couples), dtype=int) for a in child_years}
+        for seed in range(2000):
+            store = PopulationStore(12)
+            men = [store.spawn_person(Gender.MALE, h * 12) for h, _ in couples]
+            for m, (_, w) in zip(men, couples):
+                store.wed(m, store.spawn_person(Gender.FEMALE, w * 12))
+            children = {store.spawn_person(Gender.FEMALE, a * 12 + 5): a
+                        for _ in range(4) for a in child_years}
+            init_children(store, make_rng(seed))
+            for child, a in children.items():
+                counts[a][men.index(store.father_arr[child])] += 1
+        pvalues = []
+        for a in child_years:
+            drawn = set(np.flatnonzero(counts[a]).tolist())
+            assert drawn == qualifying[a]
+            pvalues.append(stats.chisquare(counts[a][sorted(drawn)]).pvalue)
+        assert min(pvalues) * len(pvalues) > 0.01
+
+    @pytest.mark.parametrize("clock, max_age", [("monthly", 37), ("daily", 36.5)])
+    def test_capped_initial_ages_need_few_rounds(self, clock, max_age):
+        # With every adult under 37, few couples can parent a 17-year-old:
+        # the draw must come from the small hi range, not the lo range.
+        store, _, params, _, rng = staged(20_000, ClockSpec.parse(clock), 19,
+                                          max_age_years=max_age)
+        init_partnerships(store, params, rng)
+
+        class CountingRng:
+            draws = 0
+
+            def integers(self, *args):
+                self.draws += 1
+                return rng.integers(*args)
+
+        counting = CountingRng()
+        init_children(store, counting)
+        assert 1 <= counting.draws <= 10
+
     def test_no_initial_grandparenthood(self):
         store, _, _ = build(initial_pop=3000, seed=12)
         for p in store.persons.values():
@@ -264,25 +317,50 @@ def reference_partnerships(store, params, rng):
 
 
 def reference_children(store, rng):
-    """One child at a time, in id order: one scalar draw among the couples
-    that qualify for the child's age, or the fallback couple with a warning."""
+    """Round by round, each child still unparented, in id order, makes one
+    scalar draw from the smaller of its two ranges of couples (the lo range
+    on a tie) and keeps the couple if it qualifies for the child's age. A
+    child with no qualifying couple gets the fallback couple with a warning.
+
+    A couple counts when it qualifies for some age (lo < hi). The lo range
+    is the counting couples whose wife is under 45 + the child's age, in
+    order of (lo, index); the hi range those whose spouses are both at
+    least 18.75 years older, in order of (-hi, index)."""
     n = store.steps_per_year
     size = store.size
     men = np.flatnonzero(store.male_arr[:size] & (store.status_arr[:size] == MARRIED_CODE))
     wife_age = store.age_steps_arr[store.partner_arr[men]]
     min_age = np.minimum(store.age_steps_arr[men], wife_age)
+    lo, hi = wife_age - 45 * n, np.floor(min_age - 18.75 * n)
+    index = np.arange(len(men))
+    pending = []
     for child in np.flatnonzero(store.age_steps_arr[:size] < store.adult_age_steps).tolist():
         a = int(store.age_steps_arr[child])
-        cand = np.flatnonzero((min_age >= a + 18.75 * n) & (wife_age < 45 * n + a))
-        if len(cand):
-            father = int(men[cand[int(rng.integers(len(cand)))]])
+        if ((min_age >= a + 18.75 * n) & (wife_age < 45 * n + a)).any():
+            pending.append(child)
         else:
             father = int(men[np.argmax(min_age)])
             logging.getLogger("gridpop.initialization").warning(
                 "no qualifying parents for child %d (age %.2f); assigning closest couple",
                 child, a / n)
-        store.father_arr[child] = father
-        store.mother_arr[child] = store.partner_arr[father]
+            store.father_arr[child] = father
+            store.mother_arr[child] = store.partner_arr[father]
+    while pending:
+        unparented = []
+        for child in pending:
+            a = int(store.age_steps_arr[child])
+            lo_range = np.flatnonzero((lo < hi) & (wife_age < 45 * n + a))
+            lo_range = lo_range[np.lexsort((index[lo_range], lo[lo_range]))]
+            hi_range = np.flatnonzero((lo < hi) & (min_age >= a + 18.75 * n))
+            hi_range = hi_range[np.lexsort((index[hi_range], -hi[hi_range]))]
+            candidates = lo_range if len(lo_range) <= len(hi_range) else hi_range
+            c = int(candidates[int(rng.integers(len(candidates)))])
+            if min_age[c] >= a + 18.75 * n and wife_age[c] < 45 * n + a:
+                store.father_arr[child] = men[c]
+                store.mother_arr[child] = store.partner_arr[men[c]]
+            else:
+                unparented.append(child)
+        pending = unparented
 
 
 def reference_housing(store, space, cells, rng):
@@ -298,7 +376,7 @@ def reference_housing(store, space, cells, rng):
         space.move_person(store, pid, int(store.house_arr[head]))
 
 
-def staged(initial_pop, clock, seed):
+def staged(initial_pop, clock, seed, **ages):
     """The state build_initial_state hands to init_partnerships."""
     params = ModelParameters(initial_pop=initial_pop)
     store, space, rng = PopulationStore(clock.steps_per_year), Space(), make_rng(seed)
@@ -307,7 +385,7 @@ def staged(initial_pop, clock, seed):
     store.alive_arr[pids] = True
     cells = np.array([cell_of(town) for town in space.inhabitable_towns
                       for _ in range(targets[town])])
-    init_ages_and_genders(store, pids, rng)
+    init_ages_and_genders(store, pids, rng, **ages)
     return store, space, params, cells, rng
 
 
@@ -482,10 +560,8 @@ class TestChildrenIntervals:
                                       st.integers(0, 1_000_000)), min_size=1, max_size=25),
            children=st.lists(st.tuples(st.integers(0, 17), st.integers(0, 1_000_000)),
                              min_size=1, max_size=40),
-           seed=st.integers(0, 2**32),
-           chunk=st.sampled_from([1, 5, initialization._MAX_PICK_ENTRIES]))
-    def test_random_stores_match_reference(self, n, couples, children, seed, chunk):
-        """Also with the pick's table and masks cut into chunks of a few entries."""
+           seed=st.integers(0, 2**32))
+    def test_random_stores_match_reference(self, n, couples, children, seed):
         def store_of():
             store = PopulationStore(n)
             for husband, wife, fraction in couples:
@@ -495,8 +571,7 @@ class TestChildrenIntervals:
                 store.spawn_person(Gender.FEMALE, years * n + fraction % n)
             return store
 
-        with mock.patch.object(initialization, "_MAX_PICK_ENTRIES", chunk):
-            bulk, ref = children_by_both(store_of, seed)
+        bulk, ref = children_by_both(store_of, seed)
         assert bulk == ref
 
 
