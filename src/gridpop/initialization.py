@@ -190,7 +190,7 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
     in_lo = np.searchsorted(lo[by_lo], ages)  # lo < a
     in_hi = np.searchsorted(-hi[by_hi], -ages, side="right")  # a <= hi
     use_lo = in_lo <= in_hi
-    sizes = np.where(use_lo, in_lo, in_hi)
+    sizes = np.minimum(in_lo, in_hi)
     parented = in_lo + in_hi > len(lo)
     # Closest couple by age margin; the no-orphan guarantee wins.
     fathers = np.full(len(minors), men_ids[np.argmax(men_min_age)], dtype=np.int64)
