@@ -17,7 +17,7 @@ from .engine import (
     write_statistics,
 )
 from .params import DataTables, ModelParameters, SimulationConfig
-from .population import Gender, MaritalStatus, Person, PopulationStore
+from .population import Gender, MaritalStatus, PopulationStore
 from .space import Space
 from .stochastics import ClockSpec, make_rng
 
@@ -27,7 +27,6 @@ __all__ = [
     "Gender",
     "MaritalStatus",
     "ModelParameters",
-    "Person",
     "PopulationStore",
     "RunResult",
     "SimulationConfig",

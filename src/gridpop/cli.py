@@ -74,7 +74,10 @@ def _load(args) -> tuple[ModelParameters, SimulationConfig]:
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "dt", None):
-        overrides["clock"] = ClockSpec.parse(args.dt)
+        try:
+            overrides["clock"] = ClockSpec.parse(args.dt)
+        except ValueError as err:
+            raise ConfigError(f"bad value for --dt: {err}") from None
     if getattr(args, "t0", None) is not None:
         overrides["t0"] = args.t0
     if getattr(args, "tfinal", None) is not None:

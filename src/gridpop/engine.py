@@ -270,6 +270,32 @@ def _line_blocks(file: TextIO) -> Iterator[tuple[int, list[str]]]:
         first += len(block)
 
 
+def _conversion_error(block: list[str], start: int) -> ValueError | None:
+    """The first field of a block that _fill_rows cannot convert, named
+    with its line; sought only after a conversion failed. As there, a
+    town is converted only where the house is an id, not negative."""
+    names = EXPORT_FIELDS.split()
+    # By index in a line: what a field holds, and a conversion that fails
+    # where _fill_rows's does.
+    integer = ("an integer", int)
+    ref = ("an integer or -", lambda cell: cell == "-" or int(cell))
+    fields = {1: ("male or female", Gender), 2: integer,
+              4: ("single, married, divorced or widowed", MaritalStatus), 5: ref, 6: ref, 7: ref,
+              9: ("an integer, - or grave", lambda cell: cell in ("-", "grave") or int(cell)),
+              10: integer, 11: integer}
+    for lineno, ln in enumerate(block, start=start):
+        if ln.startswith("#") or not ln.strip():
+            continue
+        cells = ln.split(" ")
+        for i, (expected, convert) in fields.items():
+            try:
+                if i < 10 or cells[9] not in ("-", "grave") and int(cells[9]) >= 0:
+                    convert(cells[i])
+            except ValueError:
+                return ValueError(f"line {lineno}: {names[i]} {cells[i]!r}, expected {expected}")
+    return None
+
+
 def _fill_rows(store: PopulationStore, rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     """Append one block of checked rows to the store; returns the ids of
     the housed persons among them and their (town x, town y)."""
@@ -305,9 +331,9 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
     whose town_cell is UNPLACED_CELL.
 
     Raises ValueError, naming the line or the person, on a malformed line,
-    ids out of sequence, an alive cell other than 0 or 1, a children
-    column that disagrees with the father and mother columns, or two
-    residents of one house in different towns.
+    a field that does not convert, ids out of sequence, an alive cell
+    other than 0 or 1, a children column that disagrees with the father
+    and mother columns, or two residents of one house in different towns.
 
     The file is read in blocks of _EXPORT_BLOCK lines, each checked and
     converted into the store before the next is read; the children column
@@ -346,7 +372,10 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
                     raise ValueError(f"line {lineno}: alive {cells[3]!r}, expected 0 or 1")
                 rows.append(cells)
             if rows:
-                housed, towns = _fill_rows(store, rows)
+                try:
+                    housed, towns = _fill_rows(store, rows)
+                except ValueError as error:
+                    raise _conversion_error(block, start) or error from None
                 housed_blocks.append(housed)
                 town_blocks.append(towns)
 

@@ -12,8 +12,8 @@ none). The events gather whole subpopulations from them. Children and
 towns are not stored: they are derived from the parent arrays and from
 ``Space.town_cell`` of the house; ``children_index()`` builds the
 children of every person from the parent arrays on each call, uncached.
-``store.persons`` is a read-only mapping of ``Person`` views over the
-rows, for code that works one person at a time.
+``store.persons`` maps ids to ``Person`` views that read alive, married
+and partner; only the benchmark still reads them.
 
 Mutators preserve the structural invariants checked by
 ``collect_invariant_violations``; callers are expected to satisfy the
@@ -75,66 +75,34 @@ _ARRAYS = (
 )
 
 
-def _optional_id(value) -> Optional[int]:
-    return None if value < 0 else int(value)
-
-
-def _id_or_none(value: Optional[int]) -> int:
-    return -1 if value is None else value
-
-
-class _Column:
-    """A Person attribute read from, and written through to, one array."""
-
-    def __init__(self, array: str, to_python, to_array):
-        self.array, self.to_python, self.to_array = array, to_python, to_array
-
-    def __get__(self, person: "Person", owner=None):
-        if person is None:
-            return self
-        return self.to_python(getattr(person.store, self.array)[person.id])
-
-    def __set__(self, person: "Person", value) -> None:
-        getattr(person.store, self.array)[person.id] = self.to_array(value)
-
-
 class Person:
-    """One row of the store, read as attributes.
-
-    Assignment writes straight into the arrays and bypasses the mutators'
-    checks and cached counters: it exists for tests that corrupt a state.
-    """
+    """One row of the store, read as the benchmark reads it; it goes once the
+    benchmark reads the arrays (ROADMAP item 7). Assigning partner writes
+    straight into partner_arr, bypassing the mutators' checks and cached
+    counters: the benchmark's self-test corrupts a state through it."""
 
     __slots__ = ("store", "id")
-
-    gender = _Column("male_arr", lambda v: Gender.MALE if v else Gender.FEMALE,
-                     lambda g: g is Gender.MALE)
-    age_steps = _Column("age_steps_arr", int, int)
-    alive = _Column("alive_arr", bool, bool)
-    marital_status = _Column("status_arr", lambda v: STATUSES[v], STATUS_CODE.__getitem__)
-    partner = _Column("partner_arr", _optional_id, _id_or_none)
-    father = _Column("father_arr", _optional_id, _id_or_none)
-    mother = _Column("mother_arr", _optional_id, _id_or_none)
-    house = _Column("house_arr", _optional_id, _id_or_none)
 
     def __init__(self, store: "PopulationStore", pid: PersonId):
         self.store = store
         self.id = pid
 
     @property
+    def alive(self) -> bool:
+        return bool(self.store.alive_arr[self.id])
+
+    @property
     def married(self) -> bool:
         return bool(self.store.status_arr[self.id] == MARRIED_CODE)
 
     @property
-    def unmarried(self) -> bool:
-        return not self.married
+    def partner(self) -> Optional[PersonId]:
+        partner = int(self.store.partner_arr[self.id])
+        return None if partner < 0 else partner
 
-    @property
-    def children(self) -> frozenset[PersonId]:
-        n = self.store.size
-        kids = ((self.store.father_arr[:n] == self.id)
-                | (self.store.mother_arr[:n] == self.id)).nonzero()[0]
-        return frozenset(kids.tolist())
+    @partner.setter
+    def partner(self, value: Optional[PersonId]) -> None:
+        self.store.partner_arr[self.id] = -1 if value is None else value
 
 
 class PersonTable(Mapping):
@@ -144,12 +112,9 @@ class PersonTable(Mapping):
         self._store = store
 
     def __getitem__(self, pid: PersonId) -> Person:
-        if pid not in self:
+        if not (isinstance(pid, (int, np.integer)) and 0 <= pid < self._store.size):
             raise KeyError(pid)
         return Person(self._store, int(pid))
-
-    def __contains__(self, pid) -> bool:
-        return isinstance(pid, (int, np.integer)) and 0 <= pid < self._store.size
 
     def __iter__(self) -> Iterator[PersonId]:
         return iter(range(self._store.size))
@@ -258,8 +223,8 @@ class PopulationStore:
         self.age_steps_arr[pid] = age_steps
         self.male_arr[pid] = male
         self.alive_arr[pid] = True
-        self.father_arr[pid] = _id_or_none(father)
-        self.mother_arr[pid] = _id_or_none(mother)
+        self.father_arr[pid] = -1 if father is None else father
+        self.mother_arr[pid] = -1 if mother is None else mother
         if house is not None:
             space.add_occupant(house, pid)
             self.house_arr[pid] = house

@@ -1,5 +1,6 @@
 """Shared helpers: small populated stores and spaces for unit tests."""
 
+import numpy as np
 import pytest
 
 from gridpop.population import Gender, PopulationStore
@@ -31,3 +32,10 @@ def housed(store: PopulationStore, space: Space, gender: Gender, age_years: floa
         house = space.new_houses(cell_of(town), rng)
     age_steps = round(age_years * store.steps_per_year)
     return store.spawn_person(gender, age_steps, house=house, space=space, **kwargs)
+
+
+def children(store: PopulationStore, pid: int) -> set[int]:
+    """The ids whose father or mother is pid, read from the parent arrays."""
+    n = store.size
+    return set(np.flatnonzero((store.father_arr[:n] == pid)
+                              | (store.mother_arr[:n] == pid)).tolist())

@@ -41,7 +41,7 @@ from gridpop.features import (
 )
 from gridpop.initialization import build_initial_state
 from gridpop.params import DataTables, ModelParameters, SimulationConfig
-from gridpop.population import Gender, PopulationStore, UnwedReason
+from gridpop.population import MARRIED_CODE, Gender, PopulationStore, UnwedReason
 from gridpop.space import Space, cell_of, town_at
 from gridpop.stochastics import (
     ClockSpec,
@@ -197,7 +197,7 @@ class TestCriterion3InitialDistributions:
         zero_density = [t for t in grid if t not in inhabitable]
         assert all(counts[t] == 0 for t in zero_density)
         # No one ever lives in a zero-density town, consolidation included.
-        final_towns = {space.house_town(p.house) for p in store.persons.values()}
+        final_towns = {space.house_town(h) for h in store.house_arr[:store.size].tolist()}
         assert final_towns <= set(inhabitable)
 
         elapsed = time.perf_counter() - start
@@ -259,7 +259,7 @@ class TestCriterion5TemporalOracle:
 
         def script_step_4():
             store.spawn_person(Gender.FEMALE, 0, father=f, mother=g,
-                               house=store.persons[g].house, space=space)
+                               house=store.house_arr[g], space=space)
 
         def script_step_5():
             store.kill(g, space)  # widows f
@@ -267,7 +267,9 @@ class TestCriterion5TemporalOracle:
         features = {"alive": ALIVE, "married": MARRIED, "not_married": ~MARRIED}
 
         def full_copy():
-            return {p.id: (p.alive, p.married) for p in store.persons.values()}
+            n = store.size
+            return dict(enumerate(zip(store.alive_arr[:n].tolist(),
+                                      (store.status_arr[:n] == MARRIED_CODE).tolist())))
 
         def brute(name, now_state, prev_state):
             def holds(state, pid):
@@ -364,8 +366,10 @@ class TestCriterion8EventEquations:
 
         total_events = 0
         for k in range(365):
-            prev = {p.id: (p.alive, p.married, p.partner)
-                    for p in store.persons.values()}
+            n = store.size
+            prev = dict(enumerate(zip(store.alive_arr[:n].tolist(),
+                                      (store.status_arr[:n] == MARRIED_CODE).tolist(),
+                                      store.partner_arr[:n].tolist())))
             snapshot = StepSnapshot.capture(store)
             log = run_step(store, space, hazards, 2020, rng, order)
             ctx = EvalContext(store, space, snapshot)
@@ -390,15 +394,15 @@ class TestCriterion8EventEquations:
             unmarried_now = {pid for couple in log.divorces for pid in couple}
             for dead in log.deaths:
                 partner = prev[dead][2]
-                if partner is not None:
+                if partner >= 0:
                     unmarried_now.add(partner)
             expected_just_unmarried = sorted(
                 [pid for pid in unmarried_now
-                 if store.persons[pid].alive and not store.persons[pid].married
+                 if store.alive_arr[pid] and store.status_arr[pid] != MARRIED_CODE
                  and prev[pid][1]]
                 + list(log.births))
             got = [pid for pid in subpopulation(just(~MARRIED), ctx)
-                   if store.persons[pid].alive]
+                   if store.alive_arr[pid]]
             assert got == expected_just_unmarried
 
             total_events += (len(log.deaths) + len(log.births)

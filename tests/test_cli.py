@@ -100,6 +100,16 @@ class TestRun:
         assert run_cli(["run", "--config", str(cfg)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt, message", [
+        ("custom:0", "steps_per_year must be >= 1"),
+        ("fortnightly", "unknown clock spec: 'fortnightly'"),
+    ])
+    def test_bad_dt_names_the_flag(self, tmp_path, capsys, dt, message):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--dt", dt, "--initial-pop", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"config error: bad value for --dt: {message}"
+        assert not out.exists()
+
     def test_missing_fertility_file_nonzero(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(["run", "--fertility", str(tmp_path / "nope.txt"),

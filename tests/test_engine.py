@@ -1,6 +1,7 @@
 """Engine surface: tables, config files, the run loop, statistics, export."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import children
 from gridpop import engine
 from gridpop.engine import (
+    EXPORT_FIELDS,
     STATISTICS_HEADER,
     build_initial_population,
     collect_step_statistics,
@@ -298,8 +301,8 @@ class TestRunSimulation:
             assert row.married % 2 == 0
             # Births this step are exactly the age-0 persons created this step.
             assert row.births == len(log.births)
-        newborns = sum(1 for p in result.store.persons.values()
-                       if p.age_steps < 12 * (2022 - 2020))
+        store = result.store
+        newborns = int(np.count_nonzero(store.age_steps_arr[:store.size] < 12 * (2022 - 2020)))
         assert newborns >= sum(r.births for r in result.statistics) > 0
 
     def test_event_counts_match_logs(self):
@@ -364,8 +367,9 @@ class TestRunSimulation:
         path.write_text("\n".join(" ".join(r) for r in rows))
         cfg = small_config(density_map=str(path))
         result = run_simulation(cfg, ModelParameters(initial_pop=300), DataTables())
-        towns = {result.space.house_town(p.house)
-                 for p in result.store.persons.values() if p.alive}
+        store = result.store
+        homes = store.house_arr[:store.size][store.alive_arr[:store.size]]
+        towns = {result.space.house_town(h) for h in homes.tolist()}
         assert towns <= {(6, 4), (7, 7)}
 
 
@@ -433,13 +437,13 @@ class TestExport:
         path = tmp_path / "pop.txt"
         export_population(result.store, result.space, path)
         store2, space2 = import_population(path)
-        assert len(store2.persons) == len(result.store.persons)
-        for pid, p in result.store.persons.items():
-            q = store2.persons[pid]
-            assert (p.gender, p.age_steps, p.alive, p.marital_status,
-                    p.partner, p.father, p.mother, p.children, p.house) == (
-                q.gender, q.age_steps, q.alive, q.marital_status,
-                q.partner, q.father, q.mother, q.children, q.house)
+        n = result.store.size
+        assert store2.size == n
+        for name in ("male_arr", "age_steps_arr", "alive_arr", "status_arr", "partner_arr",
+                     "father_arr", "mother_arr", "house_arr"):
+            assert np.array_equal(getattr(store2, name)[:n], getattr(result.store, name)[:n]), name
+        for got, want in zip(store2.children_index(), result.store.children_index()):
+            assert np.array_equal(got, want)
         # Re-export is byte-identical.
         path2 = tmp_path / "pop2.txt"
         export_population(store2, space2, path2)
@@ -459,10 +463,11 @@ class TestExport:
         path = tmp_path / "pop.txt"
         export_population(result.store, result.space, path)
         text = path.read_text()
-        dead = [p for p in result.store.persons.values() if not p.alive]
+        store = result.store
+        dead = np.flatnonzero(~store.alive_arr[:store.size]).tolist()
         assert dead, "expected some deaths in three years"
-        for p in dead:
-            line = next(ln for ln in text.splitlines() if ln.startswith(f"{p.id} "))
+        for pid in dead:
+            line = next(ln for ln in text.splitlines() if ln.startswith(f"{pid} "))
             assert " grave " in line
 
     def test_exported_alive_count_matches_statistics(self, tmp_path):
@@ -493,7 +498,7 @@ class TestExport:
         path = tmp_path / "second.txt"
         export_population(store, space, path)
         store2, _ = import_population(path)
-        assert child in store2.persons[father].children
+        assert child in children(store2, father)
         kids = {pid: [] for pid in range(n)}  # from the parent columns, ascending
         for pid in range(n):
             for parent in (store.father_arr[pid], store.mother_arr[pid]):
@@ -532,7 +537,7 @@ class TestExport:
         lines[i] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
         store, _ = import_population(path)
-        assert store.persons[int(cells[0])].children == {int(c) for c in kids}
+        assert children(store, int(cells[0])) == {int(c) for c in kids}
 
     def test_residents_of_one_house_must_share_its_town(self, export_lines):
         path, lines = export_lines
@@ -575,6 +580,31 @@ class TestExport:
         lines[5] = " ".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"line 6: alive '{cell}', expected 0 or 1"):
+            import_population(path)
+
+    @pytest.mark.parametrize("line, field, cell, expected", [
+        (6, "gender", "malee", "male or female"),
+        (6, "age_steps", "3.5", "an integer"),
+        (6, "status", "engaged", "single, married, divorced or widowed"),
+        (6, "partner", "none", "an integer or -"),
+        (6, "father", "1e3", "an integer or -"),
+        (6, "mother", "-1.0", "an integer or -"),
+        (6, "house", "home", "an integer, - or grave"),
+        (6, "town_x", "x", "an integer"),
+        (6, "town_y", "5.", "an integer"),
+        (21, "gender", "malee", "male or female"),  # the third block's last line
+        (21, "status", "engaged", "single, married, divorced or widowed"),
+    ])
+    def test_unconvertible_field_names_the_line(self, export_lines, monkeypatch, line, field,
+                                                cell, expected):
+        monkeypatch.setattr(engine, "_EXPORT_BLOCK", 7)
+        path, lines = export_lines
+        cells = lines[line - 1].split(" ")  # persons 2 and 17, both housed
+        cells[EXPORT_FIELDS.split().index(field)] = cell
+        lines[line - 1] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"line {line}: {field} '{cell}', expected {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             import_population(path)
 
     @pytest.mark.parametrize("block", [7, 1000])

@@ -27,6 +27,8 @@ from gridpop.events import (
 from gridpop.initialization import build_initial_state
 from gridpop.params import DataTables, FertilityTable, ModelParameters, SimulationConfig
 from gridpop.population import (
+    MARRIED_CODE,
+    STATUSES,
     Gender,
     MaritalStatus,
     PopulationStore,
@@ -316,14 +318,14 @@ class TestAgeing:
         dead = housed(store, space, Gender.FEMALE, 30, rng=rng)
         store.kill(dead, space)
         ageing_step(store, space, rng, log)
-        assert store.persons[alive].age_steps == 30 * 12 + 1
-        assert store.persons[dead].age_steps == 30 * 12
+        assert store.age_steps_arr[alive] == 30 * 12 + 1
+        assert store.age_steps_arr[dead] == 30 * 12
 
     def test_orphan_turning_adult_moves_out_alone(self):
         store, space, rng, log = fresh()
         town = (8, 4)
         dad = housed(store, space, Gender.MALE, 50, town=town, rng=rng)
-        home = store.persons[dad].house
+        home = store.house_arr[dad]
         mum = housed(store, space, Gender.FEMALE, 49, house=home, rng=rng)
         store.wed(dad, mum)
         elder = store.spawn_person(Gender.MALE, 20 * 12, father=dad, mother=mum,
@@ -333,26 +335,25 @@ class TestAgeing:
         store.kill(dad, space)
         store.kill(mum, space)
         ageing_step(store, space, rng, log)
-        y = store.persons[younger]
-        assert y.age_steps == 18 * 12
-        assert y.house != home
-        assert space.house_town(y.house) == town
-        assert space.residents[y.house] == {younger}
-        assert store.persons[elder].house == home
+        assert store.age_steps_arr[younger] == 18 * 12
+        assert store.house_arr[younger] != home
+        assert space.house_town(store.house_arr[younger]) == town
+        assert space.residents[store.house_arr[younger]] == {younger}
+        assert store.house_arr[elder] == home
         assert log.orphan_moves == [younger]
         assert collect_invariant_violations(store, space) == []
 
     def test_no_move_when_parent_alive_or_no_older_sibling(self):
         store, space, rng, log = fresh()
         dad = housed(store, space, Gender.MALE, 50, rng=rng)
-        home = store.persons[dad].house
+        home = store.house_arr[dad]
         mum = housed(store, space, Gender.FEMALE, 49, house=home, rng=rng)
         store.wed(dad, mum)
         only = store.spawn_person(Gender.MALE, 18 * 12 - 1, father=dad, mother=mum,
                                   house=home, space=space)
         store.kill(dad, space)
         ageing_step(store, space, rng, log)  # mother alive
-        assert store.persons[only].house == home
+        assert store.house_arr[only] == home
         assert log.orphan_moves == []
 
 
@@ -376,13 +377,13 @@ class TestDeaths:
     def test_kill_applied_and_consistent(self):
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 95, rng=rng)
-        f = housed(store, space, Gender.FEMALE, 96, house=store.persons[m].house, rng=rng)
+        f = housed(store, space, Gender.FEMALE, 96, house=store.house_arr[m], rng=rng)
         store.wed(m, f)
         params = ModelParameters(base_die_rate=1.0)  # certain-ish death
         for _ in range(40):
             deaths_step(store, space, hazards(params), rng, log)
-        assert not store.persons[m].alive and not store.persons[f].alive
-        assert store.persons[m].house is None
+        assert not store.alive_arr[m] and not store.alive_arr[f]
+        assert store.house_arr[m] == -1
         assert collect_invariant_violations(store, space) == []
 
     def test_certain_death_on_a_yearly_clock(self):
@@ -404,7 +405,7 @@ class TestDeaths:
 class TestBirths:
     def married_woman(self, store, space, rng, age=30.0):
         m = housed(store, space, Gender.MALE, age + 2, rng=rng)
-        f = housed(store, space, Gender.FEMALE, age, house=store.persons[m].house, rng=rng)
+        f = housed(store, space, Gender.FEMALE, age, house=store.house_arr[m], rng=rng)
         store.wed(m, f)
         return m, f
 
@@ -425,7 +426,7 @@ class TestBirths:
         store, space, rng, log = fresh()
         m, f = self.married_woman(store, space, rng)
         store.spawn_person(Gender.MALE, 6, father=m, mother=f,  # six months old
-                           house=store.persons[f].house, space=space)
+                           house=store.house_arr[f], space=space)
         for _ in range(200):
             births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
         assert log.births == []
@@ -434,7 +435,7 @@ class TestBirths:
         store, space, rng, log = fresh()
         m, f = self.married_woman(store, space, rng)
         store.spawn_person(Gender.MALE, 13, father=m, mother=f,  # 13 months old
-                           house=store.persons[f].house, space=space)
+                           house=store.house_arr[f], space=space)
         for _ in range(500):
             births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
             if log.births:
@@ -453,10 +454,10 @@ class TestBirths:
         m, f = self.married_woman(store, space, rng)
         while not log.births:
             births_step(store, space, hazards(tables=self.certain_tables()), 2020, rng, log)
-        baby = store.persons[log.births[0]]
-        assert baby.age_steps == 0
-        assert baby.father == m and baby.mother == f
-        assert baby.house == store.persons[f].house
+        baby = log.births[0]
+        assert store.age_steps_arr[baby] == 0
+        assert store.father_arr[baby] == m and store.mother_arr[baby] == f
+        assert store.house_arr[baby] == store.house_arr[f]
         assert collect_invariant_violations(store, space) == []
 
     def test_babies_take_ids_in_their_mothers_order(self):
@@ -500,26 +501,26 @@ class TestBirths:
 class TestDivorces:
     def couple(self, store, space, rng, age=25.0):
         m = housed(store, space, Gender.MALE, age, town=(8, 4), rng=rng)
-        f = housed(store, space, Gender.FEMALE, age, house=store.persons[m].house, rng=rng)
+        f = housed(store, space, Gender.FEMALE, age, house=store.house_arr[m], rng=rng)
         store.wed(m, f)
         kid = store.spawn_person(Gender.FEMALE, 2 * 12, father=m, mother=f,
-                                 house=store.persons[m].house, space=space)
+                                 house=store.house_arr[m], space=space)
         return m, f, kid
 
     def test_man_moves_out_alone_family_stays(self):
         store, space, rng, log = fresh()
         m, f, kid = self.couple(store, space, rng)
-        home = store.persons[m].house
+        home = store.house_arr[m]
         params = ModelParameters(basic_divorce_rate=1.0)
         while not log.divorces:
             divorces_step(store, space, hazards(params), rng, log)
-        assert store.persons[m].marital_status is MaritalStatus.DIVORCED
-        assert store.persons[f].marital_status is MaritalStatus.DIVORCED
-        assert store.persons[m].house != home
-        assert space.house_town(store.persons[m].house) == (8, 4)
-        assert len(space.residents[store.persons[m].house]) == 1
-        assert store.persons[f].house == home
-        assert store.persons[kid].house == home
+        assert STATUSES[store.status_arr[m]] is MaritalStatus.DIVORCED
+        assert STATUSES[store.status_arr[f]] is MaritalStatus.DIVORCED
+        assert store.house_arr[m] != home
+        assert space.house_town(store.house_arr[m]) == (8, 4)
+        assert len(space.residents[store.house_arr[m]]) == 1
+        assert store.house_arr[f] == home
+        assert store.house_arr[kid] == home
         assert log.divorce_moves == [m]
         assert collect_invariant_violations(store, space) == []
 
@@ -533,7 +534,7 @@ class TestDivorces:
         for _ in range(100):
             divorces_step(store, space, hazards(params), rng, log)
         assert log.divorces == []
-        assert store.persons[m].married
+        assert store.status_arr[m] == MARRIED_CODE
 
     def test_decade_zero_modifier_never_divorces(self):
         store, space, rng, log = fresh()
@@ -556,44 +557,44 @@ class TestMarriages:
         params = ModelParameters(basic_male_marriage_rate=1.0)
         while not log.marriages:
             marriages_step(store, space, hazards(params), rng, log)
-        assert store.persons[m].partner == f
+        assert store.partner_arr[m] == f
         # Equal occupancy (1 vs 1): tie goes to the groom's house.
-        assert store.persons[f].house == store.persons[m].house
+        assert store.house_arr[f] == store.house_arr[m]
         assert collect_invariant_violations(store, space) == []
 
     def test_merge_into_larger_household(self):
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 40, rng=rng)
-        house_m = store.persons[m].house
+        house_m = store.house_arr[m]
         lodger = housed(store, space, Gender.MALE, 70, house=house_m, rng=rng)
         third = housed(store, space, Gender.MALE, 71, house=house_m, rng=rng)
         f = housed(store, space, Gender.FEMALE, 38, rng=rng)
         dep = store.spawn_person(Gender.FEMALE, 5 * 12, father=None, mother=f,
-                                 house=store.persons[f].house, space=space)
+                                 house=store.house_arr[f], space=space)
         store.wed(m, f)
         from gridpop.events import _merge_households
         _merge_households(store, space, m, f)
         # Groom's house had 3, bride's 2: bride and her child move in.
-        assert store.persons[f].house == house_m
-        assert store.persons[dep].house == house_m
+        assert store.house_arr[f] == house_m
+        assert store.house_arr[dep] == house_m
         assert len(space.residents[house_m]) == 5
 
     def test_merge_to_bride_when_groom_house_smaller(self):
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 40, rng=rng)
         f = housed(store, space, Gender.FEMALE, 38, rng=rng)
-        house_f = store.persons[f].house
+        house_f = store.house_arr[f]
         store.spawn_person(Gender.MALE, 6 * 12, father=None, mother=f,
                            house=house_f, space=space)
         store.wed(m, f)
         from gridpop.events import _merge_households
         _merge_households(store, space, m, f)
-        assert store.persons[m].house == house_f
+        assert store.house_arr[m] == house_f
 
     def test_just_divorced_man_excluded(self):
         store, space, rng, log = fresh()
         m = housed(store, space, Gender.MALE, 25, rng=rng)
-        f = housed(store, space, Gender.FEMALE, 24, house=store.persons[m].house, rng=rng)
+        f = housed(store, space, Gender.FEMALE, 24, house=store.house_arr[m], rng=rng)
         store.wed(m, f)  # married at the boundary
         params = ModelParameters(basic_divorce_rate=1.0, basic_male_marriage_rate=1.0)
         while not log.divorces:  # divorced this step
@@ -628,12 +629,12 @@ class TestMarriages:
         father = housed(store, space, Gender.MALE, 125, rng=rng)
         for _ in range(800):
             store.spawn_person(Gender.FEMALE, 12, father=father, mother=bride,
-                               house=store.persons[bride].house, space=space)
+                               house=store.house_arr[bride], space=space)
         params = ModelParameters(basic_male_marriage_rate=1.0)
         for _ in range(200):
             marriages_step(store, space, hazards(params), rng, log)
         assert log.marriages == []
-        assert store.persons[groom].unmarried
+        assert store.status_arr[groom] != MARRIED_CODE
 
     def test_geo_weight_prefers_same_town(self):
         # One local and one distant candidate: the weight ratio is e^8 : 1.
@@ -672,7 +673,7 @@ class TestRemarriedThisStep:
         for seed in range(200):
             store, space, rng = PopulationStore(12), Space(), make_rng(seed)
             husband = housed(store, space, Gender.MALE, 35, town=(8, 4), rng=rng)
-            wife = housed(store, space, Gender.FEMALE, 80, house=store.persons[husband].house,
+            wife = housed(store, space, Gender.FEMALE, 80, house=store.house_arr[husband],
                           rng=rng)
             store.wed(husband, wife)
             housed(store, space, Gender.FEMALE, 25, town=(8, 4), rng=rng)
@@ -698,4 +699,4 @@ class TestStepConservation:
             log = run_step(store, space, run_hazards, 2020 + k // 12, rng, order)
             assert store.alive_count == before + len(log.births) - len(log.deaths)
             assert collect_invariant_violations(store, space) == []
-            assert all(not store.persons[pid].alive for pid in log.deaths)
+            assert not store.alive_arr[log.deaths].any()

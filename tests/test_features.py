@@ -1,10 +1,11 @@
 """Predicate-algebra laws (brute-forced) and temporal operator semantics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import housed
+from conftest import children, housed
 from gridpop.features import (
     ADULT,
     ALIVE,
@@ -27,7 +28,13 @@ from gridpop.features import (
     pre,
     subpopulation,
 )
-from gridpop.population import Gender, PopulationStore, UnwedReason
+from gridpop.population import (
+    MARRIED_CODE,
+    STATUSES,
+    Gender,
+    PopulationStore,
+    UnwedReason,
+)
 from gridpop.space import Space, cell_of
 from gridpop.stochastics import make_rng
 
@@ -43,25 +50,27 @@ def random_population(seed: int, n: int = 60):
                int(rng.integers(0, 90)), town=towns[int(rng.integers(len(towns)))], rng=rng)
     for _ in range(n):
         op = rng.integers(3)
+        size = store.size
+        alive, male = store.alive_arr[:size], store.male_arr[:size]
+        married = store.status_arr[:size] == MARRIED_CODE
         if op == 0:
-            single_adults = [p for p in store.persons.values()
-                             if p.alive and p.unmarried and p.age_steps >= store.adult_age_steps]
-            males = [p.id for p in single_adults if p.gender is Gender.MALE]
-            females = [p.id for p in single_adults if p.gender is Gender.FEMALE]
+            single_adults = alive & ~married & (store.age_steps_arr[:size]
+                                                >= store.adult_age_steps)
+            males = np.flatnonzero(single_adults & male).tolist()
+            females = np.flatnonzero(single_adults & ~male).tolist()
             if males and females:
                 store.wed(males[int(rng.integers(len(males)))],
                           females[int(rng.integers(len(females)))])
         elif op == 1:
-            alive = store.alive_ids()
-            if alive:
-                store.kill(alive[int(rng.integers(len(alive)))], space)
+            living = np.flatnonzero(alive).tolist()
+            if living:
+                store.kill(living[int(rng.integers(len(living)))], space)
         else:
-            mums = [p for p in store.persons.values()
-                    if p.alive and p.gender is Gender.FEMALE and p.married]
+            mums = np.flatnonzero(alive & ~male & married).tolist()
             if mums:
                 mum = mums[int(rng.integers(len(mums)))]
-                store.spawn_person(Gender.MALE, 0, father=mum.partner, mother=mum.id,
-                                   house=mum.house, space=space)
+                store.spawn_person(Gender.MALE, 0, father=store.partner_arr[mum], mother=mum,
+                                   house=store.house_arr[mum], space=space)
     return store, space
 
 
@@ -104,7 +113,7 @@ class TestBooleanAlgebra:
         store, space = random_population(2)
         ctx = EvalContext(store, space)
         union = set(subpopulation(MALE | FEMALE, ctx))
-        assert union == set(store.persons)
+        assert union == set(range(store.size))
 
     def test_false_leaf_empty(self):
         store, space = random_population(3)
@@ -120,7 +129,7 @@ class TestBooleanAlgebra:
     def test_negation_involution(self, expr, seed):
         store, space = random_population(seed, n=30)
         ctx = EvalContext(store, space)
-        for pid in store.persons:
+        for pid in range(store.size):
             assert expr.mask(ctx)[pid] == (not (~expr).mask(ctx)[pid])
             assert (~~expr).mask(ctx)[pid] == expr.mask(ctx)[pid]
 
@@ -129,7 +138,7 @@ class TestBooleanAlgebra:
     def test_de_morgan_and_difference(self, a, b, seed):
         store, space = random_population(seed, n=30)
         ctx = EvalContext(store, space)
-        for pid in store.persons:
+        for pid in range(store.size):
             assert (~(a | b)).mask(ctx)[pid] == (~a & ~b).mask(ctx)[pid]
             assert (~(a & b)).mask(ctx)[pid] == (~a | ~b).mask(ctx)[pid]
             assert (a - b).mask(ctx)[pid] == (a & ~b).mask(ctx)[pid]
@@ -177,7 +186,7 @@ class TestComposition:
         ex_wife = housed(store, space, Gender.FEMALE, 47, rng=rng)
         store.wed(son, ex_wife)
         child = store.spawn_person(Gender.FEMALE, 20 * 12, father=son, mother=ex_wife,
-                                   house=store.persons[ex_wife].house, space=space)
+                                   house=store.house_arr[ex_wife], space=space)
         store.unwed(son, UnwedReason.DIVORCE)
         store.kill(grandpa, space)
         store.kill(grandma, space)
@@ -188,18 +197,21 @@ class TestComposition:
         ctx = EvalContext(store, space)
         got = subpopulation(expr, ctx)
 
-        def brute(p):
-            alive_children = any(store.persons[c].alive for c in p.children)
-            alive_sibs = any(
-                q.alive and q.id != p.id
-                and ((p.father is not None and q.father == p.father)
-                     or (p.mother is not None and q.mother == p.mother))
-                for q in store.persons.values())
-            return (p.gender is Gender.MALE and p.alive
-                    and p.marital_status.value == "divorced"
-                    and alive_children and p.age_steps > 45 * 12 and not alive_sibs)
+        alive, father, mother = store.alive_arr, store.father_arr, store.mother_arr
 
-        expected = [p.id for p in store.persons.values() if brute(p)]
+        def brute(p):
+            alive_children = any(alive[c] for c in children(store, p))
+            alive_sibs = any(
+                alive[q] and q != p
+                and ((father[p] >= 0 and father[q] == father[p])
+                     or (mother[p] >= 0 and mother[q] == mother[p]))
+                for q in range(store.size))
+            return (store.male_arr[p] and alive[p]
+                    and STATUSES[store.status_arr[p]].value == "divorced"
+                    and alive_children and store.age_steps_arr[p] > 45 * 12
+                    and not alive_sibs)
+
+        expected = [p for p in range(store.size) if brute(p)]
         assert got == expected == [son]
 
 
@@ -227,7 +239,7 @@ class TestTemporalOperators:
         store.wed(m, f)
         snap = StepSnapshot.capture(store)
         baby = store.spawn_person(Gender.MALE, 0, father=m, mother=f,
-                                  house=store.persons[f].house, space=space)
+                                  house=store.house_arr[f], space=space)
         ctx = EvalContext(store, space, snap)
         assert just(ALIVE).mask(ctx)[baby]
         assert not pre(ALIVE).mask(ctx)[baby]
@@ -248,11 +260,11 @@ class TestTemporalOperators:
         snap = StepSnapshot.capture(store)
         # Mutate a little so now != pre for some persons.
         rng = make_rng(seed + 1000)
-        alive = store.alive_ids()
+        alive = np.flatnonzero(store.alive_arr[:store.size]).tolist()
         if alive:
             store.kill(alive[int(rng.integers(len(alive)))], space)
         ctx = EvalContext(store, space, snap)
-        for pid in store.persons:
+        for pid in range(store.size):
             assert just(expr).mask(ctx)[pid] == (
                 expr.mask(ctx)[pid] and not pre(expr).mask(ctx)[pid])
 
@@ -286,12 +298,12 @@ class TestTemporalOperators:
 
     def test_previous_house_accessor(self):
         store, space, m, f = self.build_couple()
-        old = store.persons[m].house
+        old = store.house_arr[m]
         snap = StepSnapshot.capture(store)
         new = space.find_or_create_empty_house(cell_of((4, 3)), make_rng(9))
         space.move_person(store, m, new)
         assert snap.house[m] == old
-        assert store.persons[m].house == new != old
+        assert store.house_arr[m] == new != old
         ctx = EvalContext(store, space, snap)
         assert pre(in_house(old)).mask(ctx)[m]
         assert not in_house(old).mask(ctx)[m]

@@ -21,6 +21,7 @@ from gridpop.initialization import (
 from gridpop.params import ModelParameters
 from gridpop.population import (
     MARRIED_CODE,
+    STATUSES,
     Gender,
     MaritalStatus,
     PopulationStore,
@@ -66,8 +67,8 @@ class TestTownQuotas:
 class TestAgesAndGenders:
     def test_gender_balance_and_age_mean(self):
         store, _, _ = build(initial_pop=20_000, seed=1)
-        n = len(store.persons)
-        males = sum(1 for p in store.persons.values() if p.gender is Gender.MALE)
+        n = store.size
+        males = int(np.count_nonzero(store.male_arr[:n]))
         sigma = math.sqrt(0.25 / n)
         assert abs(males / n - 0.5) < 3 * sigma
         mean_age = store.alive_age_steps_sum / n / store.steps_per_year
@@ -75,7 +76,7 @@ class TestAgesAndGenders:
 
     def test_ages_non_negative_step_multiples(self):
         store, _, _ = build(initial_pop=500, seed=2)
-        assert all(p.age_steps >= 0 for p in store.persons.values())
+        assert (store.age_steps_arr[:store.size] >= 0).all()
 
 
 class TestPartnerships:
@@ -92,21 +93,24 @@ class TestPartnerships:
 
     def test_married_rate_within_3_sigma(self):
         store, _, params = build(initial_pop=20_000, seed=3)
-        adult_males = [p for p in store.persons.values()
-                       if p.gender is Gender.MALE and p.age_steps >= store.adult_age_steps]
-        married = sum(1 for p in adult_males if p.married)
-        n = len(adult_males)
+        size = store.size
+        adult_males = store.male_arr[:size] & (store.age_steps_arr[:size]
+                                               >= store.adult_age_steps)
+        married = int(np.count_nonzero(adult_males
+                                       & (store.status_arr[:size] == MARRIED_CODE)))
+        n = int(np.count_nonzero(adult_males))
         rate = params.start_married_rate
         sigma = math.sqrt(rate * (1 - rate) / n)
         assert abs(married / n - rate) < 3 * sigma
 
     def test_all_couples_adult_and_cross_gender(self):
         store, _, _ = build(initial_pop=3000, seed=4)
-        for p in store.persons.values():
-            if p.married:
-                q = store.persons[p.partner]
-                assert p.gender is not q.gender
-                assert min(p.age_steps, q.age_steps) >= store.adult_age_steps
+        married = np.flatnonzero(store.status_arr[:store.size] == MARRIED_CODE)
+        partners = store.partner_arr[married]
+        assert (partners >= 0).all()
+        assert (store.male_arr[married] != store.male_arr[partners]).all()
+        assert (np.minimum(store.age_steps_arr[married], store.age_steps_arr[partners])
+                >= store.adult_age_steps).all()
 
     def test_pool_exhaustion_leaves_singles(self, caplog):
         # Overwhelmingly male store: many selected men find no wife.
@@ -118,8 +122,8 @@ class TestPartnerships:
         params = ModelParameters(start_married_rate=1.0)
         with caplog.at_level(logging.WARNING):
             init_partnerships(store, params, make_rng(5))
-        married_males = sum(1 for p in store.persons.values()
-                            if p.gender is Gender.MALE and p.married)
+        married_males = int(np.count_nonzero(store.male_arr[:store.size]
+                                             & (store.status_arr[:store.size] == MARRIED_CODE)))
         assert married_males == 5
         assert any("exhausted" in r.message for r in caplog.records)
 
@@ -136,24 +140,24 @@ class TestChildren:
 
     def test_no_minor_without_parents(self):
         store, _, _ = build(initial_pop=3000, seed=6)
-        for p in store.persons.values():
-            if p.age_steps < store.adult_age_steps:
-                assert p.father is not None and p.mother is not None
-                dad, mum = store.persons[p.father], store.persons[p.mother]
-                assert dad.married and dad.partner == mum.id
+        minors = np.flatnonzero(store.age_steps_arr[:store.size] < store.adult_age_steps)
+        dads, mums = store.father_arr[minors], store.mother_arr[minors]
+        assert (dads >= 0).all() and (mums >= 0).all()
+        assert (store.status_arr[dads] == MARRIED_CODE).all()
+        assert (store.partner_arr[dads] == mums).all()
 
     def test_parents_satisfy_age_bounds_or_warned(self, caplog):
         store, _, _ = build(initial_pop=3000, seed=7)
         n = store.steps_per_year
+        age = store.age_steps_arr
         violations = 0
-        for p in store.persons.values():
-            if p.age_steps < store.adult_age_steps:
-                dad, mum = store.persons[p.father], store.persons[p.mother]
-                if not self.candidate_qualifies(dad.age_steps / n, mum.age_steps / n,
-                                                p.age_steps / n):
-                    violations += 1
+        for pid in np.flatnonzero(age[:store.size] < store.adult_age_steps).tolist():
+            dad, mum = store.father_arr[pid], store.mother_arr[pid]
+            assert dad >= 0 and mum >= 0
+            if not self.candidate_qualifies(age[dad] / n, age[mum] / n, age[pid] / n):
+                violations += 1
         # The fallback path is allowed but should be rare at this size.
-        assert violations < 0.02 * len(store.persons)
+        assert violations < 0.02 * store.size
 
     def test_fallback_closest_couple(self, caplog):
         # One couple, too young for the child's bound: fallback must still parent.
@@ -164,8 +168,8 @@ class TestChildren:
         child = store.spawn_person(Gender.FEMALE, 10 * 12)
         with caplog.at_level(logging.WARNING):
             init_children(store, make_rng(8))
-        assert store.persons[child].father == m
-        assert store.persons[child].mother == f
+        assert store.father_arr[child] == m
+        assert store.mother_arr[child] == f
         assert any("closest couple" in r.message for r in caplog.records)
 
     def test_no_couples_weds_oldest_pair(self, caplog):
@@ -176,8 +180,8 @@ class TestChildren:
         child = store.spawn_person(Gender.MALE, 3 * 12)
         with caplog.at_level(logging.WARNING):
             init_children(store, make_rng(9))
-        assert store.persons[child].father == old_m
-        assert store.persons[child].mother == old_f
+        assert store.father_arr[child] == old_m
+        assert store.mother_arr[child] == old_f
 
     def test_impossible_raises(self):
         store = PopulationStore(12)
@@ -243,15 +247,15 @@ class TestChildren:
 
     def test_no_initial_grandparenthood(self):
         store, _, _ = build(initial_pop=3000, seed=12)
-        for p in store.persons.values():
-            for c in p.children:
-                assert not store.persons[c].children
+        offsets, kids = store.children_index()
+        assert not np.diff(offsets)[kids].any()  # no child has children
 
 
 class TestHousing:
     def test_every_alive_person_housed(self):
         store, space, _ = build(initial_pop=2000, seed=13)
-        assert all(p.house is not None for p in store.persons.values() if p.alive)
+        n = store.size
+        assert (store.house_arr[:n][store.alive_arr[:n]] >= 0).all()
 
     def test_no_initial_house_empty(self):
         store, space, _ = build(initial_pop=2000, seed=14)
@@ -259,21 +263,22 @@ class TestHousing:
 
     def test_families_share_one_house_singles_alone(self):
         store, space, _ = build(initial_pop=2000, seed=15)
-        for p in store.persons.values():
-            if p.gender is Gender.MALE and p.married:
-                wife = store.persons[p.partner]
-                assert wife.house == p.house
-                for c in p.children:
-                    child = store.persons[c]
-                    if child.age_steps < store.adult_age_steps and child.unmarried:
-                        assert child.house == p.house
-            elif p.unmarried and p.age_steps >= store.adult_age_steps:
-                assert space.residents[p.house] == {p.id}
+        offsets, kids = store.children_index()
+        house, age = store.house_arr, store.age_steps_arr
+        married = store.status_arr == MARRIED_CODE
+        for pid in range(store.size):
+            if store.male_arr[pid] and married[pid]:
+                assert house[store.partner_arr[pid]] == house[pid]
+                for c in kids[offsets[pid]:offsets[pid + 1]]:
+                    if age[c] < store.adult_age_steps and not married[c]:
+                        assert house[c] == house[pid]
+            elif not married[pid] and age[pid] >= store.adult_age_steps:
+                assert space.residents[house[pid]] == {pid}
 
     def test_town_targets_respected_for_singles(self):
         store, space, _ = build(initial_pop=2000, seed=16)
         targets = init_town_populations(2000, space)
-        populated_towns = {space.house_town(p.house) for p in store.persons.values()}
+        populated_towns = {space.house_town(h) for h in store.house_arr[:store.size].tolist()}
         assert populated_towns <= set(targets)
 
 
@@ -284,8 +289,8 @@ class TestFullSweep:
 
     def test_everyone_single_or_married(self):
         store, _, _ = build(initial_pop=2000, seed=18)
-        assert all(p.marital_status in (MaritalStatus.SINGLE, MaritalStatus.MARRIED)
-                   for p in store.persons.values())
+        assert all(STATUSES[code] in (MaritalStatus.SINGLE, MaritalStatus.MARRIED)
+                   for code in store.status_arr[:store.size].tolist())
 
 
 # -- the per-person loops the bulk initialization replaced, as references ----

@@ -2,11 +2,14 @@
 
 from bisect import insort
 
+import numpy as np
 import pytest
 
-from conftest import housed
+from conftest import children, housed
 from gridpop.features import ALIVE, ADULT, EvalContext, MARRIED
 from gridpop.population import (
+    MARRIED_CODE,
+    STATUSES,
     Gender,
     MaritalStatus,
     PopulationStore,
@@ -24,22 +27,21 @@ def sweep_ok(store, space):
 class TestSpawn:
     def test_neonate_with_parents(self, store, space):
         dad = housed(store, space, Gender.MALE, 32)
-        mum = housed(store, space, Gender.FEMALE, 30, house=store.persons[dad].house)
+        mum = housed(store, space, Gender.FEMALE, 30, house=store.house_arr[dad])
         baby = store.spawn_person(Gender.FEMALE, 0, father=dad, mother=mum,
-                                  house=store.persons[mum].house, space=space)
-        b = store.persons[baby]
-        assert b.alive and b.age_steps == 0
-        assert b.house == store.persons[mum].house
-        assert baby in store.persons[dad].children
-        assert baby in store.persons[mum].children
+                                  house=store.house_arr[mum], space=space)
+        assert store.alive_arr[baby] and store.age_steps_arr[baby] == 0
+        assert store.house_arr[baby] == store.house_arr[mum]
+        assert baby in children(store, dad)
+        assert baby in children(store, mum)
         sweep_ok(store, space)
 
     def test_adult_without_kin(self, store, space):
         pid = housed(store, space, Gender.MALE, 30)
-        p = store.persons[pid]
-        assert p.marital_status is MaritalStatus.SINGLE
-        assert p.partner is None and p.father is None and p.mother is None
-        assert not p.children
+        assert STATUSES[store.status_arr[pid]] is MaritalStatus.SINGLE
+        assert (store.partner_arr[pid] == -1 and store.father_arr[pid] == -1
+                and store.mother_arr[pid] == -1)
+        assert not children(store, pid)
 
     def test_unresolved_parent(self, store, space):
         with pytest.raises(ValueError):
@@ -66,9 +68,9 @@ class TestWed:
         m = housed(store, space, Gender.MALE, 30)
         f = housed(store, space, Gender.FEMALE, 28)
         store.wed(m, f)
-        assert store.persons[m].partner == f
-        assert store.persons[f].partner == m
-        assert store.persons[m].married and store.persons[f].married
+        assert store.partner_arr[m] == f
+        assert store.partner_arr[f] == m
+        assert store.status_arr[m] == MARRIED_CODE and store.status_arr[f] == MARRIED_CODE
         sweep_ok(store, space)
 
     def test_already_married(self, store, space):
@@ -97,8 +99,7 @@ class TestWed:
         store.wed(m, f)
         store.unwed(m, UnwedReason.DIVORCE)
         for pid in (m, f):
-            p = store.persons[pid]
-            assert not p.married and p.partner is None
+            assert store.status_arr[pid] != MARRIED_CODE and store.partner_arr[pid] == -1
         sweep_ok(store, space)
 
 
@@ -108,15 +109,15 @@ class TestUnwed:
         f = housed(store, space, Gender.FEMALE, 41)
         store.wed(m, f)
         store.unwed(f, UnwedReason.DIVORCE)
-        assert store.persons[m].marital_status is MaritalStatus.DIVORCED
-        assert store.persons[f].marital_status is MaritalStatus.DIVORCED
+        assert STATUSES[store.status_arr[m]] is MaritalStatus.DIVORCED
+        assert STATUSES[store.status_arr[f]] is MaritalStatus.DIVORCED
 
     def test_partner_death_widowhood(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
         f = housed(store, space, Gender.FEMALE, 41)
         store.wed(m, f)
         store.kill(m, space)
-        assert store.persons[f].marital_status is MaritalStatus.WIDOWED
+        assert STATUSES[store.status_arr[f]] is MaritalStatus.WIDOWED
 
     def test_not_married(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
@@ -137,34 +138,33 @@ class TestUnwed:
 class TestKill:
     def test_widow_keeps_house_dead_in_grave(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
-        f = housed(store, space, Gender.FEMALE, 41, house=store.persons[m].house)
+        f = housed(store, space, Gender.FEMALE, 41, house=store.house_arr[m])
         store.wed(m, f)
-        house = store.persons[m].house
+        house = store.house_arr[m]
         store.kill(m, space)
-        assert store.persons[m].house is None
-        assert not store.persons[m].alive
-        assert store.persons[f].house == house
+        assert store.house_arr[m] == -1
+        assert not store.alive_arr[m]
+        assert store.house_arr[f] == house
         assert space.residents[house] == {f}
         sweep_ok(store, space)
 
     def test_emptied_house_persists(self, store, space):
         pid = housed(store, space, Gender.MALE, 50)
-        house = store.persons[pid].house
+        house = store.house_arr[pid]
         store.kill(pid, space)
         assert 0 <= house < space.house_count
         assert not space.residents[house]
 
     def test_orphaned_minor_keeps_parent_links(self, store, space):
         dad = housed(store, space, Gender.MALE, 40)
-        mum = housed(store, space, Gender.FEMALE, 39, house=store.persons[dad].house)
+        mum = housed(store, space, Gender.FEMALE, 39, house=store.house_arr[dad])
         store.wed(dad, mum)
         kid = store.spawn_person(Gender.MALE, 10 * 12, father=dad, mother=mum,
-                                 house=store.persons[dad].house, space=space)
+                                 house=store.house_arr[dad], space=space)
         store.kill(dad, space)
         store.kill(mum, space)
-        k = store.persons[kid]
-        assert k.father == dad and k.mother == mum
-        assert k.alive and k.age_steps < store.adult_age_steps
+        assert store.father_arr[kid] == dad and store.mother_arr[kid] == mum
+        assert store.alive_arr[kid] and store.age_steps_arr[kid] < store.adult_age_steps
         assert not (store.alive_arr[dad] or store.alive_arr[mum])
         sweep_ok(store, space)
 
@@ -177,7 +177,7 @@ class TestKill:
     def test_ages_frozen_after_death(self, store, space):
         pid = housed(store, space, Gender.MALE, 50)
         store.kill(pid, space)
-        assert store.persons[pid].age_steps == 50 * 12
+        assert store.age_steps_arr[pid] == 50 * 12
 
 
 class TestRandomWalkInvariants:
@@ -195,32 +195,31 @@ class TestRandomWalkInvariants:
                    int(rng.integers(0, 80)), town=town, rng=rng)
         for _ in range(300):
             op = rng.integers(4)
-            pids = [p.id for p in store.persons.values() if p.alive]
+            n = store.size
+            alive, male = store.alive_arr[:n], store.male_arr[:n]
+            married = store.status_arr[:n] == MARRIED_CODE
+            pids = np.flatnonzero(alive).tolist()
             if not pids:
                 break
             pid = pids[int(rng.integers(len(pids)))]
-            p = store.persons[pid]
             if op == 0:  # wed a random eligible pair
-                males = [q.id for q in store.persons.values()
-                         if q.alive and q.gender is Gender.MALE and q.unmarried
-                         and q.age_steps >= store.adult_age_steps]
-                females = [q.id for q in store.persons.values()
-                           if q.alive and q.gender is Gender.FEMALE and q.unmarried
-                           and q.age_steps >= store.adult_age_steps]
+                single_adults = alive & ~married & (store.age_steps_arr[:n]
+                                                    >= store.adult_age_steps)
+                males = np.flatnonzero(single_adults & male).tolist()
+                females = np.flatnonzero(single_adults & ~male).tolist()
                 if males and females:
                     store.wed(males[int(rng.integers(len(males)))],
                               females[int(rng.integers(len(females)))])
-            elif op == 1 and p.married:
+            elif op == 1 and married[pid]:
                 store.unwed(pid, UnwedReason.DIVORCE)
             elif op == 2:
                 store.kill(pid, space)
             else:  # birth to a married woman
-                mums = [q for q in store.persons.values()
-                        if q.alive and q.gender is Gender.FEMALE and q.married]
+                mums = np.flatnonzero(alive & ~male & married).tolist()
                 if mums:
                     mum = mums[int(rng.integers(len(mums)))]
-                    store.spawn_person(Gender.FEMALE, 0, father=mum.partner,
-                                       mother=mum.id, house=mum.house, space=space)
+                    store.spawn_person(Gender.FEMALE, 0, father=store.partner_arr[mum],
+                                       mother=mum, house=store.house_arr[mum], space=space)
             assert collect_invariant_violations(store, space) == []
 
 
@@ -230,13 +229,13 @@ def corruptible_state():
     (4, 3); every invariant holds."""
     store, space = PopulationStore(12), Space()
     dad = housed(store, space, Gender.MALE, 40)
-    home = store.persons[dad].house
+    home = store.house_arr[dad]
     mum = housed(store, space, Gender.FEMALE, 38, house=home)
     store.wed(dad, mum)
     kid = housed(store, space, Gender.FEMALE, 10, house=home, father=dad, mother=mum)
     single = housed(store, space, Gender.MALE, 30)
     widow = housed(store, space, Gender.FEMALE, 80)
-    vacant = store.persons[widow].house
+    vacant = int(store.house_arr[widow])
     store.kill(widow, space)
     return store, space, dict(dad=dad, mum=mum, kid=kid, single=single, widow=widow,
                               vacant=vacant)
@@ -302,8 +301,8 @@ def test_sweep_reports_corruption(name):
     store, space, people = corruptible_state()
     assert collect_invariant_violations(store, space) == []
     corrupt, finding = CORRUPTIONS[name]
-    finding = finding.format(home=store.persons[people["dad"]].house,
-                             away=store.persons[people["single"]].house,
+    finding = finding.format(home=store.house_arr[people["dad"]],
+                             away=store.house_arr[people["single"]],
                              houses=space.house_count, **people)
     corrupt(store, space, people)
     problems = collect_invariant_violations(store, space)

@@ -453,9 +453,9 @@ class TestMovePerson:
 
     def test_move_to_same_house_is_noop(self, store, space, rng):
         pid = housed(store, space, Gender.MALE, 30, rng=rng)
-        house = store.persons[pid].house
+        house = store.house_arr[pid]
         space.move_person(store, pid, house)
-        assert store.persons[pid].house == house
+        assert store.house_arr[pid] == house
         assert space.residents[house] == {pid}
 
     def test_dead_person_rejected(self, store, space, rng):
