@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of fixed reference runs' output files.
 
-CI runs this on every platform and compares against the committed files
-tests/golden/<run>.sha256; identical digests across OSes pin
-cross-platform byte-identity of the whole pipeline. The digests depend on
-the NumPy PCG64 stream, so CI pins the NumPy minor series.
+    python scripts/determinism_digest.py [--check | --record]
+
+CI runs this with ``--check`` on every platform and compares against the
+committed files tests/golden/<run>.sha256; identical digests across OSes
+pin cross-platform byte-identity of the whole pipeline. The digests
+depend on the NumPy PCG64 stream, so CI pins the NumPy minor series.
+``--record`` writes each golden file from the same text ``--check``
+compares, for a deliberate stream revision.
 
 Four runs:
 
 - ``reference_run``: 2,000 agents, monthly clock, 2 years;
-- ``annual_run``: 2,000 agents, one step a year, 10 years, whose few
-  distinct ages make init_partnerships take its cached-weight-row path;
+- ``annual_run``: 2,000 agents, one step a year, 10 years: the coarsest
+  clock, where every age is a whole number of years;
 - ``daily_run``: 2,000 agents, daily clock, 2 years;
 - ``hourly_run``: 100 agents, hourly clock, 1 year, where an event
   rarely draws any candidate at all.
@@ -23,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gridpop.cli import main
+from gridpop import cli
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -39,11 +43,11 @@ REFERENCE_RUNS = {
 }
 
 
-def compute(run: str = "reference_run") -> str:
+def compute(run: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", *REFERENCE_RUNS[run], "--out", str(out)])
+            code = cli.main(["run", *REFERENCE_RUNS[run], "--out", str(out)])
         if code != 0:
             raise SystemExit(code)
         lines = []
@@ -53,17 +57,29 @@ def compute(run: str = "reference_run") -> str:
         return "\n".join(lines) + "\n"
 
 
-if __name__ == "__main__":
-    check = len(sys.argv) > 1 and sys.argv[1] == "--check"
+def main(argv: list[str]) -> int:
+    mode = argv[0] if argv else None
+    if argv[1:] or mode not in (None, "--check", "--record"):
+        sys.stderr.write("usage: determinism_digest.py [--check | --record]\n")
+        return 2
     failed = False
     for run in REFERENCE_RUNS:
         text = compute(run)
         sys.stdout.write(f"{run}:\n{text}")
         golden = GOLDEN / f"{run}.sha256"
-        if check and text != golden.read_text():
+        if mode == "--record":
+            golden.write_text(text)
+        elif mode == "--check" and text != golden.read_text():
             sys.stderr.write(f"digest mismatch vs {golden}:\n{golden.read_text()}")
             failed = True
     if failed:
-        raise SystemExit(1)
-    if check:
+        return 1
+    if mode == "--check":
         print("digests match the committed golden files")
+    elif mode == "--record":
+        print(f"recorded the golden files in {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

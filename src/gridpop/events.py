@@ -178,15 +178,17 @@ def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.nd
     return maybe[rng.random(m) * bound < probability(maybe)]
 
 
-def age_compatibility_array(age_m_years: float, ages_f_years: np.ndarray) -> np.ndarray:
+def age_compatibility_array(age_m_years: float,
+                            ages_f_years: np.ndarray | float) -> np.ndarray | float:
     """Piecewise preference on the age gap: flat near zero, decaying with
-    large gaps in either direction; always positive."""
+    large gaps in either direction; always positive.
+
+    The rule is 1 / (diff - 4) for a gap of 5 or more, -1 / (diff + 1) for
+    -2 or less, else 1. Each branch's divisor reaches 1 exactly where the
+    branch applies, so the largest of the three divisors is the one taken,
+    and no divisor is ever 0."""
     diff = age_m_years - ages_f_years
-    # Both branches are computed everywhere; the gaps 4 and -1 divide by zero
-    # in the branch that is not taken.
-    with np.errstate(divide="ignore"):
-        return np.where(diff >= 5, 1.0 / (diff - 4.0),
-                        np.where(diff <= -2, -1.0 / (diff + 1.0), 1.0))
+    return 1.0 / np.maximum(np.maximum(diff - 4.0, -1.0 - diff), 1.0)
 
 
 def geo_factor_array(dist: np.ndarray) -> np.ndarray:

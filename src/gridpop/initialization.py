@@ -72,14 +72,6 @@ def _alive_adults(store: PopulationStore, male: bool, unmarried: bool = False) -
     return np.flatnonzero(mask)
 
 
-# The weight rows hold (distinct groom ages) x (distinct bride ages)
-# float64s: at most 16 MB, which every monthly or coarser pool fits. On
-# finer clocks the ages run to thousands of distinct values, and the
-# table would grow past the population's own arrays (weekly, 150,000
-# agents: 170 MB), so they compute the weights per candidate.
-_MAX_WEIGHT_ROW_ENTRIES = 1 << 21
-
-
 def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng) -> None:
     """Marry off adult males, each selected with probability start_married_rate.
 
@@ -87,15 +79,6 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     female pool, weights it by age compatibility and picks a wife; she
     leaves the pool. An exhausted pool leaves the remaining males single.
     The couples are written in one step after the last pick.
-
-    A weight depends only on the two ages, so pool slots carry the code of
-    their age. When the pool has no more distinct ages than a candidate
-    subset has members, so that a row costs no more than one groom's
-    candidates, and the rows fit _MAX_WEIGHT_ROW_ENTRIES, each groom
-    age's weights over all bride ages are computed once and a groom
-    gathers his candidates' weights from that row. Otherwise (fine clocks,
-    small pools) the weights are computed per candidate. Either way the
-    weights and draws are those of the per-candidate computation.
     """
     n = store.steps_per_year
     adult_males = _alive_adults(store, male=True)
@@ -104,19 +87,11 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     rng.shuffle(selected)
 
     pool_ids = _alive_adults(store, male=False)
-    bride_steps, pool_code = np.unique(store.age_steps_arr[pool_ids], return_inverse=True)
-    bride_years = bride_steps / n
+    pool_years = store.age_steps_arr[pool_ids] / n
+    groom_years = store.age_steps_arr[selected] / n
     live = len(pool_ids)
     # Candidate-subset size is fixed from the initial pool size.
     n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
-    groom_steps, groom_code = np.unique(store.age_steps_arr[selected], return_inverse=True)
-    groom_years = groom_steps / n
-    rows = None
-    if (len(bride_years) <= n_cand
-            and len(groom_years) * len(bride_years) <= _MAX_WEIGHT_ROW_ENTRIES):
-        rows = np.empty((len(groom_years), len(bride_years)))
-        for code, years in enumerate(groom_years.tolist()):
-            rows[code] = age_compatibility_array(years, bride_years)
 
     brides = []
     for rank in range(len(selected)):
@@ -125,16 +100,12 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
                            len(selected) - rank)
             break
         cand = rng.choice(live, size=min(n_cand, live), replace=False)
-        codes = pool_code[cand]
-        if rows is None:
-            weights = age_compatibility_array(groom_years[groom_code[rank]], bride_years[codes])
-        else:
-            weights = rows[groom_code[rank]][codes]
+        weights = age_compatibility_array(groom_years[rank], pool_years[cand])
         j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
         brides.append(pool_ids[j])
         live -= 1
         pool_ids[j] = pool_ids[live]
-        pool_code[j] = pool_code[live]
+        pool_years[j] = pool_years[live]
     store.wed_couples(selected[:len(brides)], np.array(brides, dtype=np.int64))
 
 

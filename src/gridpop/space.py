@@ -190,6 +190,7 @@ class Space:
 
     def house_town(self, house_id: HouseId) -> TownKey | None:
         """The grid town (x, y) of the house; None for an unplaced house."""
+        self.require_house(house_id)
         cell = int(self.town_cell[house_id])
         return None if cell == UNPLACED_CELL else town_at(cell)
 

@@ -136,11 +136,16 @@ class TestHazardFormulas:
 
         gaps = [-30.0, -7.25, -2.0001, -2.0, -1.9999, -1.5, -1.0, -0.25, 0.0, 3.5,
                 3.9999, 4.0, 4.0001, 4.5, 4.9999, 5.0, 5.0001, 12.75, 60.0]
-        for age_m in (40.0, 18.0 + 1 / 12, 73.5):
-            ages_f = age_m - np.array(gaps)
-            got = age_compatibility_array(age_m, ages_f)
-            assert got.tolist() == [piecewise(age_m, f) for f in ages_f.tolist()]
-        assert age_compatibility_array(40.0, np.array([])).shape == (0,)
+        # Any floating-point error raises: no gap, 4 and -1 included, divides by zero.
+        with np.errstate(all="raise"):
+            for age_m in (40.0, 18.0 + 1 / 12, 73.5):
+                ages_f = age_m - np.array(gaps)
+                expected = [piecewise(age_m, f) for f in ages_f.tolist()]
+                assert same_bits(age_compatibility_array(age_m, ages_f), expected)
+                # One float in, the oracle's float out.
+                for f, value in zip(ages_f.tolist(), expected):
+                    assert same_bits(age_compatibility_array(age_m, f), value)
+            assert age_compatibility_array(40.0, np.array([])).shape == (0,)
 
 
 def same_bits(a, b):

@@ -407,34 +407,30 @@ def state_of(store, space, rng):
     return arrays
 
 
-def distinct_bride_ages_and_subset_size(store, params):
-    n = store.size
-    women = (store.alive_arr[:n] & ~store.male_arr[:n]
-             & (store.age_steps_arr[:n] >= store.adult_age_steps))
-    distinct = len(np.unique(store.age_steps_arr[:n][women]))
-    return distinct, max(params.max_num_marr_cand, math.ceil(np.count_nonzero(women) / 10))
+BULK_ROWS = [
+    (ClockSpec(1), 2000, 1),
+    (ClockSpec(1), 6000, 2),  # over 1024 houses: the arrays grow
+    (ClockSpec.parse("monthly"), 2000, 3),
+    (ClockSpec.parse("weekly"), 1500, 4),
+    # Fine and custom clocks: nearly every child age is distinct, and
+    # 18.75 years is a fractional number of steps on daily and custom:3.
+    (ClockSpec.parse("daily"), 1500, 5),
+    (ClockSpec.parse("daily"), 1500, 6),
+    (ClockSpec.parse("hourly"), 1000, 7),
+    (ClockSpec.parse("hourly"), 1000, 8),
+    (ClockSpec.parse("custom:3"), 2000, 9),
+    (ClockSpec.parse("custom:3"), 2000, 10),
+]
 
 
 class TestBulkEqualsReference:
-    @pytest.mark.parametrize("clock, initial_pop, seed, cached", [
-        (ClockSpec(1), 2000, 1, True),
-        (ClockSpec(1), 6000, 2, True),  # over 1024 houses: the arrays grow
-        (ClockSpec.parse("monthly"), 2000, 3, False),
-        (ClockSpec.parse("weekly"), 1500, 4, False),
-        # Fine and custom clocks: nearly every child age is distinct, and
-        # 18.75 years is a fractional number of steps on daily and custom:3.
-        (ClockSpec.parse("daily"), 1500, 5, False),
-        (ClockSpec.parse("daily"), 1500, 6, False),
-        (ClockSpec.parse("hourly"), 1000, 7, False),
-        (ClockSpec.parse("hourly"), 1000, 8, False),
-        (ClockSpec.parse("custom:3"), 2000, 9, False),
-        (ClockSpec.parse("custom:3"), 2000, 10, False),
-    ])
-    def test_same_state_and_draws(self, clock, initial_pop, seed, cached):
+    # An id ends in whether the clock is annual, so each row keeps the
+    # id it has always had.
+    @pytest.mark.parametrize("clock, initial_pop, seed", BULK_ROWS, ids=[
+        f"clock{i}-{pop}-{seed}-{clock.steps_per_year == 1}"
+        for i, (clock, pop, seed) in enumerate(BULK_ROWS)])
+    def test_same_state_and_draws(self, clock, initial_pop, seed):
         store, space, params, cells, rng = staged(initial_pop, clock, seed)
-        distinct, subset = distinct_bride_ages_and_subset_size(store, params)
-        # Both init_partnerships branches: cached weight rows, per-candidate weights.
-        assert (distinct <= subset) is cached
         init_partnerships(store, params, rng)
         init_children(store, rng)
         init_housing(store, space, cells, rng)

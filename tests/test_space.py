@@ -240,6 +240,17 @@ class TestHouses:
         assert sp.house_town(1) == (4, 3)
         assert sp.vacant_by_cell == {UNPLACED_CELL: [0], TOWN: [1]}
 
+    def test_house_town_rejects_ids_outside_the_houses(self, rng):
+        sp = Space()
+        other = cell_of((8, 4))
+        sp.new_houses([TOWN, other], rng)
+        assert len(sp.town_cell) > sp.house_count == 2  # spare capacity rows
+        assert sp.house_town(0) == town_at(TOWN)
+        assert sp.house_town(1) == (8, 4)
+        for house in (-1, 2):
+            with pytest.raises(ValueError, match=f"house {house} does not exist"):
+                sp.house_town(house)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_houses_and_draws_as_town_scan(self, seed):
         scan_found, scan_state = _drive(_TownScan(), seed)
