@@ -2,7 +2,7 @@
 """Time each step of building an initial state, one fresh process per run.
 
     python scripts/init_scale.py --agents 10000 --clock daily --seed 1 \\
-        --checkout . --checkout ../other --repeats 5
+        --checkout . --checkout ../other --repeats 5 [--steps K]
 
 Each run starts a new Python process that imports gridpop from the
 checkout's ``src/`` and builds the initial state the way ``gridpop run``
@@ -13,6 +13,13 @@ the build. It also hashes the father and mother arrays (SHA-256 of their
 int64 bytes), so that two checkouts can be seen to parent every child
 alike. With several checkouts, each repeat runs every checkout once and
 the next repeat starts with the next checkout, so the order alternates.
+
+With ``--steps K`` the run then advances the built state by K steps as
+``run_simulation`` does, with no step hook and no statistics, and times
+each event (``events.run_step`` in the default order). It reports the
+mean milliseconds per step, the seconds of each event, the peak RSS
+after stepping and a SHA-256 over every person array, so that two
+checkouts can be seen to step alike.
 
 Prints one JSON object per run on standard output. ``--in-process``
 measures in this process instead, with whatever gridpop it imports; the
@@ -40,26 +47,28 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(agents: int, clock: str, seed: int) -> dict:
-    """Build one initial state here, timing each step."""
+def measure(agents: int, clock: str, seed: int, steps: int = 0) -> dict:
+    """Build one initial state here, timing each step, then run and time
+    ``steps`` steps of it."""
     import numpy as np
 
-    from gridpop import engine, initialization
-    from gridpop.params import ModelParameters, SimulationConfig
+    from gridpop import engine, events, initialization
+    from gridpop.params import DataTables, ModelParameters, SimulationConfig
     from gridpop.stochastics import ClockSpec
 
     seconds = dict.fromkeys(STEPS + ("build_initial_state",), 0.0)
 
-    def timed(name, fn):
+    def timed(name, fn, into=seconds):
         def call(*args, **kwargs):
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                seconds[name] += time.perf_counter() - start
+                into[name] += time.perf_counter() - start
         return call
 
-    # build_initial_state finds its steps as module globals at call time.
+    # build_initial_state finds its steps, and run_step its events, as
+    # module globals at call time.
     for name in STEPS:
         setattr(initialization, name, timed(name, getattr(initialization, name)))
     engine.build_initial_state = timed("build_initial_state", engine.build_initial_state)
@@ -67,10 +76,10 @@ def measure(agents: int, clock: str, seed: int) -> dict:
     config = SimulationConfig(clock=ClockSpec.parse(clock), seed=seed)
     params = ModelParameters(initial_pop=agents)
     rss_before = peak_rss_mb()
-    store, _, _ = engine.build_initial_population(config, params)
+    store, space, rng = engine.build_initial_population(config, params)
     rss_after = peak_rss_mb()
     n = store.size
-    return {
+    result = {
         "agents": agents, "clock": clock, "seed": seed,
         "build_s": round(seconds.pop("build_initial_state"), 4),
         "steps_s": {name: round(value, 4) for name, value in seconds.items()},
@@ -80,15 +89,37 @@ def measure(agents: int, clock: str, seed: int) -> dict:
         "mother_sha256": hashlib.sha256(store.mother_arr[:n].astype("<i8").tobytes()).hexdigest(),
         "python": platform.python_version(), "numpy": np.__version__,
     }
+    if steps:
+        event_s = dict.fromkeys(config.event_order, 0.0)
+        for name in event_s:
+            setattr(events, f"{name}_step", timed(name, getattr(events, f"{name}_step"), event_s))
+        spy = config.clock.steps_per_year
+        hazards = events.HazardTables(params, DataTables(), spy)
+        start = time.perf_counter()
+        for k in range(steps):
+            events.run_step(store, space, hazards, config.t0 + k // spy, rng, config.event_order)
+        elapsed = time.perf_counter() - start
+        n = store.size
+        digest = hashlib.sha256()
+        for name in ("age_steps_arr", "male_arr", "alive_arr", "status_arr", "house_arr",
+                     "partner_arr", "father_arr", "mother_arr"):
+            digest.update(getattr(store, name)[:n].astype("<i8").tobytes())
+        result.update({
+            "steps": steps, "ms_per_step": round(1000 * elapsed / steps, 4),
+            "events_s": {name: round(value, 4) for name, value in event_s.items()},
+            "peak_rss_mb_after_steps": round(peak_rss_mb(), 1),
+            "state_sha256": digest.hexdigest(),
+        })
+    return result
 
 
-def run_fresh(checkout: str, agents: int, clock: str, seed: int) -> dict:
+def run_fresh(checkout: str, agents: int, clock: str, seed: int, steps: int = 0) -> dict:
     """measure() in a new single-threaded process importing checkout/src."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src").resolve()),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONHASHSEED="0")
     cmd = [sys.executable, str(Path(__file__).resolve()), "--in-process",
-           "--agents", str(agents), "--clock", clock, "--seed", str(seed)]
+           "--agents", str(agents), "--clock", clock, "--seed", str(seed), "--steps", str(steps)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return {"checkout": checkout, **json.loads(proc.stdout.strip().splitlines()[-1])}
 
@@ -101,16 +132,19 @@ def main() -> int:
     parser.add_argument("--checkout", action="append", default=[],
                         help="a source checkout to import gridpop from (repeatable; default .)")
     parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--steps", type=int, default=0,
+                        help="steps to run and time after the build (default 0)")
     parser.add_argument("--in-process", action="store_true")
     args = parser.parse_args()
     if args.in_process:
-        print(json.dumps(measure(args.agents, args.clock, args.seed)))
+        print(json.dumps(measure(args.agents, args.clock, args.seed, args.steps)))
         return 0
     checkouts = args.checkout or ["."]
     for repeat in range(args.repeats):
         turn = repeat % len(checkouts)
         for checkout in checkouts[turn:] + checkouts[:turn]:
-            print(json.dumps(run_fresh(checkout, args.agents, args.clock, args.seed)), flush=True)
+            print(json.dumps(run_fresh(checkout, args.agents, args.clock, args.seed, args.steps)),
+                  flush=True)
     return 0
 
 

@@ -10,7 +10,8 @@ format are derived from them. A boundary's state is copied
 Audit mode re-derives the store's cached alive counters by brute-force
 sweep at every step boundary and verifies the structural invariants
 (among them the vacancy index, which the occupied-house count is read
-from), population conservation, and house-count monotonicity.
+from), the events' cached candidate counts, the birth order, population
+conservation, and house-count monotonicity.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import (Annotated, Callable, Iterator, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .events import HazardTables, StepEventLog, run_step
+from .events import HazardTables, StepEventLog, candidate_count_problems, run_step
 from .features import StepSnapshot
 from .initialization import build_initial_state
 from .params import (
@@ -103,14 +104,6 @@ def collect_step_statistics(store: PopulationStore, space: Space,
     return StepStatistics(t, alive, store.alive_male, alive - store.alive_male,
                           married, single, divorced, widowed, mean_age, *events,
                           space.house_count, space.occupied_house_count)
-
-
-def _counter_divergences(store: PopulationStore) -> list[str]:
-    """Cached counters that differ from a brute-force sweep."""
-    swept = store.alive_tallies()
-    cached = {name: getattr(store, name) for name in swept}
-    return [f"{name}: cached {cached[name]} != sweep {swept[name]}"
-            for name in swept if cached[name] != swept[name]]
 
 
 @dataclass
@@ -196,9 +189,11 @@ def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
     if problems:
         raise AuditError(f"{where}: {len(problems)} invariant violations, "
                          f"first: {problems[0]}")
-    bad = _counter_divergences(store)
+    bad = [f"cached statistic {name}: {getattr(store, name)} != sweep {value}"
+           for name, value in store.alive_tallies().items() if getattr(store, name) != value]
+    bad += candidate_count_problems(store) + store.birth_order_problems()
     if bad:
-        raise AuditError(f"{where}: cached statistics diverge: " + "; ".join(bad))
+        raise AuditError(f"{where}: " + "; ".join(bad))
 
 
 # -- persistence -------------------------------------------------------------

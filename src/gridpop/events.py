@@ -11,9 +11,12 @@ Each hazard and matching weight is one array function. An event draws
 how many of its candidates fall below HazardTables' bound on their
 probabilities, picks that many in a uniformly random order, and finds
 probabilities only for those (thinning): its random draws and hazard
-evaluations grow with its expected events, not with its candidates. The
-marriage geo factor is tabulated once per run by town pair, and the
-children factor once per step by child counts.
+evaluations grow with its expected events, not with its candidates. It
+needs the candidates' ids, a mask over the store, only when it picks
+someone; before that, their count, cached per store version. Ageing and
+the death bound read the store's birth order. The marriage geo factor is
+tabulated once per run by town pair, and the children factor once per
+step by child counts.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .params import DataTables, ModelParameters
 from .population import (
+    FERTILE_YEARS,
     Gender,
     MARRIED_CODE,
     PersonId,
@@ -39,9 +43,6 @@ logger = logging.getLogger(__name__)
 
 # exp() argument cap; keeps pathological children counts from overflowing.
 _EXP_CAP = 700.0
-
-# Mothers are younger than this many whole years.
-FERTILE_YEARS = 45
 
 # Relative margin of the death bound: covers last-bit differences of exp and log1p.
 _DEATH_BOUND_MARGIN = 1e-9
@@ -160,22 +161,70 @@ class HazardTables:
         return self._births
 
 
-def _thinned_hits(rng: Rng, ids: np.ndarray, bound: float, probability) -> np.ndarray:
-    """Each of ``ids`` hit independently with its ``probability``, the hits
-    in a uniformly random order; ``bound`` is at least every probability.
+def _thinned_hits(rng: Rng, count: int, build, bound: float, probability) -> np.ndarray:
+    """Each of ``count`` candidates hit independently with its
+    ``probability``, the hits in a uniformly random order; ``bound`` is at
+    least every probability, and ``build()`` returns the candidates' ids.
 
     Draws the number m of candidates whose uniform would lie below the
     bound, takes m candidates as a uniformly ordered uniform subset, and
     keeps each with probability(id) / bound: the law of one uniform per
     candidate in a shuffled order, from O(m) draws, with ``probability``
-    called on those m candidates only.
+    called on those m candidates only. ``build`` is called only when m > 0;
+    a stale count raises rather than change the stream.
     """
     bound = min(bound, 1.0)
-    m = int(rng.binomial(len(ids), bound))
+    m = int(rng.binomial(count, bound))  # takes nothing from the stream when count is 0
     if m == 0:  # the draws below would take nothing from the stream
-        return ids[:0]
-    maybe = ids.take(rng.choice(len(ids), m, replace=False))
+        return np.empty(0, dtype=np.intp)
+    ids = build()
+    if len(ids) != count:
+        raise RuntimeError(f"{len(ids)} candidates built, {count} counted")
+    maybe = ids.take(rng.choice(count, m, replace=False))
     return maybe[rng.random(m) * bound < probability(maybe)]
+
+
+def _candidate_mask(store: PopulationStore, event: str) -> np.ndarray:
+    """The candidates of births, divorces or marriages before this step's
+    exclusions, as a mask over ids. Mothers are married women under
+    FERTILE_YEARS without a living child of one year or less. Grooms were
+    adults at the boundary: ageing has run, so they are older now."""
+    n, size = store.steps_per_year, store.size
+    alive, male, ages = store.alive_arr[:size], store.male_arr[:size], store.age_steps_arr[:size]
+    married = store.status_arr[:size] == MARRIED_CODE
+    if event == "divorces":
+        return alive & male & married
+    if event == "marriages":
+        return alive & male & ~married & (ages > store.adult_age_steps)
+    mothers_of_infants = store.mother_arr[:size][alive & (ages <= n)]
+    blocked = np.zeros(size, dtype=bool)
+    blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
+    return alive & ~male & ~blocked & married & (ages < FERTILE_YEARS * n)
+
+
+def _candidates(store: PopulationStore, event: str, excluded: list[PersonId]):
+    """The number of ``event``'s candidates less ``excluded``, and a
+    function that builds their ids, ascending. A count without exclusions
+    is cached per store version; exclusions come from this step's log and
+    would be stale in the next."""
+    version, count = store.candidate_counts.get(event, (-1, 0))
+    if version == store.version and not excluded:
+        return count, lambda: _candidate_mask(store, event).nonzero()[0]
+    mask = _candidate_mask(store, event)
+    if excluded:
+        mask[excluded] = False
+    ids = mask.nonzero()[0]
+    if not excluded:
+        store.candidate_counts[event] = store.version, len(ids)
+    return len(ids), lambda: ids
+
+
+def candidate_count_problems(store: PopulationStore) -> list[str]:
+    """The counts cached for the store's version that differ from their masks."""
+    return [f"{event}: cached candidate count {count} != mask {actual}"
+            for event, (version, count) in store.candidate_counts.items()
+            if version == store.version
+            and count != (actual := int(np.count_nonzero(_candidate_mask(store, event))))]
 
 
 def age_compatibility_array(age_m_years: float,
@@ -212,36 +261,32 @@ def ageing_step(store: PopulationStore, space: Space, rng: Rng, log: StepEventLo
     who has a living older sibling moves out to an empty house in the same
     town, alone.
     """
-    n = store.size
-    alive = store.alive_arr[:n]
-    ages = store.age_steps_arr[:n]
-    ages += alive
-    store.alive_age_steps_sum += store.alive_count
-    new_adults = (alive & (ages == store.adult_age_steps)).nonzero()[0]
-    if len(new_adults) == 0:
+    new_adults = store.age_one_step()[0]
+    if not new_adults:
         return
-    orphaned = np.ones(len(new_adults), dtype=bool)
-    for parents in (store.father_arr[new_adults], store.mother_arr[new_adults]):
-        orphaned &= (parents < 0) | ~alive[parents]
-    for pid in new_adults[orphaned].tolist():
-        if not np.any(store.sibling_mask(pid) & alive & (ages > ages[pid])):
-            continue
-        cell = int(space.town_cell[store.house_arr[pid]])
-        space.move_person(store, pid, space.find_or_create_empty_house(cell, rng))
-        log.orphan_moves.append(pid)
+    alive, ages = store.alive_arr[:store.size], store.age_steps_arr[:store.size]
+    for pid in new_adults:
+        orphan = all(parent < 0 or not alive[parent]
+                     for parent in (store.father_arr[pid], store.mother_arr[pid]))
+        if orphan and np.any(store.sibling_mask(pid) & alive & (ages > ages[pid])):
+            cell = int(space.town_cell[store.house_arr[pid]])
+            space.move_person(store, pid, space.find_or_create_empty_house(cell, rng))
+            log.orphan_moves.append(pid)
 
 
 def deaths_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 rng: Rng, log: StepEventLog) -> None:
     """Kill each living person with the per-step death probability for
     their age and gender, the dead in a uniformly random order."""
-    ids = store.alive_arr[:store.size].nonzero()[0]
-    if len(ids) == 0:
+    if store.alive_count == 0:
         return
     ages, male = store.age_steps_arr, store.male_arr
-    bound = hazards.death_bound(int(ages.take(ids).max()))
-    dead = _thinned_hits(rng, ids, bound, lambda hit: death_step_probability_array(
-        ages.take(hit), male.take(hit), hazards.params, hazards.steps_per_year))
+    dead = _thinned_hits(rng, store.alive_count,
+                         lambda: store.alive_arr[:store.size].nonzero()[0],
+                         hazards.death_bound(store.oldest_age()),
+                         lambda hit: death_step_probability_array(
+                             ages.take(hit), male.take(hit), hazards.params,
+                             hazards.steps_per_year))
     for pid in dead.tolist():
         store.kill(pid, space)
         log.deaths.append(pid)
@@ -252,20 +297,10 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
     """Married women under FERTILE_YEARS whose youngest living child is over
     one year old (or who have no living children) give birth at the
     fertility-table rate for their age and the calendar year."""
-    n = store.steps_per_year
-    size = store.size
-    alive = store.alive_arr[:size]
-    ages = store.age_steps_arr[:size]
-    mothers_of_infants = store.mother_arr[:size][alive & (ages <= n)]
-    blocked = np.zeros(size, dtype=bool)
-    blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
-    mothers = (alive & ~store.male_arr[:size] & ~blocked
-               & (store.status_arr[:size] == MARRIED_CODE)
-               & (ages < FERTILE_YEARS * n)).nonzero()[0]
-    if len(mothers) == 0:
-        return
+    count, build = _candidates(store, "births", [])
+    n, ages = store.steps_per_year, store.age_steps_arr
     rates, bound = hazards.births(current_year)
-    hits = _thinned_hits(rng, mothers, bound, lambda hit: rates.take(ages.take(hit) // n))
+    hits = _thinned_hits(rng, count, build, bound, lambda hit: rates.take(ages.take(hit) // n))
     # Babies take their ids in their mothers' id order.
     for mother in np.sort(hits).tolist():
         gender = Gender.MALE if rng.random() < 0.5 else Gender.FEMALE
@@ -278,16 +313,10 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
                   rng: Rng, log: StepEventLog) -> None:
     """Divorce married men (skipping those married since the last boundary)
     at the decade-modified rate; the man moves out alone within his town."""
-    n = store.size
-    married = (store.alive_arr[:n] & store.male_arr[:n]
-               & (store.status_arr[:n] == MARRIED_CODE))
-    if log.marriages:  # married this step
-        married[[groom for groom, _ in log.marriages]] = False
-    ids = married.nonzero()[0]
-    if len(ids) == 0:
-        return
-    hits = _thinned_hits(rng, ids, hazards.divorce_bound, lambda hit: hazards.divorce.take(
-        hazards.decade_rows(store.age_steps_arr.take(hit))))
+    count, build = _candidates(store, "divorces", [groom for groom, _ in log.marriages])
+    hits = _thinned_hits(rng, count, build, hazards.divorce_bound,
+                         lambda hit: hazards.divorce.take(
+                             hazards.decade_rows(store.age_steps_arr.take(hit))))
     for pid in hits.tolist():
         wife = int(store.partner_arr[pid])
         store.unwed(pid, UnwedReason.DIVORCE)
@@ -308,21 +337,14 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     """
     n = store.steps_per_year
     adult_steps = store.adult_age_steps
-    size = store.size
-    # Adults at the boundary are older than adult_steps now: ageing has run.
-    eligible = (store.alive_arr[:size] & store.male_arr[:size]
-                & (store.status_arr[:size] != MARRIED_CODE)
-                & (store.age_steps_arr[:size] > adult_steps))
-    if log.divorces:  # divorced this step
-        eligible[[man for man, _ in log.divorces]] = False
-    ids = eligible.nonzero()[0]
-    if len(ids) == 0:
-        return
-    grooms = _thinned_hits(rng, ids, hazards.marriage_bound, lambda hit: hazards.marriage.take(
-        hazards.decade_rows(store.age_steps_arr.take(hit)))).tolist()
+    count, build = _candidates(store, "marriages", [man for man, _ in log.divorces])
+    grooms = _thinned_hits(rng, count, build, hazards.marriage_bound,
+                           lambda hit: hazards.marriage.take(
+                               hazards.decade_rows(store.age_steps_arr.take(hit)))).tolist()
     if not grooms:
         return
 
+    size = store.size
     pool = (store.alive_arr[:size] & ~store.male_arr[:size]
             & (store.status_arr[:size] != MARRIED_CODE)
             & (store.age_steps_arr[:size] >= adult_steps)).nonzero()[0]

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .events import FERTILE_YEARS, age_compatibility_array
+from .events import age_compatibility_array
 from .params import ModelParameters
-from .population import MARRIED_CODE, PopulationStore
+from .population import FERTILE_YEARS, MARRIED_CODE, PopulationStore
 from .space import Space, TownKey, cell_of
 from .stochastics import (
     DEFAULT_MAX_INITIAL_AGE_YEARS,

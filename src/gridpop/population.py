@@ -15,6 +15,12 @@ children of every person from the parent arrays on each call, uncached.
 ``store.persons`` maps ids to ``Person`` views that read alive, married
 and partner; only the benchmark still reads them.
 
+Every mutator bumps ``store.version``, and so does ageing when anyone
+reaches one of ``threshold_ages``, where persons join or leave an event's
+candidates; the events cache candidate counts per version. The birth
+order lists the living oldest first, with a pointer per threshold age
+that hands ageing the persons reaching it and one at the oldest living.
+
 Mutators preserve the structural invariants checked by
 ``collect_invariant_violations``; callers are expected to satisfy the
 documented preconditions and get a ValueError otherwise.
@@ -35,6 +41,9 @@ if TYPE_CHECKING:
 PersonId = int
 
 ADULT_AGE_YEARS = 18
+
+# Mothers are younger than this many whole years.
+FERTILE_YEARS = 45
 
 _INITIAL_CAPACITY = 1024
 
@@ -140,6 +149,19 @@ class PopulationStore:
         self.alive_male = 0
         self.alive_status_counts = [0] * len(STATUSES)  # by status code
         self.alive_age_steps_sum = 0
+        self.version = 0
+        self.candidate_counts: dict[str, tuple[int, int]] = {}  # event -> (version, count)
+        self.threshold_ages = {
+            "adult age": self.adult_age_steps,  # the bride pool; orphans move out
+            "adult age + 1 step": self.adult_age_steps + 1,  # grooms
+            "one year + 1 step": steps_per_year + 1,  # no longer blocks a mother
+            f"{FERTILE_YEARS} years": FERTILE_YEARS * steps_per_year,  # no longer a mother
+        }
+        # The last pointer's age exceeds every age: it stops at the oldest living.
+        self._pointer_ages = [*self.threshold_ages.values(), np.iinfo(np.int64).max]
+        # None until _birth_order builds the order, and again after recount,
+        # a spawn above age 0 or once newborns have filled it.
+        self._pointers: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return self._next_id
@@ -165,6 +187,7 @@ class PopulationStore:
         call recount() afterwards."""
         first = self._next_id
         self._next_id += count
+        self.version += 1
         cap = len(self.age_steps_arr)
         if self._next_id > cap:
             new_cap = max(cap * 2, self._next_id)
@@ -192,6 +215,85 @@ class PopulationStore:
         """Set the cached aggregates from the arrays, after bulk writes."""
         for name, value in self.alive_tallies().items():
             setattr(self, name, value)
+        self.version += 1
+        self._pointers = None
+
+    # -- the birth order -------------------------------------------------
+
+    def _birth_order(self) -> None:
+        """Rebuild the birth order unless it is current: the living ids,
+        oldest first and by id among equals, with room for as many
+        newborns, and each pointer at the first living younger than its age."""
+        if self._pointers is None:
+            n = self._next_id
+            living = int(np.count_nonzero(self.alive_arr[:n]))
+            # Allocated before the sort's temporaries, it leaves less of the
+            # heap resident once they are freed (a lower peak RSS, measured).
+            self._order = np.empty(2 * living + _INITIAL_CAPACITY, dtype=np.int32)
+            keys = np.where(self.alive_arr[:n], -self.age_steps_arr[:n], 1)  # the dead last
+            self._order[:living] = np.argsort(keys, kind="stable")[:living]
+            self._order_len = living
+            self._pointers = [int(np.count_nonzero(keys <= -age)) for age in self._pointer_ages]
+            # Ageing steps since, and by pointer the one at which its person,
+            # if alive, reaches its age: no one behind it, newborns included,
+            # reaches the age sooner. 0: look at the next step.
+            self._clock, self._due = 0, [0] * len(self._pointers)
+
+    def _advance(self, i: int) -> list[PersonId]:
+        """Move pointer i past the dead and the living of at least its age;
+        returns those living, ascending."""
+        order, alive, ages = self._order, self.alive_arr, self.age_steps_arr
+        age, p, passed = self._pointer_ages[i], self._pointers[i], []
+        while p < self._order_len:
+            pid = order.item(p)
+            if alive.item(pid):
+                if ages.item(pid) < age:
+                    break
+                passed.append(pid)
+            p += 1
+        self._pointers[i] = p
+        # Past the last person, look again next step: someone may be born.
+        self._due[i] = (self._clock + age - ages.item(order.item(p)) if p < self._order_len
+                        else self._clock)
+        return passed
+
+    def age_one_step(self) -> list[list[PersonId]]:
+        """Advance every living person by one step. Returns the living who
+        reach each of threshold_ages, ascending; bumps version if anyone does."""
+        self._birth_order()
+        n = self._next_id
+        self.age_steps_arr[:n] += self.alive_arr[:n]
+        self.alive_age_steps_sum += self.alive_count
+        self._clock += 1
+        reached = [self._advance(i) if due <= self._clock else []
+                   for i, due in enumerate(self._due[:-1])]
+        self.version += any(reached)
+        return reached
+
+    def oldest_age(self) -> int:
+        """The age in steps of the oldest living person; someone must live."""
+        self._birth_order()
+        self._advance(-1)
+        return int(self.age_steps_arr[self._order[self._pointers[-1]]])
+
+    def birth_order_problems(self) -> list[str]:
+        """Where the birth order departs from its definition; nothing while
+        it awaits a rebuild."""
+        if self._pointers is None:
+            return []
+        order = self._order[:self._order_len]
+        at = np.flatnonzero(self.alive_arr[order])  # the positions of the living
+        living, problems = order[at], []
+        age = self.age_steps_arr[living]
+        if (len(living) != np.count_nonzero(self.alive_arr[:self._next_id]) or not (
+                (age[1:] < age[:-1]) | (age[1:] == age[:-1]) & (living[1:] > living[:-1])).all()):
+            problems.append("birth order: the living are not each in it once, oldest first")
+        for name, limit, p in zip([*self.threshold_ages, "oldest living"], self._pointer_ages,
+                                  self._pointers):
+            if np.searchsorted(at, p) != np.count_nonzero(age >= limit):
+                problems.append(f"birth order: the {name} pointer at {p} is not at "
+                                f"the first living person younger than {limit} steps")
+        return problems
 
     # -- mutators ------------------------------------------------------
 
@@ -233,6 +335,12 @@ class PopulationStore:
             self.alive_male += 1
         self.alive_status_counts[STATUS_CODE[MaritalStatus.SINGLE]] += 1
         self.alive_age_steps_sum += age_steps
+        if self._pointers is not None:
+            if age_steps > 0 or self._order_len == len(self._order):
+                self._pointers = None
+            else:  # the youngest: last in the order
+                self._order[self._order_len] = pid
+                self._order_len += 1
         return pid
 
     def _check_parent(self, parent: Optional[PersonId], role: str, male: bool) -> None:
@@ -257,6 +365,7 @@ class PopulationStore:
         self._set_status(b, MARRIED_CODE)
         self.partner_arr[a] = b
         self.partner_arr[b] = a
+        self.version += 1
 
     def wed_couples(self, grooms: np.ndarray, brides: np.ndarray) -> None:
         """Marry each groom to the bride at his index in one write. The
@@ -278,6 +387,7 @@ class PopulationStore:
         self._set_status(b, STATUS_CODE[status])
         self.partner_arr[a] = -1
         self.partner_arr[b] = -1
+        self.version += 1
 
     def kill(self, pid: PersonId, space: "Space") -> None:
         """Mark a person dead: vacate the house (to the grave) and widow
@@ -292,6 +402,7 @@ class PopulationStore:
         self.alive_status_counts[self.status_arr[pid]] -= 1
         self.alive_age_steps_sum -= int(self.age_steps_arr[pid])
         self.alive_arr[pid] = False
+        self.version += 1
         house = int(self.house_arr[pid])
         if house >= 0:
             space.remove_occupant(house, pid)
@@ -314,6 +425,7 @@ class PopulationStore:
                 self._check_parent(int(parents[bad].min()), role, male)
         self.father_arr[children] = fathers
         self.mother_arr[children] = mothers
+        self.version += 1
 
     def _set_status(self, pid: PersonId, code: int) -> None:
         if self.alive_arr[pid]:

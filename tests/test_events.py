@@ -1,19 +1,25 @@
 """The five per-step events: hazards, relocations, matching, merges."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import housed
+from gridpop.engine import run_simulation, statistics_to_csv
 from gridpop.events import (
-    FERTILE_YEARS,
     HazardTables,
     StepEventLog,
+    _candidates,
     _thinned_hits,
     ageing_step,
     age_compatibility_array,
     births_step,
+    candidate_count_problems,
     children_factor_array,
     deaths_step,
     death_step_probability_array,
@@ -27,11 +33,13 @@ from gridpop.events import (
 from gridpop.initialization import build_initial_state
 from gridpop.params import DataTables, FertilityTable, ModelParameters, SimulationConfig
 from gridpop.population import (
+    FERTILE_YEARS,
     MARRIED_CODE,
     STATUSES,
     Gender,
     MaritalStatus,
     PopulationStore,
+    UnwedReason,
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
@@ -214,10 +222,12 @@ class TestHazardTables:
             assert direct.max() <= table.births(year)[1]
 
 
-def direct_hits(rng, ids, bound, probability):
-    """The draw spelled out, with every candidate's probability evaluated: a
-    binomial count of candidates below the bound, a uniformly ordered subset
-    of that many, and for each a uniform scaled to the bound."""
+def direct_hits(rng, count, build, bound, probability):
+    """The draw spelled out, with every candidate built and its probability
+    evaluated: a binomial count of candidates below the bound, a uniformly
+    ordered subset of that many, and for each a uniform scaled to the bound."""
+    ids = build()
+    assert len(ids) == count
     p = probability(ids)
     assert np.all(p <= bound)
     bound = min(bound, 1.0)
@@ -275,7 +285,7 @@ class TestThinning:
         sizes = np.zeros(len(ids) + 1, dtype=int)
         first_rank = {k: np.zeros(k, dtype=int) for k in range(2, 5)}
         for _ in range(calls):
-            hits = _thinned_hits(rng, ids, 0.4, lambda maybe: p[maybe - 100])
+            hits = _thinned_hits(rng, len(ids), lambda: ids, 0.4, lambda maybe: p[maybe - 100])
             hit_counts[hits - 100] += 1
             sizes[len(hits)] += 1
             if len(hits) in first_rank:  # rank of the first hit in the sorted hit set
@@ -308,12 +318,137 @@ class TestThinning:
                 seen.append(maybe.copy())
                 return np.full(len(maybe), bound / 2)
 
-            hits = _thinned_hits(rng, ids, bound, probability)
+            built = []
+            hits = _thinned_hits(rng, len(ids), lambda: built.append(ids) or ids, bound,
+                                 probability)
             m = replay.binomial(len(ids), bound)
             maybe = ids[replay.choice(len(ids), m, replace=False)]
-            assert len(seen) == (m > 0)
+            assert len(seen) == len(built) == (m > 0)  # no ids are built for no hits
             assert np.array_equal(np.concatenate([ids[:0], *seen]), maybe)
             assert np.isin(hits, maybe).all()
+
+    def test_a_count_that_differs_from_the_built_ids_raises(self):
+        ids = np.arange(10)
+        with pytest.raises(RuntimeError, match="9 candidates built, 10 counted"):
+            _thinned_hits(make_rng(0), 10, lambda: ids[:9], 1.0, lambda maybe: maybe * 0.0)
+
+    def test_a_wrong_cached_count_raises_in_the_event(self):
+        tables = DataTables(divorce_modifier_by_decade=self.STEEP)
+        store, space, rng = PopulationStore(12), Space(), make_rng(31)
+        build_initial_state(store, space, self.PARAMS, rng)
+        count, _ = _candidates(store, "divorces", [])
+        assert count > 100  # at a bound near 0.7, some are drawn for certain
+        store.candidate_counts["divorces"] = store.version, count + 1
+        with pytest.raises(RuntimeError, match=f"{count} candidates built, {count + 1} counted"):
+            divorces_step(store, space, hazards(self.PARAMS, tables), rng, StepEventLog())
+
+
+class TestCountCacheMiss:
+    """A run whose candidate counts are rebuilt at every read writes the
+    statistics of a run that reads them from the cache, in every event
+    order: no cached count is read stale, even in a step without hits."""
+
+    @pytest.mark.parametrize("clock, params", [
+        ("daily", ModelParameters(initial_pop=300)),
+        ("monthly", ModelParameters(initial_pop=1000)),
+    ], ids=["daily", "monthly"])
+    @pytest.mark.parametrize("order", list(permutations(
+        ("deaths", "births", "divorces", "marriages"))), ids="-".join)
+    def test_statistics_equal_with_every_read_a_miss(self, order, clock, params, monkeypatch):
+        config = SimulationConfig(t0=2020, t_final=2022, clock=ClockSpec.parse(clock), seed=8,
+                                  event_order=("ageing", *order))
+        cached = statistics_to_csv(run_simulation(config, params, TABLES).statistics)
+        # Every read sees an empty cache, and every write is dropped.
+        monkeypatch.setattr(PopulationStore, "candidate_counts",
+                            property(lambda store: {}, lambda store, value: None), raising=False)
+        missed = statistics_to_csv(run_simulation(config, params, TABLES).statistics)
+        assert missed == cached
+
+
+class _RecordingStore(PopulationStore):
+    """A store that keeps what its last ageing step reported."""
+
+    def age_one_step(self):
+        self.reached = super().age_one_step()
+        return self.reached
+
+
+class CandidateCountMachine(RuleBasedStateMachine):
+    """Random sequences of spawn_person, wed, unwed, kill and ageing_step on
+    a clock of two steps a year, so that persons cross the threshold ages
+    often. Every count is read into the cache before each rule. After the
+    rule, every count cached for the store's version equals its mask and
+    the birth order keeps its definition; after each ageing step, the
+    persons it reported reaching each threshold age are the living of that
+    age."""
+
+    def __init__(self):
+        super().__init__()
+        self.store, self.space, self.rng = _RecordingStore(2), Space(), make_rng(9)
+
+    def pick(self, data, mask):
+        ids = np.flatnonzero(mask[:self.store.size]).tolist()
+        return data.draw(st.sampled_from(ids)) if ids else None
+
+    def adults(self, male):
+        s = self.store
+        return (s.alive_arr & (s.male_arr == male) & (s.status_arr != MARRIED_CODE)
+                & (s.age_steps_arr >= s.adult_age_steps))
+
+    @rule(data=st.data(), male=st.booleans(), age=st.integers(0, 95),
+          newborn=st.booleans(), with_parents=st.booleans())
+    def spawn_person(self, data, male, age, newborn, with_parents):
+        s = self.store
+        mother = father = None
+        if with_parents:
+            mother = self.pick(data, s.alive_arr & ~s.male_arr & (s.status_arr == MARRIED_CODE))
+        if mother is not None:
+            father = int(s.partner_arr[mother])
+        house = self.space.new_houses(cell_of((4, 3)), self.rng)
+        s.spawn_person(Gender.MALE if male else Gender.FEMALE, 0 if newborn else age,
+                       father=father, mother=mother, house=house, space=self.space)
+
+    @rule(data=st.data())
+    def wed(self, data):
+        groom, bride = self.pick(data, self.adults(True)), self.pick(data, self.adults(False))
+        if groom is not None and bride is not None:
+            self.store.wed(groom, bride)
+
+    @rule(data=st.data())
+    def unwed(self, data):
+        s = self.store
+        pid = self.pick(data, s.alive_arr & (s.status_arr == MARRIED_CODE))
+        if pid is not None:
+            s.unwed(pid, UnwedReason.DIVORCE)
+
+    @rule(data=st.data())
+    def kill(self, data):
+        pid = self.pick(data, self.store.alive_arr)
+        if pid is not None:
+            self.store.kill(pid, self.space)
+
+    @rule(steps=st.integers(1, 6))
+    def ageing_step(self, steps):
+        s = self.store
+        for _ in range(steps):
+            ageing_step(s, self.space, self.rng, StepEventLog())
+            alive, ages = s.alive_arr[:s.size], s.age_steps_arr[:s.size]
+            for reached, age in zip(s.reached, s.threshold_ages.values()):
+                assert reached == np.flatnonzero(alive & (ages == age)).tolist()
+            if s.alive_count:
+                assert s.oldest_age() == ages[alive].max()
+
+    @invariant()
+    def consistent(self):
+        assert candidate_count_problems(self.store) == []
+        assert self.store.birth_order_problems() == []
+        for event in ("births", "divorces", "marriages"):  # cached for the next rule
+            _candidates(self.store, event, [])
+
+
+CandidateCountMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=50,
+                                                  deadline=None)
+TestCandidateCountMachine = CandidateCountMachine.TestCase
 
 
 class TestAgeing:
