@@ -6,7 +6,8 @@
 
 Each run starts a new Python process that imports gridpop from the
 checkout's ``src/`` and builds the initial state the way ``gridpop run``
-does (``engine.build_initial_population``). It times the whole
+does (``engine.Simulation``), so a checkout must have ``Simulation``. It
+times the whole
 ``build_initial_state`` call and each ``init_*`` step inside it, and reads
 the process's peak RSS (``ru_maxrss``, in KiB on Linux) before and after
 the build. It also hashes the father and mother arrays (SHA-256 of their
@@ -14,9 +15,9 @@ int64 bytes), so that two checkouts can be seen to parent every child
 alike. With several checkouts, each repeat runs every checkout once and
 the next repeat starts with the next checkout, so the order alternates.
 
-With ``--steps K`` the run then advances the built state by K steps as
-``run_simulation`` does, with no step hook and no statistics, and times
-each event (``events.run_step`` in the default order). It reports the
+With ``--steps K`` the run then advances the built state by K calls of
+``Simulation.step()``, as ``run_simulation`` does without a step hook,
+and times each event. It reports the
 mean milliseconds per step, the seconds of each event, the peak RSS
 after stepping and a SHA-256 over every person array, so that two
 checkouts can be seen to step alike.
@@ -76,9 +77,9 @@ def measure(agents: int, clock: str, seed: int, steps: int = 0) -> dict:
     config = SimulationConfig(clock=ClockSpec.parse(clock), seed=seed)
     params = ModelParameters(initial_pop=agents)
     rss_before = peak_rss_mb()
-    store, space, rng = engine.build_initial_population(config, params)
+    sim = engine.Simulation(config, params, DataTables())
     rss_after = peak_rss_mb()
-    n = store.size
+    store, n = sim.store, sim.store.size
     result = {
         "agents": agents, "clock": clock, "seed": seed,
         "build_s": round(seconds.pop("build_initial_state"), 4),
@@ -93,11 +94,9 @@ def measure(agents: int, clock: str, seed: int, steps: int = 0) -> dict:
         event_s = dict.fromkeys(config.event_order, 0.0)
         for name in event_s:
             setattr(events, f"{name}_step", timed(name, getattr(events, f"{name}_step"), event_s))
-        spy = config.clock.steps_per_year
-        hazards = events.HazardTables(params, DataTables(), spy)
         start = time.perf_counter()
-        for k in range(steps):
-            events.run_step(store, space, hazards, config.t0 + k // spy, rng, config.event_order)
+        for _ in range(steps):
+            sim.step()
         elapsed = time.perf_counter() - start
         n = store.size
         digest = hashlib.sha256()

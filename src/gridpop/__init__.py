@@ -8,7 +8,7 @@ description, CLI usage and file formats.
 __version__ = "0.1.0"
 
 from .engine import (
-    RunResult,
+    Simulation,
     StepStatistics,
     export_population,
     import_population,
@@ -28,7 +28,7 @@ __all__ = [
     "MaritalStatus",
     "ModelParameters",
     "PopulationStore",
-    "RunResult",
+    "Simulation",
     "SimulationConfig",
     "Space",
     "StepStatistics",

@@ -34,8 +34,6 @@ from .params import (
 from .population import collect_invariant_violations
 from .stochastics import ClockSpec
 
-logger = logging.getLogger(__name__)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridpop",

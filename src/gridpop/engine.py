@@ -1,11 +1,14 @@
-"""Run loop, per-step statistics, auditing, and persistence.
+"""The stepper, per-step statistics, auditing, and persistence.
 
 A run is fully determined by (config, params, tables): one PCG64 stream
 drives every draw, statistics rows are pure functions of counters, and the
 CSV/export writers format numbers identically everywhere. The fields of
 ``StepStatistics`` are the statistics.csv columns: the header and the row
-format are derived from them. A boundary's state is copied
-(``StepSnapshot``) only for a step hook: the events read the live store.
+format are derived from them. A run is a ``Simulation``, whose fields hold
+all of its state between steps; ``step()`` advances it by one step, and
+``run_simulation`` is a loop over ``step()``. The events read the live
+store: a caller that needs a boundary's state copies it (``StepSnapshot``)
+before ``step()``, as ``run_simulation`` does for a step hook only.
 
 Audit mode re-derives the store's cached alive counters by brute-force
 sweep at every step boundary and verifies the structural invariants
@@ -16,8 +19,6 @@ conservation, and house-count monotonicity.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import (Annotated, Callable, Iterator, NamedTuple, Optional, Sequence, TextIO,
@@ -28,13 +29,8 @@ import numpy as np
 from .events import HazardTables, StepEventLog, candidate_count_problems, run_step
 from .features import StepSnapshot
 from .initialization import build_initial_state
-from .params import (
-    DataTables,
-    ModelParameters,
-    SimulationConfig,
-    SYNTHETIC_FERTILITY,
-)
-from .params import FertilityTable
+from .params import (SYNTHETIC_FERTILITY, DataTables, FertilityTable, ModelParameters,
+                     SimulationConfig)
 from .population import (
     STATUSES,
     STATUS_CODE,
@@ -45,8 +41,6 @@ from .population import (
 )
 from .space import GRID_COLS, GRID_ROWS, UNPLACED_CELL, Space, cell_of, load_density_map
 from .stochastics import make_rng
-
-logger = logging.getLogger(__name__)
 
 EXPORT_HEADER = "# gridpop population export v1"
 EXPORT_FIELDS = ("id gender age_steps alive status partner father mother "
@@ -106,13 +100,6 @@ def collect_step_statistics(store: PopulationStore, space: Space,
                           space.house_count, space.occupied_house_count)
 
 
-@dataclass
-class RunResult:
-    statistics: list[StepStatistics]
-    store: PopulationStore
-    space: Space
-
-
 def build_initial_population(config: SimulationConfig, params: ModelParameters
                              ) -> tuple[PopulationStore, Space, np.random.Generator]:
     """The run's initial store and space, and its generator after drawing them."""
@@ -131,56 +118,67 @@ def load_fertility_table(source: str) -> FertilityTable:
     return FertilityTable.load(source)
 
 
-# Called after step k with the state at its start, its log, the store, the space.
-StepHook = Callable[[int, StepSnapshot, StepEventLog, PopulationStore, Space], None]
+_NO_EVENTS = StepEventLog().counts()
 
 
-def run_simulation(config: SimulationConfig, params: ModelParameters,
-                   tables: DataTables, step_hook: Optional[StepHook] = None) -> RunResult:
-    """Initialize and advance the model from t0 to t_final.
+class Simulation:
+    """A run between two steps: the config, the store, the space, the
+    generator, the hazard tables, the number of steps taken, the statistics
+    rows so far and the event counts of the current statsEvery interval."""
 
-    Emits one statistics row for the initial state and one per executed
-    step (thinned by stats_every, always including the final step); a
-    row's event columns count every step since the previous row. Each
-    step's event log goes to step_hook and is not kept. The same seed
-    reproduces every output byte, with or without a hook.
-    """
-    config.validate()
-    params.validate()
-    tables.validate()
-    store, space, rng = build_initial_population(config, params)
-    n = config.clock.steps_per_year
-    hazards = HazardTables(params, tables, n)
+    def __init__(self, config: SimulationConfig, params: ModelParameters, tables: DataTables):
+        """The initial state, audited if asked, and its statistics row."""
+        for record in (config, params, tables):
+            record.validate()
+        self.config = config
+        self.store, self.space, self.rng = build_initial_population(config, params)
+        self.hazards = HazardTables(params, tables, config.clock.steps_per_year)
+        if config.audit:
+            _audit_boundary(self.store, self.space, "initial state")
+        self.steps, self.interval = 0, _NO_EVENTS
+        self.statistics = [collect_step_statistics(self.store, self.space, _NO_EVENTS,
+                                                   float(config.t0))]
 
-    if config.audit:
-        _audit_boundary(store, space, "initial state")
-    no_events = StepEventLog().counts()
-    stats = [collect_step_statistics(store, space, no_events, float(config.t0))]
-
-    total = config.total_steps
-    prev_alive = store.alive_count
-    prev_houses = space.house_count
-    interval = no_events
-    for k in range(total):
-        snapshot = StepSnapshot.capture(store) if step_hook is not None else None
-        current_year = config.t0 + k // n
-        log = run_step(store, space, hazards, current_year, rng, config.event_order)
-        interval = [a + b for a, b in zip(interval, log.counts())]
+    def step(self) -> StepEventLog:
+        """Advance one step and return its log. A statistics row follows every
+        stats_every-th step and the final one, its events counted since the last."""
+        config, store, space, k = self.config, self.store, self.space, self.steps
+        n = config.clock.steps_per_year
+        prev_alive, prev_houses = store.alive_count, space.house_count
+        log = run_step(store, space, self.hazards, config.t0 + k // n, self.rng,
+                       config.event_order)
+        interval = [a + b for a, b in zip(self.interval, log.counts())]
+        self.steps = k + 1
         if config.audit:
             _audit_boundary(store, space, f"step {k}")
             if store.alive_count != prev_alive + len(log.births) - len(log.deaths):
                 raise AuditError(f"step {k}: population not conserved")
             if space.house_count < prev_houses:
                 raise AuditError(f"step {k}: house count decreased")
-        prev_alive = store.alive_count
-        prev_houses = space.house_count
-        if (k + 1) % config.stats_every == 0 or k == total - 1:
-            t = config.t0 + (k + 1) / n
-            stats.append(collect_step_statistics(store, space, interval, t))
-            interval = no_events
+        if (k + 1) % config.stats_every == 0 or k == config.total_steps - 1:
+            self.statistics.append(collect_step_statistics(store, space, interval,
+                                                           config.t0 + (k + 1) / n))
+            interval = _NO_EVENTS
+        self.interval = interval
+        return log
+
+
+# Called after step k with the state at its start, its log, the store, the space.
+StepHook = Callable[[int, StepSnapshot, StepEventLog, PopulationStore, Space], None]
+
+
+def run_simulation(config: SimulationConfig, params: ModelParameters,
+                   tables: DataTables, step_hook: Optional[StepHook] = None) -> Simulation:
+    """Initialize and advance the model from t0 to t_final. Each step's log
+    goes to step_hook, with a copy of the state at the step's start; the
+    same seed writes the same bytes with or without a hook."""
+    sim = Simulation(config, params, tables)
+    for k in range(config.total_steps):
+        snapshot = StepSnapshot.capture(sim.store) if step_hook is not None else None
+        log = sim.step()
         if step_hook is not None:
-            step_hook(k, snapshot, log, store, space)
-    return RunResult(statistics=stats, store=store, space=space)
+            step_hook(k, snapshot, log, sim.store, sim.space)
+    return sim
 
 
 def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:

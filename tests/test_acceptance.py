@@ -14,6 +14,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from gridpop.engine import (
+    Simulation,
     export_population,
     run_simulation,
     statistics_to_csv,
@@ -28,7 +29,6 @@ from gridpop.events import (
     death_yearly_probability_array,
     decade_yearly_probability_array,
     geo_factor_array,
-    run_step,
 )
 from gridpop.features import (
     ALIVE,
@@ -216,12 +216,10 @@ class TestCriterion4StructuralInvariants:
         # statistics against brute force, and checks population
         # conservation and house-count monotonicity at every boundary;
         # any violation raises AuditError.
-        logged = []
-        result = run_simulation(config, params, DataTables(),
-                                step_hook=lambda k, *rest: logged.append(k))
+        result = run_simulation(config, params, DataTables())
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"too slow: {elapsed:.1f}s"
-        assert len(logged) == 3650
+        assert result.steps == 3650
         report(4, elapsed, f"3650 audited boundaries, final alive "
                            f"{result.statistics[-1].alive}")
 
@@ -354,15 +352,10 @@ class TestCriterion7AgeHistogram:
 class TestCriterion8EventEquations:
     def test_logged_events_equal_algebra_subpopulations(self):
         start = time.perf_counter()
-        clock = ClockSpec.parse("daily")
-        params = ModelParameters(initial_pop=1000)
-        tables = DataTables()
-        store = PopulationStore(clock.steps_per_year)
-        space = Space()
-        rng = make_rng(88)
-        build_initial_state(store, space, params, rng)
-        order = ("ageing", "deaths", "births", "divorces", "marriages")
-        hazards = HazardTables(params, tables, clock.steps_per_year)
+        config = SimulationConfig(seed=88, clock=ClockSpec.parse("daily"), t0=2020,
+                                  t_final=2021)
+        sim = Simulation(config, ModelParameters(initial_pop=1000), DataTables())
+        store, space = sim.store, sim.space
 
         total_events = 0
         for k in range(365):
@@ -370,8 +363,9 @@ class TestCriterion8EventEquations:
             prev = dict(enumerate(zip(store.alive_arr[:n].tolist(),
                                       (store.status_arr[:n] == MARRIED_CODE).tolist(),
                                       store.partner_arr[:n].tolist())))
+            # The events read the live store: the boundary is copied here.
             snapshot = StepSnapshot.capture(store)
-            log = run_step(store, space, hazards, 2020, rng, order)
+            log = sim.step()
             ctx = EvalContext(store, space, snapshot)
 
             # Deaths: those dead now who were alive at the boundary.

@@ -1,5 +1,6 @@
-"""Engine surface: tables, config files, the run loop, statistics, export."""
+"""Engine surface: tables, config files, the stepper, statistics, export."""
 
+import bisect
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from gridpop import engine
 from gridpop.engine import (
     EXPORT_FIELDS,
     STATISTICS_HEADER,
+    Simulation,
     build_initial_population,
     collect_step_statistics,
     export_population,
@@ -292,27 +294,24 @@ class TestRunSimulation:
         assert collect_invariant_violations(result.store, result.space) == []
 
     def test_stats_cross_checks(self):
-        logs = []
-        result = run_simulation(small_config(t_final=2022, seed=8),
-                                ModelParameters(initial_pop=600), DataTables(),
-                                step_hook=lambda k, snap, log, *rest: logs.append(log))
-        for row, log in zip(result.statistics[1:], logs):
+        sim = Simulation(small_config(t_final=2022, seed=8), ModelParameters(initial_pop=600),
+                         DataTables())
+        logs = [sim.step() for _ in range(sim.config.total_steps)]
+        for row, log in zip(sim.statistics[1:], logs):
             assert row.alive == row.males + row.females
             assert row.married % 2 == 0
             # Births this step are exactly the age-0 persons created this step.
             assert row.births == len(log.births)
-        store = result.store
+        store = sim.store
         newborns = int(np.count_nonzero(store.age_steps_arr[:store.size] < 12 * (2022 - 2020)))
-        assert newborns >= sum(r.births for r in result.statistics) > 0
+        assert newborns >= sum(r.births for r in sim.statistics) > 0
 
     def test_event_counts_match_logs(self):
-        logs = []
-        result = run_simulation(small_config(seed=10),
-                                ModelParameters(initial_pop=500), DataTables(),
-                                step_hook=lambda k, snap, log, *rest: logs.append(log))
-        assert sum(r.deaths for r in result.statistics) == sum(
+        sim = Simulation(small_config(seed=10), ModelParameters(initial_pop=500), DataTables())
+        logs = [sim.step() for _ in range(sim.config.total_steps)]
+        assert sum(r.deaths for r in sim.statistics) == sum(
             len(l.deaths) for l in logs)
-        assert sum(r.marriages for r in result.statistics) == sum(
+        assert sum(r.marriages for r in sim.statistics) == sum(
             len(l.marriages) for l in logs)
 
     def test_stats_thinning(self):
@@ -339,14 +338,15 @@ class TestRunSimulation:
         assert stats.alive == 0 and stats.mean_age == 0.0
 
     def test_audit_error_names_the_step(self):
-        def corrupt(k, snapshot, log, store, space):
-            if k == 3:  # a married person loses the partner link
-                pid = int(np.flatnonzero(store.status_arr[:store.size] == MARRIED_CODE)[0])
-                store.partner_arr[pid] = -1
-
+        sim = Simulation(small_config(audit=True), ModelParameters(initial_pop=300),
+                         DataTables())
+        for _ in range(4):
+            sim.step()
+        store = sim.store  # a married person loses the partner link
+        pid = int(np.flatnonzero(store.status_arr[:store.size] == MARRIED_CODE)[0])
+        store.partner_arr[pid] = -1
         with pytest.raises(AuditError, match=r"^step 4: \d+ invariant violations"):
-            run_simulation(small_config(audit=True), ModelParameters(initial_pop=300),
-                           DataTables(), step_hook=corrupt)
+            sim.step()
 
     def test_audit_names_a_wrong_cached_count_and_a_misplaced_pointer(self):
         result = run_simulation(small_config(), ModelParameters(initial_pop=300), DataTables())
@@ -390,6 +390,44 @@ class TestRunSimulation:
         assert towns <= {(6, 4), (7, 7)}
 
 
+def write_outputs(sim, directory: Path, tag: str) -> tuple[bytes, bytes]:
+    """The statistics.csv and population.txt bytes of a finished run."""
+    stats, pop = directory / f"statistics_{tag}.csv", directory / f"population_{tag}.txt"
+    engine.write_statistics(sim.statistics, stats)
+    export_population(sim.store, sim.space, pop)
+    return stats.read_bytes(), pop.read_bytes()
+
+
+class TestStepper:
+    """A run driven by Simulation.step(), its rows read between steps,
+    writes the bytes of run_simulation."""
+
+    @pytest.mark.parametrize("config, initial_pop", [
+        (small_config(audit=True, seed=11), 400),
+        (small_config(clock=ClockSpec.parse("hourly"), seed=12), 150),
+        (small_config(stats_every=5, seed=13), 400),  # 12 steps: the last interval has 2
+    ], ids=["monthly-audit", "hourly", "stats-every-5"])
+    def test_stepping_equals_running(self, config, initial_pop, tmp_path):
+        params = ModelParameters(initial_pop=initial_pop)
+        total = config.total_steps
+        # The steps after which a row is emitted, the initial state's first.
+        boundaries = [0] + [k for k in range(1, total + 1)
+                            if k % config.stats_every == 0 or k == total]
+        sim = Simulation(config, params, DataTables())
+        events = 0
+        while sim.steps < total:
+            log = sim.step()
+            events += len(log.marriages) + len(log.divorces)
+            rows = bisect.bisect_right(boundaries, sim.steps)
+            assert len(sim.statistics) == rows
+            assert sim.statistics[-1].time == pytest.approx(
+                config.t0 + boundaries[rows - 1] / config.clock.steps_per_year)
+        assert events > 0
+        stepped = write_outputs(sim, tmp_path, "stepped")
+        assert stepped == write_outputs(run_simulation(config, params, DataTables()),
+                                        tmp_path, "run")
+
+
 class TestStepHook:
     """Only a step hook makes the run copy each boundary's state, and the
     copy changes no output byte."""
@@ -402,11 +440,8 @@ class TestStepHook:
         params = ModelParameters(initial_pop=initial_pop)
 
         def outputs(tag, **hook):
-            result = run_simulation(config, params, DataTables(), **hook)
-            stats, pop = tmp_path / f"statistics_{tag}.csv", tmp_path / f"population_{tag}.txt"
-            engine.write_statistics(result.statistics, stats)
-            export_population(result.store, result.space, pop)
-            return stats.read_bytes(), pop.read_bytes()
+            return write_outputs(run_simulation(config, params, DataTables(), **hook),
+                                 tmp_path, tag)
 
         logs = []
         hooked = outputs("hooked", step_hook=lambda k, snap, log, *rest: logs.append(log))
