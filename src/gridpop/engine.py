@@ -189,7 +189,8 @@ def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
                          f"first: {problems[0]}")
     bad = [f"cached statistic {name}: {getattr(store, name)} != sweep {value}"
            for name, value in store.alive_tallies().items() if getattr(store, name) != value]
-    bad += candidate_count_problems(store) + store.birth_order_problems()
+    bad += (candidate_count_problems(store) + store.birth_order_problems()
+            + store.kin_count_problems())
     if bad:
         raise AuditError(f"{where}: " + "; ".join(bad))
 

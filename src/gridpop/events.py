@@ -14,9 +14,12 @@ probabilities only for those (thinning): its random draws and hazard
 evaluations grow with its expected events, not with its candidates. It
 needs the candidates' ids, a mask over the store, only when it picks
 someone; before that, their count, cached per store version. Ageing and
-the death bound read the store's birth order. The marriage geo factor is
-tabulated once per run by town pair, and the children factor once per
-step by child counts.
+the death bound read the store's birth order. The kin counts are read
+from the store, which keeps them as persons are born, die and age: births
+read each woman's living infants (``infants_arr``), marriages each
+person's living children (``living_children_arr``). The marriage geo
+factor is tabulated once per run by town pair, and the children factor
+once per groom step by child counts.
 """
 
 from __future__ import annotations
@@ -187,8 +190,9 @@ def _thinned_hits(rng: Rng, count: int, build, bound: float, probability) -> np.
 def _candidate_mask(store: PopulationStore, event: str) -> np.ndarray:
     """The candidates of births, divorces or marriages before this step's
     exclusions, as a mask over ids. Mothers are married women under
-    FERTILE_YEARS without a living child of one year or less. Grooms were
-    adults at the boundary: ageing has run, so they are older now."""
+    FERTILE_YEARS without a living child of one year or less (the store's
+    infants_arr). Grooms were adults at the boundary: ageing has run, so
+    they are older now."""
     n, size = store.steps_per_year, store.size
     alive, male, ages = store.alive_arr[:size], store.male_arr[:size], store.age_steps_arr[:size]
     married = store.status_arr[:size] == MARRIED_CODE
@@ -196,10 +200,7 @@ def _candidate_mask(store: PopulationStore, event: str) -> np.ndarray:
         return alive & male & married
     if event == "marriages":
         return alive & male & ~married & (ages > store.adult_age_steps)
-    mothers_of_infants = store.mother_arr[:size][alive & (ages <= n)]
-    blocked = np.zeros(size, dtype=bool)
-    blocked[mothers_of_infants[mothers_of_infants >= 0]] = True
-    return alive & ~male & ~blocked & married & (ages < FERTILE_YEARS * n)
+    return alive & ~male & married & (ages < FERTILE_YEARS * n) & (store.infants_arr[:size] == 0)
 
 
 def _candidates(store: PopulationStore, event: str, excluded: list[PersonId]):
@@ -296,7 +297,9 @@ def births_step(store: PopulationStore, space: Space, hazards: HazardTables,
                 current_year: int, rng: Rng, log: StepEventLog) -> None:
     """Married women under FERTILE_YEARS whose youngest living child is over
     one year old (or who have no living children) give birth at the
-    fertility-table rate for their age and the calendar year."""
+    fertility-table rate for their age and the calendar year. Whether a
+    woman has a living infant is read from the store's infants_arr; each
+    birth adds to its parents' kin counts."""
     count, build = _candidates(store, "births", [])
     n, ages = store.steps_per_year, store.age_steps_arr
     rates, bound = hazards.births(current_year)
@@ -352,10 +355,7 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     # Child counts cannot change during this event; houses can (household
     # merges move co-residents), so towns are read through the live house
     # array.
-    alive = store.alive_arr[:size]
-    children = np.zeros(size, dtype=np.int64)
-    for parents in (store.father_arr[:size][alive], store.mother_arr[:size][alive]):
-        children += np.bincount(parents[parents >= 0], minlength=size)
+    children = store.living_children_arr
     pool_children = children[pool]
     # Children factor of each groom child count over every bride count.
     bride_counts = np.arange(int(pool_children.max(initial=0)) + 1, dtype=float)

@@ -39,3 +39,17 @@ def children(store: PopulationStore, pid: int) -> set[int]:
     n = store.size
     return set(np.flatnonzero((store.father_arr[:n] == pid)
                               | (store.mother_arr[:n] == pid)).tolist())
+
+
+def assert_kin_counts_swept(store: PopulationStore) -> None:
+    """The stored living-children and infant counts equal their sweep of
+    the parent arrays over [0, size), made here one count at a time."""
+    n = store.size
+    alive, ages = store.alive_arr[:n], store.age_steps_arr[:n]
+    living = np.zeros(n, dtype=np.int64)
+    for parents in (store.father_arr[:n][alive], store.mother_arr[:n][alive]):
+        living += np.bincount(parents[parents >= 0], minlength=n)
+    mothers = store.mother_arr[:n][alive & (ages <= store.steps_per_year)]
+    infants = np.bincount(mothers[mothers >= 0], minlength=n)
+    assert store.living_children_arr[:n].tolist() == living.tolist()
+    assert store.infants_arr[:n].tolist() == infants.tolist()

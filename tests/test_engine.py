@@ -348,6 +348,22 @@ class TestRunSimulation:
         with pytest.raises(AuditError, match=r"^step 4: \d+ invariant violations"):
             sim.step()
 
+    @pytest.mark.parametrize("array, label", [("living_children_arr", "living children"),
+                                              ("infants_arr", "infants")])
+    def test_audit_names_a_wrong_kin_count(self, array, label):
+        sim = Simulation(small_config(audit=True), ModelParameters(initial_pop=300),
+                         DataTables())
+        for _ in range(4):
+            sim.step()
+        store = sim.store  # a man's count one too high; no candidate mask reads it
+        pid = int(np.flatnonzero(store.alive_arr[:store.size] & store.male_arr[:store.size])[0])
+        getattr(store, array)[pid] += 1
+        with pytest.raises(AuditError) as error:
+            sim.step()
+        found = re.fullmatch(rf"step 4: person {pid}: (\d+) {label} cached, (\d+) swept",
+                             str(error.value))
+        assert found and int(found[1]) == int(found[2]) + 1, error.value
+
     def test_audit_names_a_wrong_cached_count_and_a_misplaced_pointer(self):
         result = run_simulation(small_config(), ModelParameters(initial_pop=300), DataTables())
         store, space = result.store, result.space

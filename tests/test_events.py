@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from conftest import housed
+from conftest import assert_kin_counts_swept, housed
 from gridpop.engine import run_simulation, statistics_to_csv
 from gridpop.events import (
     HazardTables,
@@ -377,8 +377,9 @@ class CandidateCountMachine(RuleBasedStateMachine):
     """Random sequences of spawn_person, wed, unwed, kill and ageing_step on
     a clock of two steps a year, so that persons cross the threshold ages
     often. Every count is read into the cache before each rule. After the
-    rule, every count cached for the store's version equals its mask and
-    the birth order keeps its definition; after each ageing step, the
+    rule, every count cached for the store's version equals its mask, the
+    birth order keeps its definition and the stored kin counts equal
+    their sweep of the parent arrays; after each ageing step, the
     persons it reported reaching each threshold age are the living of that
     age."""
 
@@ -442,6 +443,7 @@ class CandidateCountMachine(RuleBasedStateMachine):
     def consistent(self):
         assert candidate_count_problems(self.store) == []
         assert self.store.birth_order_problems() == []
+        assert_kin_counts_swept(self.store)
         for event in ("births", "divorces", "marriages"):  # cached for the next rule
             _candidates(self.store, event, [])
 

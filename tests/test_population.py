@@ -5,8 +5,11 @@ from bisect import insort
 import numpy as np
 import pytest
 
-from conftest import children, housed
+from conftest import assert_kin_counts_swept, children, housed
+from gridpop.engine import export_population, import_population, run_simulation
 from gridpop.features import ALIVE, ADULT, EvalContext, MARRIED
+from gridpop.initialization import build_initial_state
+from gridpop.params import DataTables, ModelParameters, SimulationConfig
 from gridpop.population import (
     MARRIED_CODE,
     STATUSES,
@@ -17,7 +20,7 @@ from gridpop.population import (
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
-from gridpop.stochastics import make_rng
+from gridpop.stochastics import ClockSpec, make_rng
 
 
 def sweep_ok(store, space):
@@ -221,6 +224,63 @@ class TestRandomWalkInvariants:
                     store.spawn_person(Gender.FEMALE, 0, father=store.partner_arr[mum],
                                        mother=mum, house=store.house_arr[mum], space=space)
             assert collect_invariant_violations(store, space) == []
+            assert_kin_counts_swept(store)
+
+
+class TestKinCounts:
+    """Each person's living children and each woman's living infants, kept
+    by the mutators and ageing and rebuilt by the bulk writers."""
+
+    def test_births_deaths_and_ageing_move_the_counts(self, store, space):
+        dad = housed(store, space, Gender.MALE, 32)
+        mum = housed(store, space, Gender.FEMALE, 30, house=store.house_arr[dad])
+        store.wed(dad, mum)
+        elder = store.spawn_person(Gender.MALE, 12, father=dad, mother=mum,
+                                   house=store.house_arr[mum], space=space)
+        baby = store.spawn_person(Gender.FEMALE, 0, father=dad, mother=mum,
+                                  house=store.house_arr[mum], space=space)
+        assert store.living_children_arr[[dad, mum]].tolist() == [2, 2]
+        assert store.infants_arr[mum] == 2
+        store.age_one_step()  # the elder turns one year and one step
+        assert store.infants_arr[mum] == 1
+        for _ in range(11):
+            store.age_one_step()
+        assert store.infants_arr[mum] == 1  # the baby is one year old
+        store.kill(baby, space)
+        assert store.living_children_arr[[dad, mum]].tolist() == [1, 1]
+        assert store.infants_arr[mum] == 0
+        store.kill(elder, space)
+        assert store.living_children_arr[[dad, mum]].tolist() == [0, 0]
+        assert_kin_counts_swept(store)
+
+    @pytest.mark.parametrize("clock", ["monthly", "hourly"])
+    def test_initial_state_counts_equal_the_sweep(self, clock):
+        store, space = PopulationStore(ClockSpec.parse(clock).steps_per_year), Space()
+        build_initial_state(store, space, ModelParameters(initial_pop=2000), make_rng(4))
+        assert store.infants_arr.any()  # the initial state has infants
+        assert_kin_counts_swept(store)
+        assert store.kin_count_problems() == []
+
+    def test_imported_counts_equal_the_sweep(self, tmp_path):
+        config = SimulationConfig(t0=2020, t_final=2022, clock=ClockSpec.parse("monthly"), seed=6)
+        sim = run_simulation(config, ModelParameters(initial_pop=400), DataTables())
+        export_population(sim.store, sim.space, tmp_path / "pop.txt")
+        store, _ = import_population(tmp_path / "pop.txt")
+        assert_kin_counts_swept(store)
+        n = store.size
+        for name in ("living_children_arr", "infants_arr"):
+            assert np.array_equal(getattr(store, name)[:n], getattr(sim.store, name)[:n]), name
+
+    def test_problems_name_the_first_persons(self):
+        store, space, people = corruptible_state()
+        assert store.kin_count_problems() == []
+        store.living_children_arr[people["dad"]] += 1
+        store.infants_arr[people["mum"]] = 1
+        assert store.kin_count_problems() == [
+            f"person {people['dad']}: 2 living children cached, 1 swept",
+            f"person {people['mum']}: 1 infants cached, 0 swept"]
+        store.infants_arr[:store.size] = 5
+        assert len(store.kin_count_problems()) == 1 + 3  # at most three per count
 
 
 def corruptible_state():
