@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
+    AuditError,
     StepStatistics,
+    audit_boundary,
     build_initial_population,
     export_population,
     load_fertility_table,
@@ -31,7 +33,6 @@ from .params import (
     config_to_text,
     load_config,
 )
-from .population import collect_invariant_violations
 from .stochastics import ClockSpec
 
 
@@ -158,11 +159,10 @@ def _cmd_validate(args) -> int:
     tables = DataTables(fertility=load_fertility_table(config.fertility))
     tables.validate()
     store, space, _ = build_initial_population(config, params)
-    problems = collect_invariant_violations(store, space)
-    if problems:
-        print(f"INVALID: {len(problems)} invariant violations", file=sys.stderr)
-        for p in problems[:20]:
-            print(f"  {p}", file=sys.stderr)
+    try:
+        audit_boundary(store, space, "initial state")
+    except AuditError as error:
+        print(f"INVALID: {error}", file=sys.stderr)
         return 1
     print(f"valid: {store.alive_count} persons in {space.house_count} houses, "
           f"all invariants hold")

@@ -13,8 +13,10 @@ before ``step()``, as ``run_simulation`` does for a step hook only.
 Audit mode re-derives the store's cached alive counters by brute-force
 sweep at every step boundary and verifies the structural invariants
 (among them the vacancy index, which the occupied-house count is read
-from), the events' cached candidate counts, the birth order, population
-conservation, and house-count monotonicity.
+from), the events' cached candidate counts, the birth order, the kin
+counts, population conservation, and house-count monotonicity.
+``audit_boundary`` holds the checks of one boundary; ``gridpop validate``
+runs it on the initial state.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class Simulation:
         self.store, self.space, self.rng = build_initial_population(config, params)
         self.hazards = HazardTables(params, tables, config.clock.steps_per_year)
         if config.audit:
-            _audit_boundary(self.store, self.space, "initial state")
+            audit_boundary(self.store, self.space, "initial state")
         self.steps, self.interval = 0, _NO_EVENTS
         self.statistics = [collect_step_statistics(self.store, self.space, _NO_EVENTS,
                                                    float(config.t0))]
@@ -150,7 +152,7 @@ class Simulation:
         interval = [a + b for a, b in zip(self.interval, log.counts())]
         self.steps = k + 1
         if config.audit:
-            _audit_boundary(store, space, f"step {k}")
+            audit_boundary(store, space, f"step {k}")
             if store.alive_count != prev_alive + len(log.births) - len(log.deaths):
                 raise AuditError(f"step {k}: population not conserved")
             if space.house_count < prev_houses:
@@ -181,8 +183,11 @@ def run_simulation(config: SimulationConfig, params: ModelParameters,
     return sim
 
 
-def _audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
-    """Raise AuditError, prefixed with ``where`` (the step), on any violation."""
+def audit_boundary(store: PopulationStore, space: Space, where: str) -> None:
+    """The audit of one boundary: the structural invariants, the cached
+    alive tallies, the events' cached candidate counts, the birth order and
+    the kin counts. Raises AuditError, prefixed with ``where`` (the step),
+    on any violation."""
     problems = collect_invariant_violations(store, space)
     if problems:
         raise AuditError(f"{where}: {len(problems)} invariant violations, "

@@ -35,9 +35,9 @@ from .population import (
     FERTILE_YEARS,
     Gender,
     MARRIED_CODE,
+    MaritalStatus,
     PersonId,
     PopulationStore,
-    UnwedReason,
 )
 from .space import Space, cell_distances
 from .stochastics import Rng, instantaneous_probability_array, weighted_sample
@@ -322,7 +322,7 @@ def divorces_step(store: PopulationStore, space: Space, hazards: HazardTables,
                              hazards.decade_rows(store.age_steps_arr.take(hit))))
     for pid in hits.tolist():
         wife = int(store.partner_arr[pid])
-        store.unwed(pid, UnwedReason.DIVORCE)
+        store.unwed(pid, MaritalStatus.DIVORCED)
         cell = int(space.town_cell[store.house_arr[pid]])
         space.move_person(store, pid, space.find_or_create_empty_house(cell, rng))
         log.divorces.append((pid, wife))

@@ -3,7 +3,9 @@
 Staging order matters: persons are spawned unhoused into towns, ages and
 genders are drawn, couples are formed, every minor is assigned married
 parents, and housing is created last so that no initial house is ever
-empty. The structural invariants hold once the build completes.
+empty. The stages write the store's arrays only; build_initial_state
+derives the cached counts from them in one recount() at its end, as an
+import does. The structural invariants hold once the build completes.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ def init_ages_and_genders(store: PopulationStore, pids: np.ndarray, rng: Rng,
                                         max_age_years=max_age_years)
     store.male_arr[pids] = genders
     store.age_steps_arr[pids] = ages
-    store.recount()
 
 
 def _alive_adults(store: PopulationStore, male: bool, unmarried: bool = False) -> np.ndarray:
@@ -78,7 +79,8 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     Every selected male draws a uniform candidate subset of the eligible
     female pool, weights it by age compatibility and picks a wife; she
     leaves the pool. An exhausted pool leaves the remaining males single.
-    The couples are written in one step after the last pick.
+    The couples are written to the status and partner arrays after the
+    last pick.
     """
     n = store.steps_per_year
     adult_males = _alive_adults(store, male=True)
@@ -106,7 +108,9 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
         live -= 1
         pool_ids[j] = pool_ids[live]
         pool_years[j] = pool_years[live]
-    store.wed_couples(selected[:len(brides)], np.array(brides, dtype=np.int64))
+    grooms, brides = selected[:len(brides)], np.array(brides, dtype=np.int64)
+    store.status_arr[grooms] = store.status_arr[brides] = MARRIED_CODE
+    store.partner_arr[grooms], store.partner_arr[brides] = brides, grooms
 
 
 def init_children(store: PopulationStore, rng: Rng) -> None:
@@ -188,7 +192,7 @@ def _wed_oldest_single_pair(store: PopulationStore) -> None:
     bride = int(females[np.argmax(store.age_steps_arr[females])])
     logger.warning("no married couples; wedding oldest single pair (%d, %d) "
                    "to keep minors parented", groom, bride)
-    store.wed(groom, bride)
+    store.wed(groom, bride)  # the counts it moves are set by the build's recount()
 
 
 def init_housing(store: PopulationStore, space: Space, cells: np.ndarray, rng: Rng) -> None:
@@ -238,4 +242,5 @@ def build_initial_state(store: PopulationStore, space: Space,
     init_partnerships(store, params, rng)
     init_children(store, rng)
     init_housing(store, space, cells, rng)
+    store.recount()
     return cells

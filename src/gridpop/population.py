@@ -12,11 +12,12 @@ none). The events gather whole subpopulations from them. Two counts
 derived from the parent arrays are stored as well: ``living_children_arr``
 (each person's living children) and ``infants_arr`` (each woman's living
 children aged steps_per_year steps or less). spawn_person and kill keep
-them, ageing lowers a mother's infants when a child turns one year and one
-step, and recount and assign_parents sweep them afresh. The children
-themselves are not stored: ``children_index()`` builds the children of
-every person from the parent arrays on each call, uncached. Towns are
-read from ``Space.town_cell`` of the house.
+them, and ageing lowers a mother's infants when a child turns one year and
+one step. A bulk build (the initial state, an import) writes the arrays
+and then derives these counts and the alive tallies in one recount() at
+its end. The children themselves are not stored: ``children_index()``
+builds the children of every person from the parent arrays on each call,
+uncached. Towns are read from ``Space.town_cell`` of the house.
 ``store.persons`` maps ids to ``Person`` views that read alive, married
 and partner; only the benchmark still reads them.
 
@@ -68,13 +69,6 @@ class MaritalStatus(str, Enum):
 STATUSES = tuple(MaritalStatus)  # indexed by status code
 STATUS_CODE = {status: code for code, status in enumerate(STATUSES)}
 MARRIED_CODE = STATUS_CODE[MaritalStatus.MARRIED]
-DIVORCED_CODE = STATUS_CODE[MaritalStatus.DIVORCED]
-
-
-class UnwedReason(Enum):
-    DIVORCE = "divorce"
-    PARTNER_DEATH = "partner_death"
-
 
 # Every per-person array: (attribute, dtype, value of an unused row).
 _ARRAYS = (
@@ -190,8 +184,8 @@ class PopulationStore:
 
     def add_rows(self, count: int) -> PersonId:
         """Issue `count` new ids whose rows hold the unused values (not
-        alive) and return the first. Callers that fill the rows themselves
-        call recount() afterwards."""
+        alive) and return the first. A bulk builder that fills the rows
+        itself calls recount() once, after its last write."""
         first = self._next_id
         self._next_id += count
         self.version += 1
@@ -219,12 +213,14 @@ class PopulationStore:
         }
 
     def recount(self) -> None:
-        """Set the cached aggregates and kin counts from the arrays, after
-        bulk writes."""
+        """Set the cached aggregates and kin counts from the arrays, once at
+        the end of a bulk build."""
         for name, value in self.alive_tallies().items():
             setattr(self, name, value)
-        self._recount_kin()
+        n = self._next_id
+        self.living_children_arr[:n], self.infants_arr[:n] = self._kin_counts()
         self._pointers = None
+        self.version += 1
 
     def _kin_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Each person's living children and living infants, swept from the
@@ -241,11 +237,6 @@ class PopulationStore:
         living = np.bincount(mothers[known], minlength=n)
         living += np.bincount(fathers[(fathers >= 0) & (fathers < n)], minlength=n)
         return living, infants
-
-    def _recount_kin(self) -> None:
-        n = self._next_id
-        self.living_children_arr[:n], self.infants_arr[:n] = self._kin_counts()
-        self.version += 1
 
     def kin_count_problems(self) -> list[str]:
         """The first three persons whose stored kin count differs from the
@@ -415,22 +406,14 @@ class PopulationStore:
         self.partner_arr[b] = a
         self.version += 1
 
-    def wed_couples(self, grooms: np.ndarray, brides: np.ndarray) -> None:
-        """Marry each groom to the bride at his index in one write. The
-        couples must be valid by construction, each person in at most one:
-        the checks of wed are left to the invariant sweep."""
-        for ids, partners in ((grooms, brides), (brides, grooms)):
-            self.status_arr[ids] = MARRIED_CODE
-            self.partner_arr[ids] = partners
-        self.recount()
-
-    def unwed(self, a: PersonId, reason: UnwedReason) -> None:
-        """Dissolve a marriage; divorce leaves both divorced, a partner's
-        death leaves both widowed."""
+    def unwed(self, a: PersonId, status: MaritalStatus) -> None:
+        """Dissolve a marriage, leaving both partners with status: DIVORCED
+        for a divorce, WIDOWED for a partner's death."""
+        if status is not MaritalStatus.DIVORCED and status is not MaritalStatus.WIDOWED:
+            raise ValueError(f"a marriage ends divorced or widowed, not {status!r}")
         b = int(self.partner_arr[a])
         if self.status_arr[a] != MARRIED_CODE or b < 0:
             raise ValueError(f"person {a} is not married")
-        status = MaritalStatus.DIVORCED if reason is UnwedReason.DIVORCE else MaritalStatus.WIDOWED
         self._set_status(a, STATUS_CODE[status])
         self._set_status(b, STATUS_CODE[status])
         self.partner_arr[a] = -1
@@ -443,7 +426,7 @@ class PopulationStore:
         if not self.alive_arr[pid]:
             raise ValueError(f"person {pid} is already dead")
         if self.status_arr[pid] == MARRIED_CODE:
-            self.unwed(pid, UnwedReason.PARTNER_DEATH)
+            self.unwed(pid, MaritalStatus.WIDOWED)
         self.alive_count -= 1
         if self.male_arr[pid]:
             self.alive_male -= 1
@@ -467,7 +450,8 @@ class PopulationStore:
         """Late kinship registration for initialization staging: children[i]
         gets fathers[i] and mothers[i]. Checks every row before writing any,
         on whole arrays; an error names the lowest offending id, fathers
-        before mothers."""
+        before mothers. The kin counts are left to the caller's recount(),
+        as after add_rows."""
         taken = (self.father_arr[children] >= 0) | (self.mother_arr[children] >= 0)
         if taken.any():
             raise ValueError(f"person {children[np.argmax(taken)]} already has parents")
@@ -479,7 +463,7 @@ class PopulationStore:
                 self._check_parent(int(parents[bad].min()), role, male)
         self.father_arr[children] = fathers
         self.mother_arr[children] = mothers
-        self._recount_kin()
+        self.version += 1
 
     def _set_status(self, pid: PersonId, code: int) -> None:
         if self.alive_arr[pid]:

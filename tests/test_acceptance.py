@@ -41,7 +41,7 @@ from gridpop.features import (
 )
 from gridpop.initialization import build_initial_state
 from gridpop.params import DataTables, ModelParameters, SimulationConfig
-from gridpop.population import MARRIED_CODE, Gender, PopulationStore, UnwedReason
+from gridpop.population import MARRIED_CODE, Gender, MaritalStatus, PopulationStore
 from gridpop.space import Space, cell_of, town_at
 from gridpop.stochastics import (
     ClockSpec,
@@ -249,7 +249,7 @@ class TestCriterion5TemporalOracle:
 
         def script_step_2():
             store.kill(e, space)
-            store.unwed(c, UnwedReason.DIVORCE)
+            store.unwed(c, MaritalStatus.DIVORCED)
 
         def script_step_3():
             store.kill(a, space)  # widows b

@@ -11,6 +11,7 @@ import pytest
 import gridpop
 from gridpop import cli
 from gridpop.cli import main
+from gridpop.population import PopulationStore
 
 
 def run_cli(args):
@@ -196,6 +197,14 @@ class TestValidate:
         cfg.write_text("initialPop = 300\nclock = monthly\n")
         assert run_cli(["validate", "--config", str(cfg)]) == 0
         assert "all invariants hold" in capsys.readouterr().out
+
+    def test_audit_checks_the_cached_counts(self, monkeypatch, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("initialPop = 300\nclock = monthly\n")
+        monkeypatch.setattr(PopulationStore, "recount", lambda store: None)
+        assert run_cli(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "INVALID: initial state: cached statistic alive_count: 0 != sweep 300")
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

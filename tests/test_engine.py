@@ -367,19 +367,19 @@ class TestRunSimulation:
     def test_audit_names_a_wrong_cached_count_and_a_misplaced_pointer(self):
         result = run_simulation(small_config(), ModelParameters(initial_pop=300), DataTables())
         store, space = result.store, result.space
-        engine._audit_boundary(store, space, "step 7")
+        engine.audit_boundary(store, space, "step 7")
         count, _ = _candidates(store, "divorces", [])
         store.candidate_counts["divorces"] = store.version, count + 1
         with pytest.raises(AuditError, match=rf"^step 7: divorces: cached candidate count "
                                              rf"{count + 1} != mask {count}$"):
-            engine._audit_boundary(store, space, "step 7")
+            engine.audit_boundary(store, space, "step 7")
         del store.candidate_counts["divorces"]
         store.oldest_age()  # the birth order is current
         store._pointers[1] = store._order_len  # past every minor
         with pytest.raises(AuditError, match=r"^step 7: birth order: the adult age \+ 1 step "
                                              r"pointer at \d+ is not at the first living "
                                              r"person younger than 217 steps$"):
-            engine._audit_boundary(store, space, "step 7")
+            engine.audit_boundary(store, space, "step 7")
 
     def test_custom_event_order(self):
         order = ("ageing", "marriages", "divorces", "births", "deaths")

@@ -39,7 +39,6 @@ from gridpop.population import (
     Gender,
     MaritalStatus,
     PopulationStore,
-    UnwedReason,
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
@@ -420,7 +419,7 @@ class CandidateCountMachine(RuleBasedStateMachine):
         s = self.store
         pid = self.pick(data, s.alive_arr & (s.status_arr == MARRIED_CODE))
         if pid is not None:
-            s.unwed(pid, UnwedReason.DIVORCE)
+            s.unwed(pid, MaritalStatus.DIVORCED)
 
     @rule(data=st.data())
     def kill(self, data):

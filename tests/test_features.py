@@ -32,8 +32,8 @@ from gridpop.population import (
     MARRIED_CODE,
     STATUSES,
     Gender,
+    MaritalStatus,
     PopulationStore,
-    UnwedReason,
 )
 from gridpop.space import Space, cell_of
 from gridpop.stochastics import make_rng
@@ -163,7 +163,7 @@ class TestComposition:
         man = housed(store, space, Gender.MALE, 50)
         woman = housed(store, space, Gender.FEMALE, 49)
         store.wed(man, woman)
-        store.unwed(man, UnwedReason.DIVORCE)
+        store.unwed(man, MaritalStatus.DIVORCED)
         store.kill(man, space)
         ctx = EvalContext(store, space)
         assert not ALIVE.compose(DIVORCED).mask(ctx)[man]
@@ -187,7 +187,7 @@ class TestComposition:
         store.wed(son, ex_wife)
         child = store.spawn_person(Gender.FEMALE, 20 * 12, father=son, mother=ex_wife,
                                    house=store.house_arr[ex_wife], space=space)
-        store.unwed(son, UnwedReason.DIVORCE)
+        store.unwed(son, MaritalStatus.DIVORCED)
         store.kill(grandpa, space)
         store.kill(grandma, space)
         store.kill(brother, space)

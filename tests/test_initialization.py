@@ -292,6 +292,31 @@ class TestFullSweep:
         assert all(STATUSES[code] in (MaritalStatus.SINGLE, MaritalStatus.MARRIED)
                    for code in store.status_arr[:store.size].tolist())
 
+    @pytest.mark.parametrize("clock, married_rate", [
+        ("monthly", 0.8), ("daily", 0.8), ("hourly", 0.8), ("custom:1", 0.8),
+        ("monthly", 0.0),  # no couple: init_children weds the oldest single pair
+    ])
+    def test_a_build_counts_once(self, monkeypatch, clock, married_rate):
+        sweeps = []
+        kin_counts = PopulationStore._kin_counts
+
+        def spy(store):
+            sweeps.append(store.size)
+            return kin_counts(store)
+
+        monkeypatch.setattr(PopulationStore, "_kin_counts", spy)
+        store = PopulationStore(ClockSpec.parse(clock).steps_per_year)
+        params = ModelParameters(initial_pop=600, start_married_rate=married_rate)
+        build_initial_state(store, Space(), params, make_rng(19))
+        assert sweeps == [600]
+        if married_rate == 0:  # the fallback couple alone
+            assert store.alive_status_counts[STATUSES.index(MaritalStatus.MARRIED)] == 2
+        for name, value in store.alive_tallies().items():
+            assert getattr(store, name) == value, name
+        assert store.kin_count_problems() == []
+        store.oldest_age()  # builds the birth order, to be checked
+        assert store.birth_order_problems() == []
+
 
 # -- the per-person loops the bulk initialization replaced, as references ----
 

@@ -16,7 +16,6 @@ from gridpop.population import (
     Gender,
     MaritalStatus,
     PopulationStore,
-    UnwedReason,
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
@@ -100,7 +99,7 @@ class TestWed:
         m = housed(store, space, Gender.MALE, 30)
         f = housed(store, space, Gender.FEMALE, 28)
         store.wed(m, f)
-        store.unwed(m, UnwedReason.DIVORCE)
+        store.unwed(m, MaritalStatus.DIVORCED)
         for pid in (m, f):
             assert store.status_arr[pid] != MARRIED_CODE and store.partner_arr[pid] == -1
         sweep_ok(store, space)
@@ -111,7 +110,7 @@ class TestUnwed:
         m = housed(store, space, Gender.MALE, 40)
         f = housed(store, space, Gender.FEMALE, 41)
         store.wed(m, f)
-        store.unwed(f, UnwedReason.DIVORCE)
+        store.unwed(f, MaritalStatus.DIVORCED)
         assert STATUSES[store.status_arr[m]] is MaritalStatus.DIVORCED
         assert STATUSES[store.status_arr[f]] is MaritalStatus.DIVORCED
 
@@ -125,13 +124,24 @@ class TestUnwed:
     def test_not_married(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
         with pytest.raises(ValueError, match="not married"):
-            store.unwed(m, UnwedReason.DIVORCE)
+            store.unwed(m, MaritalStatus.DIVORCED)
+
+    @pytest.mark.parametrize("status", [MaritalStatus.SINGLE, MaritalStatus.MARRIED, "divorced"])
+    def test_only_divorced_or_widowed(self, store, space, status):
+        m = housed(store, space, Gender.MALE, 40)
+        f = housed(store, space, Gender.FEMALE, 41)
+        store.wed(m, f)
+        version = store.version
+        with pytest.raises(ValueError, match="^a marriage ends divorced or widowed, not "):
+            store.unwed(m, status)
+        assert store.partner_arr[[m, f]].tolist() == [f, m] and store.version == version
+        sweep_ok(store, space)
 
     def test_divorced_satisfy_marriage_eligibility(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
         f = housed(store, space, Gender.FEMALE, 41)
         store.wed(m, f)
-        store.unwed(m, UnwedReason.DIVORCE)
+        store.unwed(m, MaritalStatus.DIVORCED)
         ctx = EvalContext(store, space)
         eligible = ~MARRIED & ADULT & ALIVE
         assert eligible.mask(ctx)[m]
@@ -214,7 +224,7 @@ class TestRandomWalkInvariants:
                     store.wed(males[int(rng.integers(len(males)))],
                               females[int(rng.integers(len(females)))])
             elif op == 1 and married[pid]:
-                store.unwed(pid, UnwedReason.DIVORCE)
+                store.unwed(pid, MaritalStatus.DIVORCED)
             elif op == 2:
                 store.kill(pid, space)
             else:  # birth to a married woman

@@ -14,8 +14,8 @@ from gridpop.initialization import init_town_populations
 from gridpop.population import (
     MARRIED_CODE,
     Gender,
+    MaritalStatus,
     PopulationStore,
-    UnwedReason,
     collect_invariant_violations,
 )
 from gridpop.space import (
@@ -419,7 +419,7 @@ class SpaceMachine(RuleBasedStateMachine):
         s = self.store
         pid = self.pick(data, s.alive_arr & (s.status_arr == MARRIED_CODE))
         if pid is not None:
-            s.unwed(pid, UnwedReason.DIVORCE)
+            s.unwed(pid, MaritalStatus.DIVORCED)
 
     @rule(data=st.data())
     def kill(self, data):
