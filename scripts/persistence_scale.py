@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Round-trip a 200,000-agent initial state through population.txt at bounded memory.
 
-Builds the initial state of a 200,000-agent monthly run (seed 3) with
-``engine.build_initial_population``, exports it, imports the file and
+Builds the initial state of a 200,000-agent monthly run (seed 3) as an
+``engine.Simulation``, exports it, imports the file and
 exports the imported store again. Exits non-zero unless the two files are
 byte-identical, the process's peak RSS (``ru_maxrss``) grows by at most
 20 MB across the export and by at most 100 MB across the import. Prints
@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from gridpop import engine
-from gridpop.params import ModelParameters, SimulationConfig
+from gridpop.params import DataTables, ModelParameters, SimulationConfig
 from gridpop.stochastics import ClockSpec
 
 AGENTS = 200_000
@@ -40,7 +40,8 @@ def measured(call):
 
 def main() -> int:
     config = SimulationConfig(clock=ClockSpec.parse("monthly"), seed=3)
-    store, space, _ = engine.build_initial_population(config, ModelParameters(initial_pop=AGENTS))
+    sim = engine.Simulation(config, ModelParameters(initial_pop=AGENTS), DataTables())
+    store, space = sim.store, sim.space
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "population.txt", Path(tmp) / "reexport.txt"
         _, export_s, export_mb = measured(lambda: engine.export_population(store, space, first))

@@ -17,9 +17,8 @@ import numpy as np
 
 from .engine import (
     AuditError,
+    Simulation,
     StepStatistics,
-    audit_boundary,
-    build_initial_population,
     export_population,
     load_fertility_table,
     run_simulation,
@@ -50,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--initial-pop", type=int, help="initial population size")
     run_p.add_argument("--fertility", help="fertility table file, or 'synthetic'")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--audit", action="store_true",
+    run_p.add_argument("--audit", action="store_true", default=None,
                        help="verify every invariant at every step (slow)")
     run_p.add_argument("--replicates", type=int, default=1,
                        help="number of replicate runs with consecutive seeds")
@@ -64,31 +63,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each flag (its argparse dest) that sets a SimulationConfig field, and the
+# field; a flag not given is None. --initial-pop sets ModelParameters.
+_CONFIG_FLAGS = {"seed": "seed", "dt": "clock", "t0": "t0", "tfinal": "t_final",
+                 "fertility": "fertility", "out": "output_dir", "audit": "audit"}
+
+
 def _load(args) -> tuple[ModelParameters, SimulationConfig]:
     if args.config:
         params, config = load_config(args.config)
     else:
         params, config = ModelParameters(), SimulationConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "dt", None):
+    overrides = {field: getattr(args, flag) for flag, field in _CONFIG_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
+    if "clock" in overrides:
         try:
-            overrides["clock"] = ClockSpec.parse(args.dt)
+            overrides["clock"] = ClockSpec.parse(overrides["clock"])
         except ValueError as err:
             raise ConfigError(f"bad value for --dt: {err}") from None
-    if getattr(args, "t0", None) is not None:
-        overrides["t0"] = args.t0
-    if getattr(args, "tfinal", None) is not None:
-        overrides["t_final"] = args.tfinal
-    if getattr(args, "fertility", None):
-        overrides["fertility"] = args.fertility
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    if getattr(args, "audit", False):
-        overrides["audit"] = True
-    if overrides:
-        config = replace(config, **overrides)
+    config = replace(config, **overrides)
     if getattr(args, "initial_pop", None) is not None:
         params = replace(params, initial_pop=args.initial_pop)
     params.validate()
@@ -157,14 +150,12 @@ def _write_replicate_summary(all_stats, path: Path) -> None:
 def _cmd_validate(args) -> int:
     params, config = _load(args)
     tables = DataTables(fertility=load_fertility_table(config.fertility))
-    tables.validate()
-    store, space, _ = build_initial_population(config, params)
     try:
-        audit_boundary(store, space, "initial state")
+        sim = Simulation(replace(config, audit=True), params, tables)
     except AuditError as error:
         print(f"INVALID: {error}", file=sys.stderr)
         return 1
-    print(f"valid: {store.alive_count} persons in {space.house_count} houses, "
+    print(f"valid: {sim.store.alive_count} persons in {sim.space.house_count} houses, "
           f"all invariants hold")
     return 0
 

@@ -6,7 +6,9 @@ CSV/export writers format numbers identically everywhere. The fields of
 ``StepStatistics`` are the statistics.csv columns: the header and the row
 format are derived from them. A run is a ``Simulation``, whose fields hold
 all of its state between steps; ``step()`` advances it by one step, and
-``run_simulation`` is a loop over ``step()``. The events read the live
+``run_simulation`` is a loop over ``step()``. Building a ``Simulation`` is
+the one way to start a run: every initial state, the CLI's and the
+scripts' included, comes from its constructor. The events read the live
 store: a caller that needs a boundary's state copies it (``StepSnapshot``)
 before ``step()``, as ``run_simulation`` does for a step hook only.
 
@@ -15,8 +17,9 @@ sweep at every step boundary and verifies the structural invariants
 (among them the vacancy index, which the occupied-house count is read
 from), the events' cached candidate counts, the birth order, the kin
 counts, population conservation, and house-count monotonicity.
-``audit_boundary`` holds the checks of one boundary; ``gridpop validate``
-runs it on the initial state.
+``audit_boundary`` holds the checks of one boundary. ``gridpop validate``
+is an audited start: it builds a ``Simulation`` with audit on, so it
+checks exactly the first boundary of ``run --audit``.
 """
 
 from __future__ import annotations
@@ -102,17 +105,6 @@ def collect_step_statistics(store: PopulationStore, space: Space,
                           space.house_count, space.occupied_house_count)
 
 
-def build_initial_population(config: SimulationConfig, params: ModelParameters
-                             ) -> tuple[PopulationStore, Space, np.random.Generator]:
-    """The run's initial store and space, and its generator after drawing them."""
-    rng = make_rng(config.seed)
-    density = None if config.density_map == "default" else load_density_map(config.density_map)
-    space = Space(density=density, town_grid_cells=config.town_grid_size)
-    store = PopulationStore(config.clock.steps_per_year)
-    build_initial_state(store, space, params, rng, max_initial_age=config.max_initial_age)
-    return store, space, rng
-
-
 def load_fertility_table(source: str) -> FertilityTable:
     """Fertility rates from a table file, or the synthetic default profile."""
     if source == SYNTHETIC_FERTILITY:
@@ -133,7 +125,12 @@ class Simulation:
         for record in (config, params, tables):
             record.validate()
         self.config = config
-        self.store, self.space, self.rng = build_initial_population(config, params)
+        self.rng = make_rng(config.seed)
+        density = None if config.density_map == "default" else load_density_map(config.density_map)
+        self.space = Space(density=density, town_grid_cells=config.town_grid_size)
+        self.store = PopulationStore(config.clock.steps_per_year)
+        build_initial_state(self.store, self.space, params, self.rng,
+                            max_initial_age=config.max_initial_age)
         self.hazards = HazardTables(params, tables, config.clock.steps_per_year)
         if config.audit:
             audit_boundary(self.store, self.space, "initial state")
@@ -269,18 +266,31 @@ def _line_blocks(file: TextIO) -> Iterator[tuple[int, list[str]]]:
         first += len(block)
 
 
+_NO_HOUSE = ("-", "grave")
+
+
+def _ids(cells: tuple[str, ...], none: tuple[str, ...]) -> np.ndarray:
+    """The ids in cells, -1 for a cell in ``none``. Raises ValueError on a
+    cell that is not an integer, or a negative one: each cell in ``none``
+    is -1, so any other negative shows in the count of negatives."""
+    ids = np.array([-1 if cell in none else int(cell) for cell in cells], dtype=np.int64)
+    if np.count_nonzero(ids < 0) != sum(map(cells.count, none)):
+        raise ValueError("a negative id")
+    return ids
+
+
 def _conversion_error(block: list[str], start: int) -> ValueError | None:
     """The first field of a block that _fill_rows cannot convert, named
     with its line; sought only after a conversion failed. As there, a
-    town is converted only where the house is an id, not negative."""
+    town is converted only where the house is an id."""
     names = EXPORT_FIELDS.split()
     # By index in a line: what a field holds, and a conversion that fails
     # where _fill_rows's does.
     integer = ("an integer", int)
-    ref = ("an integer or -", lambda cell: cell == "-" or int(cell))
+    ref = ("a non-negative integer or -", lambda cell: _ids((cell,), ("-",)))
     fields = {1: ("male or female", Gender), 2: integer,
               4: ("single, married, divorced or widowed", MaritalStatus), 5: ref, 6: ref, 7: ref,
-              9: ("an integer, - or grave", lambda cell: cell in ("-", "grave") or int(cell)),
+              9: ("a non-negative integer, - or grave", lambda cell: _ids((cell,), _NO_HOUSE)),
               10: integer, 11: integer}
     for lineno, ln in enumerate(block, start=start):
         if ln.startswith("#") or not ln.strip():
@@ -288,7 +298,7 @@ def _conversion_error(block: list[str], start: int) -> ValueError | None:
         cells = ln.split(" ")
         for i, (expected, convert) in fields.items():
             try:
-                if i < 10 or cells[9] not in ("-", "grave") and int(cells[9]) >= 0:
+                if i < 10 or cells[9] not in _NO_HOUSE:
                     convert(cells[i])
             except ValueError:
                 return ValueError(f"line {lineno}: {names[i]} {cells[i]!r}, expected {expected}")
@@ -311,9 +321,8 @@ def _fill_rows(store: PopulationStore, rows: list[list[str]]) -> tuple[np.ndarra
     store.status_arr[lo:hi] = [code[s] for s in statuses]
     for array, refs in ((store.partner_arr, partners), (store.father_arr, fathers),
                         (store.mother_arr, mothers)):
-        array[lo:hi] = [-1 if r == "-" else int(r) for r in refs]
-    house = np.array([-1 if h in ("-", "grave") else int(h) for h in houses], dtype=np.int64)
-    store.house_arr[lo:hi] = house
+        array[lo:hi] = _ids(refs, ("-",))
+    house = store.house_arr[lo:hi] = _ids(houses, _NO_HOUSE)
     housed = np.flatnonzero(house >= 0)
     ids = housed.tolist()
     towns = np.array([[int(towns_x[i]) for i in ids], [int(towns_y[i]) for i in ids]],

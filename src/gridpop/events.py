@@ -339,7 +339,6 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     and age compatibility; households merge into the larger house.
     """
     n = store.steps_per_year
-    adult_steps = store.adult_age_steps
     count, build = _candidates(store, "marriages", [man for man, _ in log.divorces])
     grooms = _thinned_hits(rng, count, build, hazards.marriage_bound,
                            lambda hit: hazards.marriage.take(
@@ -347,10 +346,7 @@ def marriages_step(store: PopulationStore, space: Space, hazards: HazardTables,
     if not grooms:
         return
 
-    size = store.size
-    pool = (store.alive_arr[:size] & ~store.male_arr[:size]
-            & (store.status_arr[:size] != MARRIED_CODE)
-            & (store.age_steps_arr[:size] >= adult_steps)).nonzero()[0]
+    pool = store.unmarried_adults(male=False)
     pool_ages = store.age_steps_arr[pool] / n
     # Child counts cannot change during this event; houses can (household
     # merges move co-residents), so towns are read through the live house

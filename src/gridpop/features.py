@@ -79,15 +79,18 @@ class EvalContext:
         self.snapshot = snapshot
 
     def state(self, past: bool) -> StepSnapshot:
-        """The snapshot when past, else the store's current arrays."""
-        return self.snapshot if past else StepSnapshot(self.store, copy=False)
+        """The snapshot when past, else the store's current arrays; with no
+        snapshot, the initial state is its own past."""
+        if past and self.snapshot is not None:
+            return self.snapshot
+        return StepSnapshot(self.store, copy=False)
 
 
 class FeatureExpr:
     """Base node; subclasses implement mask(ctx, past).
 
     mask returns a boolean array over the ids of the state it reads: the
-    store's [0, size) now, the snapshot's [0, snapshot.size) when past.
+    store's [0, size) now, the past state's (see EvalContext.state) when past.
     """
 
     def mask(self, ctx: EvalContext, past: bool = False) -> np.ndarray:
@@ -142,17 +145,9 @@ class Pre(FeatureExpr):
     def mask(self, ctx, past=False):
         if past:
             raise FeatureError("temporal operators cannot be nested (one snapshot is retained)")
-        return _past_mask(self.inner, ctx)
-
-
-def _past_mask(expr: FeatureExpr, ctx: EvalContext) -> np.ndarray:
-    if ctx.snapshot is None:
-        # First boundary: the initial state is its own past.
-        return expr.mask(ctx)
-    # Created since the snapshot: every past evaluation is False.
-    out = np.zeros(ctx.store.size, dtype=bool)
-    out[:ctx.snapshot.size] = expr.mask(ctx, past=True)
-    return out
+        then = self.inner.mask(ctx, past=True)
+        # False for the ids issued since the snapshot.
+        return np.concatenate([then, np.zeros(ctx.store.size - len(then), dtype=bool)])
 
 
 def just(expr: FeatureExpr) -> FeatureExpr:

@@ -6,6 +6,8 @@ parents, and housing is created last so that no initial house is ever
 empty. The stages write the store's arrays only; build_initial_state
 derives the cached counts from them in one recount() at its end, as an
 import does. The structural invariants hold once the build completes.
+engine.Simulation, the one start of a run, calls build_initial_state.
+Couples come from store.unmarried_adults, as the marriage event's brides do.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ def init_ages_and_genders(store: PopulationStore, pids: np.ndarray, rng: Rng,
     store.age_steps_arr[pids] = ages
 
 
-def _alive_adults(store: PopulationStore, male: bool, unmarried: bool = False) -> np.ndarray:
-    n = store.size
-    mask = (store.alive_arr[:n] & (store.male_arr[:n] == male)
-            & (store.age_steps_arr[:n] >= store.adult_age_steps))
-    if unmarried:
-        mask &= store.status_arr[:n] != MARRIED_CODE
-    return np.flatnonzero(mask)
-
-
 def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng) -> None:
     """Marry off adult males, each selected with probability start_married_rate.
 
@@ -83,12 +76,12 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     last pick.
     """
     n = store.steps_per_year
-    adult_males = _alive_adults(store, male=True)
+    adult_males = store.unmarried_adults(male=True)  # everyone is single yet
     picks = rng.random(len(adult_males)) < params.start_married_rate
     selected = adult_males[picks]
     rng.shuffle(selected)
 
-    pool_ids = _alive_adults(store, male=False)
+    pool_ids = store.unmarried_adults(male=False)
     pool_years = store.age_steps_arr[pool_ids] / n
     groom_years = store.age_steps_arr[selected] / n
     live = len(pool_ids)
@@ -183,8 +176,7 @@ def init_children(store: PopulationStore, rng: Rng) -> None:
 
 
 def _wed_oldest_single_pair(store: PopulationStore) -> None:
-    males = _alive_adults(store, male=True, unmarried=True)
-    females = _alive_adults(store, male=False, unmarried=True)
+    males, females = store.unmarried_adults(male=True), store.unmarried_adults(male=False)
     if len(males) == 0 or len(females) == 0:
         raise InitializationError("minors present but no married couple can be formed")
     # argmax takes the first, so the lowest id among the oldest.

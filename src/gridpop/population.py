@@ -87,7 +87,7 @@ _ARRAYS = (
 
 class Person:
     """One row of the store, read as the benchmark reads it; it goes once the
-    benchmark reads the arrays (ROADMAP item 7). Assigning partner writes
+    benchmark reads the arrays (ROADMAP item 11). Assigning partner writes
     straight into partner_arr, bypassing the mutators' checks and cached
     counters: the benchmark's self-test corrupts a state through it."""
 
@@ -181,6 +181,14 @@ class PopulationStore:
 
     def alive_ids(self) -> list[PersonId]:
         return np.flatnonzero(self.alive_arr[: self._next_id]).tolist()
+
+    def unmarried_adults(self, male: bool) -> np.ndarray:
+        """The living adults of one gender who are single, divorced or
+        widowed, ids ascending: the initial couples and the bride pool."""
+        n = self._next_id
+        return np.flatnonzero(self.alive_arr[:n] & (self.male_arr[:n] == male)
+                              & (self.status_arr[:n] != MARRIED_CODE)
+                              & (self.age_steps_arr[:n] >= self.adult_age_steps))
 
     def add_rows(self, count: int) -> PersonId:
         """Issue `count` new ids whose rows hold the unused values (not

@@ -18,7 +18,6 @@ from gridpop.engine import (
     EXPORT_FIELDS,
     STATISTICS_HEADER,
     Simulation,
-    build_initial_population,
     collect_step_statistics,
     export_population,
     import_population,
@@ -654,10 +653,15 @@ class TestExport:
         (6, "gender", "malee", "male or female"),
         (6, "age_steps", "3.5", "an integer"),
         (6, "status", "engaged", "single, married, divorced or widowed"),
-        (6, "partner", "none", "an integer or -"),
-        (6, "father", "1e3", "an integer or -"),
-        (6, "mother", "-1.0", "an integer or -"),
-        (6, "house", "home", "an integer, - or grave"),
+        (6, "partner", "none", "a non-negative integer or -"),
+        (6, "father", "1e3", "a non-negative integer or -"),
+        (6, "mother", "-1.0", "a non-negative integer or -"),
+        (6, "house", "home", "a non-negative integer, - or grave"),
+        # A negative id would re-export as '-'.
+        (6, "partner", "-7", "a non-negative integer or -"),
+        (6, "father", "-1", "a non-negative integer or -"),
+        (6, "mother", "-1", "a non-negative integer or -"),
+        (6, "house", "-4", "a non-negative integer, - or grave"),
         (6, "town_x", "x", "an integer"),
         (6, "town_y", "5.", "an integer"),
         (21, "gender", "malee", "male or female"),  # the third block's last line
@@ -710,8 +714,8 @@ class TestExport:
             import_population(path)
 
     def test_export_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
-        store, space, _ = build_initial_population(small_config(seed=26),
-                                                   ModelParameters(initial_pop=20_000))
+        sim = Simulation(small_config(seed=26), ModelParameters(initial_pop=20_000), DataTables())
+        store, space = sim.store, sim.space
         monkeypatch.setattr(engine, "_EXPORT_BLOCK", 1000)
         tracemalloc.start()
         try:

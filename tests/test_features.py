@@ -273,10 +273,10 @@ class TestTemporalOperators:
     ], ids=["pre_pre", "pre_just", "just_pre", "just_just"])
     def test_nested_temporal_rejected(self, nested):
         store, space, m, f = self.build_couple()
-        snap = StepSnapshot.capture(store)
-        ctx = EvalContext(store, space, snap)
-        with pytest.raises(FeatureError):
-            nested.mask(ctx)[m]
+        # At the first boundary (no snapshot) as at every later one.
+        for snap in (StepSnapshot.capture(store), None):
+            with pytest.raises(FeatureError):
+                nested.mask(EvalContext(store, space, snap))[m]
 
     def test_compose_function_form(self):
         store, space = random_population(7, n=40)

@@ -23,7 +23,7 @@ def test_runs_alternate_and_hash_the_parents_of_the_build():
     assert [run["checkout"] for run in runs] == [here, again, again, here]
 
     config = SimulationConfig(clock=ClockSpec.parse("custom:3"), seed=4)
-    store, _, _ = engine.build_initial_population(config, ModelParameters(initial_pop=300))
+    store = engine.Simulation(config, ModelParameters(initial_pop=300), DataTables()).store
     n = store.size
     for run in runs:
         assert run["father_sha256"] == hashlib.sha256(store.father_arr[:n].tobytes()).hexdigest()

@@ -148,6 +148,56 @@ class TestUnwed:
         assert eligible.mask(ctx)[f]
 
 
+class TestUnmarriedAdults:
+    """store.unmarried_adults, the pool of the initial couples and of the
+    marriage event's brides."""
+
+    @staticmethod
+    def population(store, space):
+        """Named persons of every kind; the divorce and the widowhood come
+        after the last spawn, so eligibility is not gained in id order."""
+        ids = {
+            "divorced": housed(store, space, Gender.FEMALE, 48),
+            "ex_husband": housed(store, space, Gender.MALE, 50),
+            "single": housed(store, space, Gender.FEMALE, 30),
+            "husband": housed(store, space, Gender.MALE, 35),
+            "wife": housed(store, space, Gender.FEMALE, 33),
+            "widowed": housed(store, space, Gender.FEMALE, 66),
+            "late_husband": housed(store, space, Gender.MALE, 70),
+            "minor": housed(store, space, Gender.FEMALE, 18 - 1 / 12),
+            "just_adult": housed(store, space, Gender.FEMALE, 18),
+            "dead": housed(store, space, Gender.FEMALE, 40),
+            "single_man": housed(store, space, Gender.MALE, 25),
+        }
+        store.kill(ids["dead"], space)
+        for man, woman in (("husband", "wife"), ("ex_husband", "divorced"),
+                           ("late_husband", "widowed")):
+            store.wed(ids[man], ids[woman])
+        store.unwed(ids["ex_husband"], MaritalStatus.DIVORCED)
+        store.kill(ids["late_husband"], space)
+        return ids
+
+    def test_excludes_the_married_minors_dead_and_other_gender(self, store, space):
+        ids = self.population(store, space)
+        women = store.unmarried_adults(male=False).tolist()
+        for name in ("wife", "minor", "dead", "single_man", "husband"):
+            assert ids[name] not in women
+        assert store.unmarried_adults(male=True).tolist() == [ids["ex_husband"],
+                                                               ids["single_man"]]
+
+    def test_includes_the_divorced_and_widowed(self, store, space):
+        ids = self.population(store, space)
+        women = store.unmarried_adults(male=False).tolist()
+        assert ids["divorced"] in women and ids["widowed"] in women
+
+    def test_ids_ascending(self, store, space):
+        ids = self.population(store, space)
+        women = store.unmarried_adults(male=False)
+        assert women.tolist() == [ids[name] for name in ("divorced", "single", "widowed",
+                                                         "just_adult")]
+        assert np.all(np.diff(women) > 0)
+
+
 class TestKill:
     def test_widow_keeps_house_dead_in_grave(self, store, space):
         m = housed(store, space, Gender.MALE, 40)
