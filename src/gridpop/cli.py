@@ -53,13 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every invariant at every step (slow)")
     run_p.add_argument("--replicates", type=int, default=1,
                        help="number of replicate runs with consecutive seeds")
+    run_p.set_defaults(handler=_cmd_run)
 
     val_p = sub.add_parser("validate", help="build the initial state and audit it")
     val_p.add_argument("--config", help="config file to validate")
     val_p.add_argument("--fertility", help="fertility table file, or 'synthetic'")
+    val_p.set_defaults(handler=_cmd_validate)
 
     exp_p = sub.add_parser("export-defaults", help="write the default config")
     exp_p.add_argument("--out", default="-", help="target file, or - for stdout")
+    exp_p.set_defaults(handler=_cmd_export_defaults)
     return parser
 
 
@@ -172,23 +175,15 @@ def _cmd_export_defaults(args) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "export-defaults":
-            return _cmd_export_defaults(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

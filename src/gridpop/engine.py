@@ -272,7 +272,8 @@ _NO_HOUSE = ("-", "grave")
 def _ids(cells: tuple[str, ...], none: tuple[str, ...]) -> np.ndarray:
     """The ids in cells, -1 for a cell in ``none``. Raises ValueError on a
     cell that is not an integer, or a negative one: each cell in ``none``
-    is -1, so any other negative shows in the count of negatives."""
+    is -1, so any other negative shows in the count of negatives; and
+    OverflowError on an integer beyond int64."""
     ids = np.array([-1 if cell in none else int(cell) for cell in cells], dtype=np.int64)
     if np.count_nonzero(ids < 0) != sum(map(cells.count, none)):
         raise ValueError("a negative id")
@@ -285,8 +286,8 @@ def _conversion_error(block: list[str], start: int) -> ValueError | None:
     town is converted only where the house is an id."""
     names = EXPORT_FIELDS.split()
     # By index in a line: what a field holds, and a conversion that fails
-    # where _fill_rows's does.
-    integer = ("an integer", int)
+    # where _fill_rows's does, an integer beyond int64 included.
+    integer = ("an integer", lambda cell: np.int64(int(cell)))
     ref = ("a non-negative integer or -", lambda cell: _ids((cell,), ("-",)))
     fields = {1: ("male or female", Gender), 2: integer,
               4: ("single, married, divorced or widowed", MaritalStatus), 5: ref, 6: ref, 7: ref,
@@ -300,7 +301,7 @@ def _conversion_error(block: list[str], start: int) -> ValueError | None:
             try:
                 if i < 10 or cells[9] not in _NO_HOUSE:
                     convert(cells[i])
-            except ValueError:
+            except (ValueError, OverflowError):
                 return ValueError(f"line {lineno}: {names[i]} {cells[i]!r}, expected {expected}")
     return None
 
@@ -382,7 +383,7 @@ def import_population(path: str | Path) -> tuple[PopulationStore, Space]:
             if rows:
                 try:
                     housed, towns = _fill_rows(store, rows)
-                except ValueError as error:
+                except (ValueError, OverflowError) as error:
                     raise _conversion_error(block, start) or error from None
                 housed_blocks.append(housed)
                 town_blocks.append(towns)

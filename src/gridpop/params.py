@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .space import DEFAULT_TOWN_GRID_CELLS
 from .stochastics import DEFAULT_MAX_INITIAL_AGE_YEARS, ClockSpec
 
 EVENT_NAMES = ("ageing", "deaths", "births", "divorces", "marriages")
@@ -165,7 +166,7 @@ class SimulationConfig:
     output_dir: str = "out"
     fertility: str = SYNTHETIC_FERTILITY  # path or "synthetic"
     density_map: str = "default"  # path or "default"
-    town_grid_size: int = 25
+    town_grid_size: int = DEFAULT_TOWN_GRID_CELLS
     max_initial_age: float = DEFAULT_MAX_INITIAL_AGE_YEARS
     audit: bool = False
     stats_every: int = 1
@@ -187,7 +188,8 @@ class SimulationConfig:
             raise ConfigError("maxInitialAge must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for key, path in (("fertility", self.fertility), ("densityMap", self.density_map)):
+        for key, path in (("fertility", self.fertility), ("densityMap", self.density_map),
+                          ("outputDir", self.output_dir)):
             if not path.strip():
                 raise ConfigError(f"{key} must not be empty")
 

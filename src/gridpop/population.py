@@ -348,10 +348,12 @@ class PopulationStore:
         house: Optional[int] = None,
         space: Optional["Space"] = None,
     ) -> PersonId:
-        """Add a new alive, single person; registers kinship and occupancy.
+        """Add a new alive, single person; registers kinship, and moves the
+        person into house through space.move_person.
 
         With house None the person is unhoused, as in a store built up by
         hand; every alive person must be housed by the first step boundary.
+        A house that does not exist raises ValueError before a row is added.
         Initialization fills its rows through add_rows instead.
         """
         if age_steps < 0:
@@ -375,8 +377,7 @@ class PopulationStore:
         if mother is not None and age_steps <= self.steps_per_year:
             self.infants_arr[mother] += 1
         if house is not None:
-            space.add_occupant(house, pid)
-            self.house_arr[pid] = house
+            space.move_person(self, pid, house)
         self.alive_count += 1
         if male:
             self.alive_male += 1
@@ -429,8 +430,9 @@ class PopulationStore:
         self.version += 1
 
     def kill(self, pid: PersonId, space: "Space") -> None:
-        """Mark a person dead: vacate the house (to the grave) and widow
-        any partner. Children keep their parent links."""
+        """Mark a person dead, widow any partner, and move them to the grave
+        (house -1) through space.move_person. Children keep their parent
+        links."""
         if not self.alive_arr[pid]:
             raise ValueError(f"person {pid} is already dead")
         if self.status_arr[pid] == MARRIED_CODE:
@@ -448,10 +450,7 @@ class PopulationStore:
                 self.living_children_arr[parent] -= 1
         if mother >= 0 and self.age_steps_arr[pid] <= self.steps_per_year:
             self.infants_arr[mother] -= 1
-        house = int(self.house_arr[pid])
-        if house >= 0:
-            space.remove_occupant(house, pid)
-            self.house_arr[pid] = -1
+        space.move_person(self, pid, -1)
 
     def assign_parents(self, children: np.ndarray, fathers: np.ndarray,
                        mothers: np.ndarray) -> None:

@@ -19,6 +19,10 @@ It is current from the constructor on: ``add_houses`` appends each new
 house to its cell's list, and the bulk ``add_residents`` rebuilds it in
 one pass over the houses. The occupied-house count is read from it:
 every house not listed as vacant.
+
+Beyond those bulk builds, ``move_person`` is the one call that changes a
+person's house (``house_arr``, ``residents`` and ``vacant_by_cell``): into
+a house at birth, between houses, and to the grave (-1) at death.
 """
 
 from __future__ import annotations
@@ -208,13 +212,6 @@ class Space:
 
     # -- occupancy -----------------------------------------------------
 
-    def add_occupant(self, house_id: HouseId, person_id: int) -> None:
-        residents = self.residents[house_id]
-        if not residents:
-            empties = self.vacant_by_cell[int(self.town_cell[house_id])]
-            del empties[bisect_left(empties, house_id)]
-        residents.add(person_id)
-
     def add_residents(self, house_ids: np.ndarray, person_ids: np.ndarray) -> None:
         """Register each person as an occupant of the house at the same
         position, then rebuild the vacancy index; callers write the
@@ -230,25 +227,27 @@ class Space:
         for house_id, cell in zip(vacant.tolist(), self.town_cell[vacant].tolist()):
             self.vacant_by_cell.setdefault(cell, []).append(house_id)
 
-    def remove_occupant(self, house_id: HouseId, person_id: int) -> None:
-        """Raises ValueError, changing nothing, if the person does not live
-        in the house."""
-        residents = self.residents[house_id]
-        if person_id not in residents:
-            raise ValueError(f"person {person_id} does not live in house {house_id}")
-        residents.remove(person_id)
-        if not residents:
-            insort(self.vacant_by_cell.setdefault(int(self.town_cell[house_id]), []), house_id)
-
     def move_person(self, store: "PopulationStore", person_id: int, house_id: HouseId) -> None:
-        """Relocate an alive person; moving to the current house is a no-op."""
-        self.require_house(house_id)
-        if not store.alive_arr[person_id]:
+        """Move a person from their house (or none, -1) to house_id: a
+        living person into an existing house, a dead one to the grave (-1).
+        Raises ValueError, changing nothing, on anything else; moving to
+        the current house is a no-op."""
+        if store.alive_arr[person_id]:
+            self.require_house(house_id)
+        elif house_id != -1:
             raise ValueError(f"cannot move dead person {person_id}")
         old = int(store.house_arr[person_id])
         if old == house_id:
             return
         if old >= 0:
-            self.remove_occupant(old, person_id)
-        self.add_occupant(house_id, person_id)
+            residents = self.residents[old]
+            residents.remove(person_id)
+            if not residents:
+                insort(self.vacant_by_cell.setdefault(int(self.town_cell[old]), []), old)
+        if house_id >= 0:
+            residents = self.residents[house_id]
+            if not residents:
+                empties = self.vacant_by_cell[int(self.town_cell[house_id])]
+                del empties[bisect_left(empties, house_id)]
+            residents.add(person_id)
         store.house_arr[person_id] = house_id

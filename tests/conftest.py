@@ -1,5 +1,7 @@
 """Shared helpers: small populated stores and spaces for unit tests."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,14 @@ def assert_kin_counts_swept(store: PopulationStore) -> None:
     infants = np.bincount(mothers[mothers >= 0], minlength=n)
     assert store.living_children_arr[:n].tolist() == living.tolist()
     assert store.infants_arr[:n].tolist() == infants.tolist()
+
+
+def subset_pick_law(weights: np.ndarray, k: int) -> np.ndarray:
+    """The law of a groom's bride pick: a uniform k-subset S of the pool,
+    then bride j of S with probability w_j / W(S). By enumeration of the
+    subsets: P(j) = sum over S holding j of C(m, k)^-1 w_j / W(S)."""
+    law = np.zeros(len(weights))
+    subsets = [list(s) for s in combinations(range(len(weights)), k)]
+    for s in subsets:
+        law[s] += weights[s] / weights[s].sum()
+    return law / len(subsets)

@@ -104,12 +104,29 @@ class TestRun:
     @pytest.mark.parametrize("dt, message", [
         ("custom:0", "steps_per_year must be >= 1"),
         ("fortnightly", "unknown clock spec: 'fortnightly'"),
+        ("", "unknown clock spec: ''"),
     ])
     def test_bad_dt_names_the_flag(self, tmp_path, capsys, dt, message):
         out = tmp_path / "out"
         assert run_cli(["run", "--dt", dt, "--initial-pop", "100", "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip() == f"config error: bad value for --dt: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, setting, message", [
+        (["--out", ""], None, "outputDir must not be empty"),
+        ([], "outputDir =", "outputDir must not be empty"),
+        (["--fertility", ""], None, "fertility must not be empty"),
+    ])
+    def test_empty_path_is_a_config_error(self, tmp_path, monkeypatch, capsys, flags, setting,
+                                          message):
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "--initial-pop", "100", "--dt", "monthly", "--tfinal", "2021", *flags]
+        if setting:
+            (tmp_path / "c.cfg").write_text(f"{setting}\n")
+            args += ["--config", "c.cfg"]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert [p.name for p in tmp_path.iterdir()] == (["c.cfg"] if setting else [])
 
     def test_missing_fertility_file_nonzero(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -664,6 +664,11 @@ class TestExport:
         (6, "house", "-4", "a non-negative integer, - or grave"),
         (6, "town_x", "x", "an integer"),
         (6, "town_y", "5.", "an integer"),
+        # Integers beyond int64.
+        (6, "partner", "99999999999999999999", "a non-negative integer or -"),
+        (6, "age_steps", "99999999999999999999", "an integer"),
+        (6, "house", "99999999999999999999", "a non-negative integer, - or grave"),
+        (6, "town_y", "99999999999999999999", "an integer"),
         (21, "gender", "malee", "male or female"),  # the third block's last line
         (21, "status", "engaged", "single, married, divorced or widowed"),
     ])

@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from conftest import assert_kin_counts_swept, housed
+from conftest import assert_kin_counts_swept, housed, subset_pick_law
 from gridpop.engine import run_simulation, statistics_to_csv
 from gridpop.events import (
     HazardTables,
@@ -793,6 +793,43 @@ class TestMarriages:
                 picks["local" if lg.marriages[0][1] == local else "distant"] += 1
         assert picks["local"] > 0
         assert picks["distant"] <= 1
+
+    def test_bride_law_is_the_weighted_pick_from_a_uniform_subset(self):
+        stats = pytest.importorskip("scipy.stats")
+        # A yearly clock and a certain marriage rate draw the one groom in
+        # every call; with max_num_marr_cand = 3 he weighs a uniform
+        # 3-subset of seven brides, each in her own town, by distance,
+        # children and age.
+        params = ModelParameters(basic_male_marriage_rate=1.0, max_num_marr_cand=3)
+        table = hazards(params, DataTables(male_marriage_modifier_by_decade=(1.0,) * 16), 1)
+        towns = [(8, 5), (7, 5), (9, 5), (8, 4), (8, 6), (7, 4), (9, 6)]
+        kids, ages = np.array([0, 2, 1, 3, 2, 3, 4]), np.array([38, 52, 36, 28, 41, 33, 45])
+        weights = (table.geo[cell_of((8, 5)), [cell_of(t) for t in towns]]
+                   * children_factor_array(3, kids / 1.0) * age_compatibility_array(40, ages / 1.0))
+        law = subset_pick_law(weights, 3)
+        store, space, rng = PopulationStore(1), Space(), make_rng(29)
+        groom = housed(store, space, Gender.MALE, 40, town=(8, 5), rng=rng)
+        brides = [housed(store, space, Gender.FEMALE, a, town=t, rng=rng)
+                  for t, a in zip(towns, ages.tolist())]
+        for parent, n in [(groom, 3), *zip(brides, kids.tolist())]:
+            role = "father" if parent == groom else "mother"
+            for _ in range(n):
+                store.spawn_person(Gender.FEMALE, 5, **{role: parent},
+                                   house=store.house_arr[parent], space=space)
+        homes = store.house_arr[:store.size].tolist()
+        trials, counts = 1500, np.zeros(len(towns), dtype=int)
+        for _ in range(trials):
+            log = StepEventLog()
+            marriages_step(store, space, table, rng, log)
+            counts[brides.index(log.marriages[0][1])] += 1
+            # Undo the wedding and the household merge. A divorced groom
+            # and bride are as eligible as single ones, so every call
+            # draws from the same law.
+            store.unwed(groom, MaritalStatus.DIVORCED)
+            for pid, house in enumerate(homes):
+                space.move_person(store, pid, house)
+        # One test, so the Bonferroni bound of the father draw's law test is 0.01.
+        assert stats.chisquare(counts, trials * law).pvalue > 0.01
 
 
 class TestRemarriedThisStep:

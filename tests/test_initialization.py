@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subset_pick_law
 from gridpop.events import age_compatibility_array
 from gridpop.initialization import (
     InitializationError,
@@ -111,6 +112,23 @@ class TestPartnerships:
         assert (store.male_arr[married] != store.male_arr[partners]).all()
         assert (np.minimum(store.age_steps_arr[married], store.age_steps_arr[partners])
                 >= store.adult_age_steps).all()
+
+    def test_bride_law_is_the_weighted_pick_from_a_uniform_subset(self):
+        stats = pytest.importorskip("scipy.stats")
+        # One groom, seven women; with max_num_marr_cand = 3 each draw is
+        # a uniform 3-subset of the women, weighted by age compatibility.
+        groom_years, bride_years = 40, np.array([28, 33, 36, 38, 41, 45, 52])
+        params = ModelParameters(start_married_rate=1.0, max_num_marr_cand=3)
+        law = subset_pick_law(age_compatibility_array(groom_years, bride_years / 1.0), 3)
+        trials, counts = 1500, np.zeros(len(bride_years), dtype=int)
+        for seed in range(trials):
+            store = PopulationStore(12)
+            groom = store.spawn_person(Gender.MALE, groom_years * 12)
+            brides = [store.spawn_person(Gender.FEMALE, y * 12) for y in bride_years.tolist()]
+            init_partnerships(store, params, make_rng(seed))
+            counts[brides.index(store.partner_arr[groom])] += 1
+        # One test, so the Bonferroni bound of the father draw's law test is 0.01.
+        assert stats.chisquare(counts, trials * law).pvalue > 0.01
 
     def test_pool_exhaustion_leaves_singles(self, caplog):
         # Overwhelmingly male store: many selected men find no wife.

@@ -192,39 +192,51 @@ class TestHouses:
         with pytest.raises(ValueError):
             sp.new_houses(cell_of((1, 1)), rng)
 
-    def test_removing_a_non_resident_raises(self, rng):
-        sp = Space()
+    def test_house_is_vacant_again_when_its_occupant_dies(self, rng):
+        sp, store = Space(), PopulationStore(12)
         house = sp.new_houses(TOWN, rng)
-        sp.add_occupant(house, 7)
-        sp.remove_occupant(house, 7)
+        pid = store.spawn_person(Gender.MALE, 30 * 12, house=house, space=sp)
+        assert sp.vacant_by_cell == {TOWN: []}
+        store.kill(pid, sp)
         assert sp.find_or_create_empty_house(TOWN, rng) == house
-        with pytest.raises(ValueError, match="person 7 does not live in house"):
-            sp.remove_occupant(house, 7)
         assert sp.occupied_house_count == 0
         assert sp.residents == [set()]
         assert sp.vacant_by_cell == {TOWN: [house]}
 
     def test_vacancy_index_current_from_construction(self, rng):
-        sp = Space()
+        sp, store = Space(), PopulationStore(12)
         assert sp.vacant_by_cell == {}
         other = cell_of((8, 4))
         first = sp.new_houses([TOWN, other, TOWN], rng)
         assert sp.vacant_by_cell == {TOWN: [first, first + 2], other: [first + 1]}
-        sp.add_occupant(first, 0)
+        store.spawn_person(Gender.MALE, 30 * 12, house=first, space=sp)
         assert sp.vacant_by_cell == {TOWN: [first + 2], other: [first + 1]}
         assert sp.find_or_create_empty_house(TOWN, rng) == first + 2
 
     def test_bulk_residents_rebuild_the_index_and_count(self, rng):
-        sp = Space()
+        sp, store = Space(), PopulationStore(12)
         other = cell_of((8, 4))
         first = sp.new_houses([TOWN, other, TOWN, other], rng)
-        sp.add_occupant(first + 1, 0)
-        sp.add_residents(np.array([first + 2, first + 2, first + 3]), np.array([1, 2, 3]))
+        store.spawn_person(Gender.MALE, 30 * 12, house=first + 1, space=sp)
+        pids = np.array([store.spawn_person(Gender.FEMALE, 30 * 12) for _ in range(3)])
+        houses = np.array([first + 2, first + 2, first + 3])
+        store.house_arr[pids] = houses
+        sp.add_residents(houses, pids)
         assert sp.residents == [set(), {0}, {1, 2}, {3}]
         assert sp.occupied_house_count == 3
         assert sp.vacant_by_cell == {TOWN: [first]}
-        sp.remove_occupant(first + 3, 3)
+        # Emptied houses return to their cell's list in id order, whether
+        # the last occupant dies or moves out.
+        store.kill(3, sp)
         assert sp.vacant_by_cell == {TOWN: [first], other: [first + 3]}
+        sp.move_person(store, 0, first)
+        assert sp.vacant_by_cell == {TOWN: [], other: [first + 1, first + 3]}
+        store.kill(1, sp)
+        store.kill(2, sp)
+        store.kill(0, sp)
+        assert sp.vacant_by_cell == {TOWN: [first, first + 2], other: [first + 1, first + 3]}
+        assert sp.occupied_house_count == 0
+        assert collect_invariant_violations(store, sp) == []
 
     def test_bulk_residents_reject_unknown_house(self, rng):
         sp = Space()
@@ -474,6 +486,23 @@ class TestMovePerson:
         store.kill(pid, space)
         with pytest.raises(ValueError):
             space.move_person(store, pid, space.find_or_create_empty_house(TOWN, rng))
+
+    def test_the_grave_is_house_minus_one(self, store, space, rng):
+        pid = housed(store, space, Gender.MALE, 30, rng=rng)
+        house = int(store.house_arr[pid])
+        store.kill(pid, space)
+        assert store.house_arr[pid] == -1
+        assert space.residents[house] == set()
+        assert space.vacant_by_cell == {TOWN: [house]}
+        with pytest.raises(ValueError, match=f"cannot move dead person {pid}"):
+            space.move_person(store, pid, house)
+        space.move_person(store, pid, -1)  # already in the grave: a no-op
+        living = housed(store, space, Gender.FEMALE, 30, house=house)
+        with pytest.raises(ValueError, match="house -1 does not exist"):
+            space.move_person(store, living, -1)
+        assert store.house_arr[pid] == -1 and store.house_arr[living] == house
+        assert space.residents[house] == {living}
+        assert space.vacant_by_cell == {TOWN: []}
 
     @pytest.mark.parametrize("bad", [-2, -1, "count"])
     def test_unknown_house_rejected(self, store, space, rng, bad):
