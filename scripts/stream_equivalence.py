@@ -6,7 +6,8 @@ byte, so the golden digests cannot tell a faithful redraw from a biased
 one. This script can. It extracts ``src/`` of a git revision (``--rev``,
 default HEAD) with ``git archive``, then runs that code and the working
 tree's ``src/`` over ``SEEDS`` (40) seeds each, on disjoint seeds so that
-the two samples are independent. Each run is ``gridpop run`` in a fresh
+the two samples are independent: seeds 1-40 for the revision and
+100001-100040 for the working tree. Each run is ``gridpop run`` in a fresh
 subprocess, at most ``--jobs`` at a time.
 
 At the end of every simulated year it takes each statistics.csv column:
@@ -18,9 +19,19 @@ test, and multiplies each p-value by the number of tests (Bonferroni).
 It prints every p-value and exits non-zero if any corrected p-value is
 at or below ``ALPHA`` (0.05).
 
+A biased draw of the initial couples can move the yearly statistics
+columns too little to show, so each seed's initial state is also built
+on its own, by ``engine.Simulation`` in a fresh subprocess, taking no
+step. Its couples give two more tests per scenario, as year 0, under
+the same correction: the couple count (one value per seed, 40 per side) and the
+husband-minus-wife age gap (every couple of every seed, pooled: about
+0.19 times the agents per seed, so some 1.5 million gaps per side on
+``monthly-200k``). The gaps of one build share its pool, so they are not
+quite independent, and the pooled test is somewhat liberal.
+
 Scenarios (default settings otherwise): ``daily-10k`` and
 ``monthly-200k`` for 2 years, ``hourly-1k`` for 1 year. The three with
-40 seeds per side take about 10 minutes on two cores; ``--scenario``
+40 seeds per side take about 5 minutes on two cores; ``--scenario``
 picks a subset.
 
 Power: a copy whose hazards were all 5% low failed on ``monthly-200k``
@@ -39,6 +50,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -70,6 +82,24 @@ EVENT_COLUMNS = ("births", "deaths", "marriages", "divorces", "orphan_moves", "d
 NEW_SEED_OFFSET = 100_000
 
 RUN = "import sys; from gridpop.cli import main; sys.exit(main(sys.argv[1:]))"
+
+# Builds the initial state of ``gridpop run --seed SEED`` with the default
+# settings, takes no step, and prints its couple count and every couple's
+# husband-minus-wife age gap in years, as JSON.
+COUPLES = """
+import json, sys
+from gridpop.engine import Simulation
+from gridpop.params import DataTables, ModelParameters, SimulationConfig
+from gridpop.population import MARRIED_CODE
+from gridpop.stochastics import ClockSpec
+clock, agents, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+store = Simulation(SimulationConfig(clock=ClockSpec.parse(clock), seed=seed),
+                   ModelParameters(initial_pop=agents), DataTables()).store
+n = store.size
+husbands = (store.male_arr[:n] & (store.status_arr[:n] == MARRIED_CODE)).nonzero()[0]
+gaps = store.age_steps_arr[husbands] - store.age_steps_arr[store.partner_arr[husbands]]
+json.dump({"couples": len(husbands), "gaps": (gaps / store.steps_per_year).tolist()}, sys.stdout)
+"""
 
 
 class Comparison(NamedTuple):
@@ -142,20 +172,46 @@ def run_one(src: Path, scenario: str, seed: int, scratch: Path) -> dict[tuple[in
     return samples
 
 
+def initial_couples(src: Path, scenario: str, seed: int) -> dict[tuple[int, str], list[float]]:
+    """The initial state of one run of ``scenario`` by the code under
+    ``src``, built in a fresh subprocess: {(0, "couples"): [its couple
+    count], (0, "age_gap"): its couples' age gaps}."""
+    clock, agents, _ = SCENARIOS[scenario]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", COUPLES, clock, str(agents), str(seed)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{scenario} seed {seed} build under {src} failed: "
+                           f"{proc.stderr[-2000:]}")
+    built = json.loads(proc.stdout)
+    return {(0, "couples"): [float(built["couples"])], (0, "age_gap"): built["gaps"]}
+
+
+def samples_of(src: Path, scenario: str, seed: int,
+               scratch: Path) -> dict[tuple[int, str], list[float]]:
+    """One seed's samples: its run's year samples and, as year 0, its
+    initial couples."""
+    out = {key: [value] for key, value in run_one(src, scenario, seed, scratch).items()}
+    out.update(initial_couples(src, scenario, seed))
+    return out
+
+
 def collect(sides: dict[str, tuple[Path, int]], scenarios, scratch: Path,
             jobs: int) -> dict[str, dict[tuple, list[float]]]:
-    """{side: {(scenario, year, column): one value per seed}}, where each
-    side is (its ``src``, its first seed). The two sides' runs alternate,
-    so a change in the host's speed or load falls on both alike."""
+    """{side: {(scenario, year, column): the values of every seed}}, where
+    each side is (its ``src``, its first seed). A statistics column gives
+    one value per seed, the initial age gaps one per couple. The two
+    sides' runs alternate, so a change in the host's speed or load falls
+    on both alike."""
     with ThreadPoolExecutor(jobs) as pool:
         runs = [(side, scenario, first + i,
-                 pool.submit(run_one, src, scenario, first + i, scratch))
+                 pool.submit(samples_of, src, scenario, first + i, scratch))
                 for scenario in scenarios for i in range(SEEDS)
                 for side, (src, first) in sides.items()]
         out: dict[str, dict[tuple, list[float]]] = {side: {} for side in sides}
         for side, scenario, seed, run in runs:
-            for (year, column), value in run.result().items():
-                out[side].setdefault((scenario, year, column), []).append(value)
+            for (year, column), values in run.result().items():
+                out[side].setdefault((scenario, year, column), []).extend(values)
             print(f"  {side} {scenario} seed {seed} done", file=sys.stderr, flush=True)
     return out
 

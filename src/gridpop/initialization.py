@@ -25,7 +25,6 @@ from .stochastics import (
     DEFAULT_MAX_INITIAL_AGE_YEARS,
     Rng,
     sample_half_normal_age_steps,
-    weighted_sample,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,11 +68,21 @@ def init_ages_and_genders(store: PopulationStore, pids: np.ndarray, rng: Rng,
 def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng) -> None:
     """Marry off adult males, each selected with probability start_married_rate.
 
-    Every selected male draws a uniform candidate subset of the eligible
-    female pool, weights it by age compatibility and picks a wife; she
-    leaves the pool. An exhausted pool leaves the remaining males single.
-    The couples are written to the status and partner arrays after the
-    last pick.
+    Every selected male takes a uniform subset S of k = min(n_cand, pool)
+    eligible women, where n_cand = max(max_num_marr_cand, ceil(pool / 10))
+    is fixed from the initial pool, and picks wife j of S with probability
+    w_j / W(S), w the age compatibility; she leaves the pool. An exhausted
+    pool leaves the remaining males single. The couples are written to the
+    status and partner arrays after the last pick.
+
+    S is revealed only as far as the pick looks at it. Each trial takes a
+    uniform member of S: a uniform slot of k, which is one of the revealed
+    positions R if the slot is below |R|, else a uniform pool position
+    outside R (by rejection) that joins R. The trial keeps it with
+    probability w_j <= 1. A revealed member is not redrawn, so the trials
+    see one subset; without R they would be a plain rejection over the
+    whole pool, a different law. The expected trial count is 1 / (mean
+    weight), whatever k and the pool's size.
     """
     n = store.steps_per_year
     adult_males = store.unmarried_adults(male=True)  # everyone is single yet
@@ -82,21 +91,31 @@ def init_partnerships(store: PopulationStore, params: ModelParameters, rng: Rng)
     rng.shuffle(selected)
 
     pool_ids = store.unmarried_adults(male=False)
-    pool_years = store.age_steps_arr[pool_ids] / n
-    groom_years = store.age_steps_arr[selected] / n
+    pool_years = (store.age_steps_arr[pool_ids] / n).tolist()
     live = len(pool_ids)
     # Candidate-subset size is fixed from the initial pool size.
     n_cand = max(params.max_num_marr_cand, math.ceil(live / 10))
 
     brides = []
-    for rank in range(len(selected)):
+    for rank, groom_years in enumerate((store.age_steps_arr[selected] / n).tolist()):
         if live == 0:
             logger.warning("eligible female pool exhausted; %d selected males stay single",
                            len(selected) - rank)
             break
-        cand = rng.choice(live, size=min(n_cand, live), replace=False)
-        weights = age_compatibility_array(groom_years[rank], pool_years[cand])
-        j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
+        k = min(n_cand, live)
+        revealed, seen = [], set()
+        while True:
+            slot = int(rng.random() * k)
+            if slot < len(revealed):
+                j = revealed[slot]
+            else:
+                j = int(rng.random() * live)
+                while j in seen:
+                    j = int(rng.random() * live)
+                revealed.append(j)
+                seen.add(j)
+            if rng.random() < age_compatibility_array(groom_years, pool_years[j]):
+                break
         brides.append(pool_ids[j])
         live -= 1
         pool_ids[j] = pool_ids[live]

@@ -7,9 +7,11 @@ All randomness in a run flows through a single numpy Generator (PCG64),
 created by make_rng(seed). Identical seeds reproduce identical draw
 sequences across runs and platforms for a pinned numpy version. Beyond
 the Generator's own methods, a run draws through two functions here:
-weighted_sample for one weighted pick, and sample_half_normal_age_steps
-for the initial ages. instantaneous_probability_array converts yearly
-probabilities to per-step ones.
+weighted_sample for the marriage event's weighted bride pick (the initial
+couples draw theirs by rejection in initialization.py), and
+sample_half_normal_age_steps for the initial ages.
+instantaneous_probability_array converts yearly probabilities to
+per-step ones.
 """
 
 from __future__ import annotations

@@ -443,6 +443,29 @@ class TestStepper:
                                         tmp_path, "run")
 
 
+class TestHouseholdMerges:
+    """A marriage moves the smaller household whole into the larger, so a
+    merge never shrinks the largest household."""
+
+    def test_largest_household_shrinks_only_by_deaths_and_lone_moves(self):
+        sim = Simulation(small_config(t_final=2025, seed=21), ModelParameters(initial_pop=2000),
+                         DataTables())
+        residents = sim.space.residents
+        largest = max(map(len, residents))
+        merges_into_largest = 0
+        while sim.steps < sim.config.total_steps:
+            members = max(residents, key=len).copy()
+            log = sim.step()
+            merges_into_largest += any(g in members or b in members for g, b in log.marriages)
+            size = max(map(len, residents))
+            # Deaths and persons moving out alone (orphans, divorced men) may
+            # shrink it; births and merges only grow it.
+            assert size >= largest - len(log.deaths) - len(log.orphan_moves) \
+                - len(log.divorce_moves)
+            largest = size
+        assert merges_into_largest > 0
+
+
 class TestStepHook:
     """Only a step hook makes the run copy each boundary's state, and the
     copy changes no output byte."""

@@ -29,7 +29,7 @@ from gridpop.population import (
     collect_invariant_violations,
 )
 from gridpop.space import Space, cell_of
-from gridpop.stochastics import ClockSpec, make_rng, weighted_sample
+from gridpop.stochastics import ClockSpec, make_rng
 
 
 def build(initial_pop=2000, seed=11, **param_overrides):
@@ -128,6 +128,32 @@ class TestPartnerships:
             init_partnerships(store, params, make_rng(seed))
             counts[brides.index(store.partner_arr[groom])] += 1
         # One test, so the Bonferroni bound of the father draw's law test is 0.01.
+        assert stats.chisquare(counts, trials * law).pvalue > 0.01
+
+    def test_bride_law_at_the_pool_edge(self):
+        stats = pytest.importorskip("scipy.stats")
+        # Two grooms, five women and max_num_marr_cand = 5: each subset is
+        # the whole remaining pool, so each groom's pick is weighted over
+        # every woman left, and a lazy draw reveals all of them.
+        groom_years, bride_years = [30, 40], np.array([24, 29, 34, 38, 45])
+        params = ModelParameters(start_married_rate=1.0, max_num_marr_cand=5)
+        w = [age_compatibility_array(g, bride_years / 1.0) for g in groom_years]
+        women = range(len(bride_years))
+        pairs = [(a, b) for a in women for b in women if a != b]
+
+        def p_pick(groom, bride, gone):
+            return w[groom][bride] / (w[groom].sum() - sum(w[groom][g] for g in gone))
+
+        # Either groom picks first, with probability 1/2 each.
+        law = np.array([(p_pick(0, a, []) * p_pick(1, b, [a])
+                         + p_pick(1, b, []) * p_pick(0, a, [b])) / 2 for a, b in pairs])
+        trials, counts = 4000, np.zeros(len(pairs), dtype=int)
+        for seed in range(trials):
+            store = PopulationStore(12)
+            grooms = [store.spawn_person(Gender.MALE, y * 12) for y in groom_years]
+            brides = [store.spawn_person(Gender.FEMALE, y * 12) for y in bride_years.tolist()]
+            init_partnerships(store, params, make_rng(seed))
+            counts[pairs.index(tuple(brides.index(store.partner_arr[g]) for g in grooms))] += 1
         assert stats.chisquare(counts, trials * law).pvalue > 0.01
 
     def test_pool_exhaustion_leaves_singles(self, caplog):
@@ -340,7 +366,11 @@ class TestFullSweep:
 
 
 def reference_partnerships(store, params, rng):
-    """One groom at a time: candidate subset, per-candidate weights, wedding."""
+    """One groom at a time, one trial per loop iteration. A trial draws a
+    uniform slot of the groom's k-subset; a slot past the members touched
+    so far stands for an untouched member, a uniform pool position not
+    yet touched. The trial weds the member with probability its age
+    compatibility."""
     n = store.steps_per_year
     size = store.size
     adult = store.alive_arr[:size] & (store.age_steps_arr[:size] >= store.adult_age_steps)
@@ -355,9 +385,19 @@ def reference_partnerships(store, params, rng):
     for m in selected:
         if live == 0:
             break
-        cand = rng.choice(live, size=min(n_cand, live), replace=False)
-        weights = age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[cand])
-        j = int(weighted_sample(rng, cand, weights, float(weights.sum())))
+        k = min(n_cand, live)
+        touched = []
+        wed = False
+        while not wed:
+            slot = int(rng.random() * k)
+            if slot >= len(touched):
+                position = int(rng.random() * live)
+                while position in touched:
+                    position = int(rng.random() * live)
+                touched.append(position)
+                slot = len(touched) - 1
+            j = touched[slot]
+            wed = rng.random() < age_compatibility_array(store.age_steps_arr[m] / n, pool_ages[j])
         store.wed(m, int(pool_ids[j]))
         live -= 1
         pool_ids[j] = pool_ids[live]

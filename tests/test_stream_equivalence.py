@@ -71,3 +71,14 @@ def test_year_samples_sum_events_and_keep_the_last_state():
         (1, "alive"): 12.0, (1, "births"): 2.0, (1, "mean_age"): 31.0,
         (2, "alive"): 11.0, (2, "births"): 2.0, (2, "mean_age"): 32.0,
     }
+
+
+def test_initial_couples_of_a_small_build():
+    harness = _harness()
+    harness.SCENARIOS["tiny"] = ("monthly", 400, 1)
+    built = harness.initial_couples(ROOT / "src", "tiny", 3)
+    [couples] = built[0, "couples"]
+    gaps = built[0, "age_gap"]
+    assert couples == len(gaps) > 0
+    # The ages are whole months, so every gap is too.
+    assert all(abs(12 * gap - round(12 * gap)) < 1e-9 for gap in gaps)
